@@ -277,27 +277,20 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 
     // Republish cadence: one shard touched between publishes — the
-    // resident serving steady state.  Incremental re-merges only the
-    // dirty root-to-leaf path of the merge tree (≤ ⌈log₂ shards⌉ pair
-    // merges instead of shards − 1) and clones only the dirty shard;
-    // full rebuilds the whole tree every publish.  All modes produce
-    // bit-identical snapshots; `incremental` runs the default
+    // resident serving steady state.  A publish clones only the dirty
+    // shard, merges all eight leaves at once and solves.  Both cases
+    // produce bit-identical snapshots; `incremental` runs the default
     // delta-aware solver (feasibility probes answered from certified
     // cached verdicts), `incremental_cold` isolates its win by forcing
-    // a from-scratch solve on the same re-merge path.
+    // a from-scratch solve on the same merge path.
     let mut g = c.benchmark_group("engine_republish");
     g.sample_size(10);
-    for (label, solver, full) in [
-        ("incremental", SolverMode::Delta, false),
-        ("incremental_cold", SolverMode::Cold, false),
-        ("full", SolverMode::Delta, true),
+    for (label, solver) in [
+        ("incremental", SolverMode::Delta),
+        ("incremental_cold", SolverMode::Cold),
     ] {
         g.bench_function(BenchmarkId::new(label, 8), |b| {
-            let mut cfg = EngineConfig::new(8, K, Z, EPS).with_solver(solver);
-            if full {
-                cfg = cfg.full_republish();
-            }
-            let engine = Engine::new(L2, cfg);
+            let engine = Engine::new(L2, EngineConfig::new(8, K, Z, EPS).with_solver(solver));
             for batch in stream[..200_000].chunks(4096) {
                 engine.ingest(batch);
             }
@@ -316,7 +309,7 @@ fn bench_engine(c: &mut Criterion) {
     // representatives, certificates start failing, and the solver
     // degrades gracefully toward the cold cost.  D ≥ 64 also dirties
     // several of the 8 value-hash shards per publish (the multi-dirty-
-    // shard case), so the sweep covers re-merge width as well.
+    // shard case), so the sweep covers leaf re-cloning as well.
     for d in [1usize, 64, 4096] {
         g.bench_function(BenchmarkId::new("delta_sweep", d), |b| {
             let engine = Engine::new(L2, EngineConfig::new(8, K, Z, EPS));

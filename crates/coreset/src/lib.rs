@@ -18,10 +18,9 @@
 //!   covering at a coarser granularity (used by the streaming algorithm);
 //! * [`compose`] — the union (Lemma 4) and transitive (Lemma 5) operations
 //!   that let MPC machines and streaming passes combine coverings;
-//! * [`merge`] — the [`merge::MergeableSummary`] trait making that
-//!   composability first-class (one ε′-bookkeeping path shared by the MPC
-//!   coordinator, the sharded engine and the conformance harness), plus
-//!   the balanced [`merge::merge_tree`] reduction;
+//! * [`merge`] — what every composing pipeline shares: the end-to-end
+//!   `3 + 8ε′` factor an ε′-summary certifies ([`end_to_end_factor`]) and
+//!   the metric-compatibility check merges assert;
 //! * [`bounds`] — the size/capacity formulas of Lemmas 6–7 and Algorithm 3;
 //! * [`validate`] — empirical checkers for both Definition-1 conditions,
 //!   used by tests and the quality experiments.
@@ -40,7 +39,5 @@ pub use bounds::{mbc_size_bound, streaming_capacity};
 pub use compose::union_coverings;
 pub use fast::{absorb_sweep, update_coreset_grid};
 pub use mbc::{mbc_construction, mbc_construction_with, MiniBallCovering};
-pub use merge::{
-    end_to_end_factor, leaf_span, merge_level, merge_tree, tree_depth, MergeableSummary,
-};
+pub use merge::end_to_end_factor;
 pub use update::update_coreset;

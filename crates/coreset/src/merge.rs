@@ -1,52 +1,19 @@
-//! `MergeableSummary` — the composability of mini-ball coverings as a
-//! first-class trait.
+//! Merge bookkeeping shared by every pipeline that composes mini-ball
+//! coverings.
 //!
 //! The paper's coresets are explicitly composable: the union of
 //! (ε,k,z)-mini-ball coverings of disjoint parts is a covering of the
 //! union (Lemma 4), and recompressing a covering degrades ε only
-//! additively (Lemma 5: ε + γ + εγ).  The MPC algorithms, the sharded
-//! streaming engine, and the conformance harness all rely on the same two
-//! facts; this trait pins the bookkeeping — what ε′ a summary currently
-//! guarantees and how merging changes it — in one place instead of
-//! per-pipeline bound code.
-//!
-//! Implementors in this workspace:
-//!
-//! * [`MiniBallCovering`] (here) — merge is the Lemma 4 union: the
-//!   covering drift of each part is unchanged, so the merged ε′ is the
-//!   max of the sides' (the usual MPC-coordinator recompression that
-//!   *follows* a union is what invokes Lemma 5, via
-//!   [`crate::compose::composed_eps`]);
-//! * `kcz_streaming::DoublingCoreset` / `InsertionOnlyCoreset` — merge
-//!   recompresses at the merged radius, costing one `a·r` drift term per
-//!   merge generation (the streaming mirror of Lemma 5).
+//! additively (Lemma 5: ε + γ + εγ).  Each summary type tracks the ε′ it
+//! certifies itself — the MPC coordinators via
+//! [`crate::compose::composed_eps`], the sharded engine through
+//! `kcz_streaming::DoublingCoreset::merge`, which unions every shard
+//! summary at once and recompresses once, so its ε′ widens by a single
+//! `ε/2` however many shards there are.  This module holds what they
+//! share: the end-to-end ratio factor an ε′-summary certifies, and the
+//! metric-compatibility check merges assert.
 
-use kcz_metric::{MetricSpace, SpaceUsage};
-
-use crate::mbc::MiniBallCovering;
-
-/// A summary that can absorb another summary of the same shape while
-/// tracking the accuracy it still guarantees.
-///
-/// The contract mirrors Definition 2: after any sequence of inserts and
-/// merges, every point fed into the summary (directly or via a merged-in
-/// side) has a representative within `effective_eps() · opt` of it.
-pub trait MergeableSummary {
-    /// Absorbs `other` into `self` (Lemma 4 union, possibly followed by
-    /// the implementor's recompression).  Panics if the two summaries
-    /// were built with incompatible parameters.
-    fn merge(&mut self, other: Self);
-
-    /// The ε′ the summary currently guarantees: the covering property
-    /// holds at `ε′·opt`.  Grows under merging exactly as the
-    /// implementor's composition lemma dictates.
-    fn effective_eps(&self) -> f64;
-
-    /// Current storage footprint in machine words (the paper's Table 1
-    /// unit), so engines can account per-shard peaks and merge-time
-    /// transients uniformly.
-    fn words(&self) -> usize;
-}
+use kcz_metric::MetricSpace;
 
 /// The end-to-end ratio factor certified by solving on an ε′-summary with
 /// the Charikar-et-al. greedy: `3 + 8ε′`.
@@ -62,116 +29,9 @@ pub fn end_to_end_factor(effective_eps: f64) -> f64 {
     3.0 + 8.0 * effective_eps
 }
 
-impl<P: Clone + SpaceUsage> MergeableSummary for MiniBallCovering<P> {
-    /// Lemma 4 union: concatenate the representative sets.  Valid as an
-    /// (ε,k,z)-covering of the combined input whenever the parts'
-    /// per-part optima are bounded by the combined optimum — the
-    /// precondition every MPC round arranges before unioning.
-    ///
-    /// Concatenation also makes representative *order* a pure function
-    /// of the tree shape and each leaf's internal order.  The engine's
-    /// delta-aware solver leans on this: when an ingest only bumps
-    /// weights (every absorb lands on an existing representative), the
-    /// re-merged summary lists the same representatives at the same
-    /// positions, so the solver's cached candidate ladder and distance
-    /// matrix remain valid verbatim.
-    fn merge(&mut self, other: Self) {
-        self.reps.extend(other.reps);
-        self.mini_radius = self.mini_radius.max(other.mini_radius);
-        self.greedy_radius = self.greedy_radius.max(other.greedy_radius);
-    }
-
-    /// `δ = ε·r/3` with `r ≥ opt`, so the drift `mini_radius` certifies
-    /// `ε′ = 3·δ/r`.  A zero greedy radius means the covering only
-    /// merged exact duplicates: zero drift.
-    fn effective_eps(&self) -> f64 {
-        if self.greedy_radius > 0.0 {
-            3.0 * self.mini_radius / self.greedy_radius
-        } else {
-            0.0
-        }
-    }
-
-    fn words(&self) -> usize {
-        SpaceUsage::words(self)
-    }
-}
-
-/// One level of the balanced merge tree: adjacent elements paired in
-/// order, with an odd tail carried unpaired (`None` on the right).
-///
-/// This is the **single definition of the tree's shape**.  The composed
-/// ε′ accounting (`ε′ = ε(1 + ⌈log₂ s⌉/2)` for the streaming summaries)
-/// and the determinism guarantee of parallel executors both depend on
-/// every consumer building exactly this tree: [`merge_tree`] folds the
-/// levels sequentially, and the resident engine maps each level's pairs
-/// over its worker pool — bit-identical results by construction.
-pub fn merge_level<S>(layer: Vec<S>) -> Vec<(S, Option<S>)> {
-    let mut pairs = Vec::with_capacity(layer.len().div_ceil(2));
-    let mut it = layer.into_iter();
-    while let Some(left) = it.next() {
-        pairs.push((left, it.next()));
-    }
-    pairs
-}
-
-/// Merges summaries pairwise in a fixed balanced-tree order until one
-/// remains; returns `None` on an empty input.  The tree shape depends
-/// only on the input length (see [`merge_level`]), and the composed ε′
-/// grows with the tree *depth* (⌈log₂ s⌉ merge generations) rather than
-/// with `s − 1` as a left fold would.
-pub fn merge_tree<S: MergeableSummary>(mut layer: Vec<S>) -> Option<S> {
-    while layer.len() > 1 {
-        layer = merge_level(layer)
-            .into_iter()
-            .map(|(mut left, right)| {
-                if let Some(right) = right {
-                    left.merge(right);
-                }
-                left
-            })
-            .collect();
-    }
-    layer.pop()
-}
-
-/// Number of [`merge_level`] rounds a tree over `leaves` inputs performs
-/// before one summary remains: `⌈log₂ leaves⌉` (0 for zero or one leaf).
-/// This is the generation count the composed ε′ accounting charges —
-/// cache-reusing executors must re-merge a dirty leaf's path through
-/// exactly this many levels.
-pub fn tree_depth(leaves: usize) -> usize {
-    let mut depth = 0;
-    let mut width = leaves;
-    while width > 1 {
-        width = width.div_ceil(2);
-        depth += 1;
-    }
-    depth
-}
-
-/// The leaves covered by node `index` of level `level` in the balanced
-/// merge tree over `leaves` inputs (level 0 is the leaves themselves,
-/// level [`tree_depth`] the root): `[index·2^level, (index+1)·2^level)`
-/// clipped to `leaves`.
-///
-/// This is the cache key of an incremental re-merge: a cached interior
-/// node may be reused iff no leaf in its span changed, because
-/// [`merge_level`] pairs adjacent nodes — node `(ℓ+1, i)` is built from
-/// `(ℓ, 2i)` and `(ℓ, 2i+1)`, so spans compose exactly this way (an
-/// unpaired odd tail carries the left child's span unchanged, and both
-/// expressions clip to the same range).  The returned range is empty iff
-/// the node does not exist at that level.
-pub fn leaf_span(level: usize, index: usize, leaves: usize) -> std::ops::Range<usize> {
-    let width = 1usize << level.min(usize::BITS as usize - 1);
-    let lo = index.saturating_mul(width).min(leaves);
-    let hi = (index.saturating_add(1)).saturating_mul(width).min(leaves);
-    lo..hi
-}
-
 /// Validates that two summaries built over a metric agree on it enough to
-/// merge (helper for implementors that cannot compare metrics directly:
-/// doubling dimension is the only observable parameter).
+/// merge (metrics cannot be compared directly: doubling dimension is the
+/// only observable parameter).
 pub fn compatible_metrics<P, M: MetricSpace<P>>(a: &M, b: &M) -> bool {
     a.doubling_dim() == b.doubling_dim()
 }
@@ -180,112 +40,7 @@ pub fn compatible_metrics<P, M: MetricSpace<P>>(a: &M, b: &M) -> bool {
 mod tests {
     use super::*;
     use crate::compose::composed_eps;
-    use crate::mbc::mbc_construction;
-    use kcz_metric::{total_weight, unit_weighted, L2};
-
-    fn covering_of(points: &[[f64; 2]], eps: f64) -> MiniBallCovering<[f64; 2]> {
-        mbc_construction(&L2, &unit_weighted(points), 2, 1, eps)
-    }
-
-    #[test]
-    fn union_merge_preserves_weight_and_drift_budget() {
-        let a_pts: Vec<[f64; 2]> = (0..20).map(|i| [i as f64 * 0.1, 0.0]).collect();
-        let b_pts: Vec<[f64; 2]> = (0..30).map(|i| [50.0 + i as f64 * 0.1, 0.0]).collect();
-        let mut a = covering_of(&a_pts, 0.5);
-        let b = covering_of(&b_pts, 0.25);
-        let (da, db) = (a.mini_radius, b.mini_radius);
-        a.merge(b);
-        assert_eq!(a.total_weight(), 50);
-        assert_eq!(a.mini_radius, da.max(db));
-        // Every input point still has a representative within the merged
-        // mini radius (each side's drift is untouched by concatenation).
-        for p in a_pts.iter().chain(&b_pts) {
-            let d = a
-                .reps
-                .iter()
-                .map(|r| L2.dist(p, &r.point))
-                .fold(f64::INFINITY, f64::min);
-            assert!(d <= a.mini_radius + 1e-12, "{p:?} at {d}");
-        }
-    }
-
-    #[test]
-    fn effective_eps_reads_back_the_construction_eps() {
-        let pts: Vec<[f64; 2]> = (0..40)
-            .map(|i| [(i % 7) as f64 * 3.0, (i / 7) as f64])
-            .collect();
-        for eps in [0.25, 0.5, 1.0] {
-            let mbc = covering_of(&pts, eps);
-            assert!(
-                (mbc.effective_eps() - eps).abs() < 1e-12,
-                "eps {eps} read back as {}",
-                mbc.effective_eps()
-            );
-        }
-        // Degenerate: all weight within the outlier budget → r = 0 → ε′ = 0.
-        let tiny = mbc_construction(&L2, &unit_weighted(&[[1.0, 1.0]]), 1, 5, 0.5);
-        assert_eq!(tiny.effective_eps(), 0.0);
-    }
-
-    #[test]
-    fn words_matches_space_usage() {
-        let mbc = covering_of(&[[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], 1.0);
-        assert_eq!(
-            MergeableSummary::words(&mbc),
-            kcz_metric::SpaceUsage::words(&mbc)
-        );
-    }
-
-    #[test]
-    fn merge_tree_is_balanced_and_total() {
-        let parts: Vec<MiniBallCovering<[f64; 2]>> = (0..5)
-            .map(|s| {
-                let pts: Vec<[f64; 2]> = (0..10)
-                    .map(|i| [s as f64 * 100.0 + i as f64, 0.0])
-                    .collect();
-                covering_of(&pts, 0.5)
-            })
-            .collect();
-        let merged = merge_tree(parts).expect("non-empty");
-        assert_eq!(total_weight(&merged.reps), 50);
-        assert!(merge_tree(Vec::<MiniBallCovering<[f64; 2]>>::new()).is_none());
-    }
-
-    #[test]
-    fn weight_only_bumps_preserve_merged_representative_order() {
-        // The delta-aware solver's pure-bump fast path assumes that if
-        // no leaf gained or lost a representative, the merged summary's
-        // representative positions are bit-identical and only weights
-        // moved.  Union merging is concatenation, so this must hold for
-        // any leaf's weights bumped by any amount.
-        let parts: Vec<MiniBallCovering<[f64; 2]>> = (0..5)
-            .map(|s| {
-                let pts: Vec<[f64; 2]> = (0..8)
-                    .map(|i| [s as f64 * 100.0 + i as f64 * 5.0, 0.0])
-                    .collect();
-                covering_of(&pts, 0.5)
-            })
-            .collect();
-        let before = merge_tree(parts.clone()).expect("non-empty");
-        let mut bumped = parts;
-        bumped[1].reps[3].weight += 7;
-        bumped[4].reps[0].weight += 1;
-        let after = merge_tree(bumped).expect("non-empty");
-        assert_eq!(before.reps.len(), after.reps.len());
-        for (i, (b, a)) in before.reps.iter().zip(&after.reps).enumerate() {
-            assert_eq!(
-                b.point.map(f64::to_bits),
-                a.point.map(f64::to_bits),
-                "rep {i} moved position under a weight-only bump"
-            );
-            assert!(a.weight >= b.weight, "rep {i} lost weight");
-        }
-        assert_eq!(
-            total_weight(&after.reps),
-            total_weight(&before.reps) + 8,
-            "exactly the bumped mass arrives"
-        );
-    }
+    use kcz_metric::L2;
 
     #[test]
     fn end_to_end_factor_tracks_lemma5_composition() {
@@ -300,59 +55,5 @@ mod tests {
     #[test]
     fn metric_compatibility_is_doubling_dim() {
         assert!(compatible_metrics::<[f64; 2], _>(&L2, &L2));
-    }
-
-    #[test]
-    fn tree_depth_counts_merge_level_rounds() {
-        assert_eq!(tree_depth(0), 0);
-        assert_eq!(tree_depth(1), 0);
-        for leaves in 2..=64usize {
-            // Count the rounds the real reduction performs.
-            let mut rounds = 0;
-            let mut layer: Vec<usize> = (0..leaves).collect();
-            while layer.len() > 1 {
-                layer = merge_level(layer).into_iter().map(|(l, _)| l).collect();
-                rounds += 1;
-            }
-            assert_eq!(tree_depth(leaves), rounds, "leaves = {leaves}");
-            assert_eq!(tree_depth(leaves), (leaves as f64).log2().ceil() as usize);
-        }
-    }
-
-    #[test]
-    fn leaf_span_matches_merge_level_pairing() {
-        // Build the tree over labelled leaf sets and check every node's
-        // set equals its `leaf_span` — the span formula and the pairing
-        // of `merge_level` must be the same shape definition.
-        for leaves in 1..=17usize {
-            let mut layer: Vec<Vec<usize>> = (0..leaves).map(|i| vec![i]).collect();
-            let mut level = 0;
-            loop {
-                for (i, node) in layer.iter().enumerate() {
-                    let span = leaf_span(level, i, leaves);
-                    assert_eq!(
-                        node.clone(),
-                        span.collect::<Vec<_>>(),
-                        "leaves = {leaves}, level = {level}, node = {i}"
-                    );
-                }
-                // Nodes past the level's width must have empty spans.
-                assert!(leaf_span(level, layer.len(), leaves).is_empty());
-                if layer.len() == 1 {
-                    break;
-                }
-                layer = merge_level(layer)
-                    .into_iter()
-                    .map(|(mut l, r)| {
-                        if let Some(r) = r {
-                            l.extend(r);
-                        }
-                        l
-                    })
-                    .collect();
-                level += 1;
-            }
-            assert_eq!(level, tree_depth(leaves));
-        }
     }
 }

@@ -1,9 +1,9 @@
 //! Pluggable per-shard backends: how a shard turns arrivals into the
-//! [`InsertionOnlyCoreset`] leaf the engine's merge tree consumes.
+//! [`InsertionOnlyCoreset`] leaf the engine's flat merge consumes.
 //!
 //! The engine's publish path is mode-agnostic: every backend produces an
-//! insertion-only summary as its *leaf*, and the same balanced merge
-//! tree, dirty-shard republish and Charikar solve run on top.  What a
+//! insertion-only summary as its *leaf*, and the same clean-leaf reuse,
+//! flat merge and Charikar solve run on top.  What a
 //! backend changes is **which multiset the leaf summarizes**:
 //!
 //! * [`InsertionShard`] — everything ever ingested (the original engine
@@ -46,13 +46,13 @@
 //!
 //! # ε′ composition
 //!
-//! The merge tree's `effective_eps` accounts the leaf ε and the per-
-//! generation widening.  The window and decay stages sit *in front of*
-//! the leaf and contribute their own ε of summarization error, reported
-//! via [`Backend::extra_eps`] and folded into the published
-//! `effective_eps` (and thus `bound_factor = 3 + 8ε′`).  Insertion mode
-//! contributes zero — its snapshots are bit-identical to the
-//! pre-backend engine.
+//! The merged root's `effective_eps` accounts the leaf ε and the one
+//! recompression's `ε/2` (once two or more leaves hold data).  The
+//! window and decay stages sit *in front of* the leaf and contribute
+//! their own ε of summarization error, reported via
+//! [`Backend::extra_eps`] and folded into the published `effective_eps`
+//! (and thus `bound_factor = 3 + 8ε′`).  Insertion mode contributes
+//! zero — its snapshots are bit-identical to the pre-backend engine.
 
 use std::collections::VecDeque;
 
@@ -111,7 +111,7 @@ impl Backend {
 /// arrivals routed here, `advance_to` at publish time so pure time
 /// passage (arrivals on sibling shards) mutates the window / decay
 /// state, then `state_version` to decide dirtiness and `summary` to
-/// clone the merge-tree leaf when dirty.
+/// clone the shard's leaf when dirty.
 pub trait ShardBackend<P, M: MetricSpace<P>> {
     /// Ingests one arrival: point `p` with weight `w` at global arrival
     /// stamp `arrival` (stamps are non-decreasing per shard under
@@ -131,7 +131,7 @@ pub trait ShardBackend<P, M: MetricSpace<P>> {
     /// cached leaf is still exact.
     fn state_version(&self) -> u64;
 
-    /// Builds (or clones) the merge-tree leaf summarizing this shard's
+    /// Builds (or clones) the leaf summarizing this shard's
     /// live content.  Deterministic given the shard state.
     fn summary(&mut self) -> InsertionOnlyCoreset<P, M>;
 

@@ -6,27 +6,29 @@
 //! lock.  Batched [`Engine::ingest`] routes points to shards with a
 //! splittable hash partitioner ([`kcz_workloads::HashPartitioner`]) and
 //! runs the per-shard inserts concurrently on the shared worker pool;
-//! [`Engine::publish`] clones the shard summaries under brief per-shard
-//! locks (ingest on other shards never stalls, and ingest on the same
-//! shard stalls only for the clone, not the merge), reduces them in a
-//! balanced merge tree on the pool, and caches the solved epoch behind
-//! an `Arc` — publishing an *unchanged* data version returns the cached
-//! handle without re-merging or re-solving, and [`Engine::latest`] hands
-//! readers the newest published epoch without ever paying a solve.  This
-//! is the write side of the serving contract: the read side
-//! (`kcz-serve`) builds query views on these frozen epochs.
+//! [`Engine::publish`] clones the dirty shard summaries under brief
+//! per-shard locks (ingest on other shards never stalls, and ingest on
+//! the same shard stalls only for the clone, not the merge), merges all
+//! shard leaves at once, and caches the solved epoch behind an `Arc` —
+//! publishing an *unchanged* data version returns the cached handle
+//! without re-merging or re-solving, and [`Engine::latest`] hands readers
+//! the newest published epoch without ever paying a solve.  This is the
+//! write side of the serving contract: the read side (`kcz-serve`) builds
+//! query views on these frozen epochs.
 //!
-//! Correctness is the Lemma 4 / Lemma 5 chain exposed by
-//! [`kcz_coreset::MergeableSummary`]: each shard's summary is an
-//! (ε,k,z)-mini-ball covering of its share (budget `z` is valid per
-//! shard because `opt_{k,z}(P_i) ≤ opt_{k,z}(P)` for `P_i ⊆ P`), the
-//! union is a covering of everything ingested, and each of the
-//! `⌈log₂ N⌉` merge generations widens the certified ε′ by `ε/2` — the
-//! widening [`Snapshot::effective_eps`] reports and
-//! [`Snapshot::bound_factor`] turns into the end-to-end `3 + 8ε′` ratio
-//! bound the conformance harness checks.
+//! Correctness is the coordinator step of the paper's two-round MPC
+//! algorithm: each shard's summary is an (ε,k,z)-mini-ball covering of
+//! its share (budget `z` is valid per shard because
+//! `opt_{k,z}(P_i) ≤ opt_{k,z}(P)` for `P_i ⊆ P`), so their union covers
+//! everything ingested (Lemma 4), and one recompression of that union
+//! (Lemma 5, [`InsertionOnlyCoreset::merge`]) widens the certified ε′ by
+//! `ε/2` once, whatever the shard count — ε′ = 1.5ε once two or more
+//! shards hold data, ε while at most one does.  That is the ε′
+//! [`Snapshot::effective_eps`] reports and [`Snapshot::bound_factor`]
+//! turns into the end-to-end `3 + 8ε′` ratio bound the conformance
+//! harness checks.
 
-use kcz_coreset::{end_to_end_factor, tree_depth, MergeableSummary};
+use kcz_coreset::end_to_end_factor;
 use kcz_kcenter::{farthest_first, greedy_stateful, greedy_with, GreedyParams, SolveState};
 use kcz_metric::{MetricSpace, Precision, SpaceUsage, Weighted};
 use kcz_obs::{Counter, Gauge, MetricsHandle, Stage};
@@ -64,13 +66,6 @@ pub struct EngineConfig {
     pub eps: f64,
     /// Seed of the hash partitioner (routing is deterministic given it).
     pub seed: u64,
-    /// Incremental publish: keep the merge tree (leaf clones + interior
-    /// nodes) across epochs, re-merging only root-to-dirty-leaf
-    /// subtrees.  `false` rebuilds every publish from scratch.  Either
-    /// mode solves identically (warm-started from the canonical
-    /// merged-summary hint), so published snapshots are bit-identical
-    /// across modes.
-    pub incremental: bool,
     /// Lane precision of the shard coresets' columnar absorb mirrors.
     /// [`Precision::F64`] (the default) is bit-identical to the scalar
     /// kernels; [`Precision::F32`] halves the absorb scan's memory
@@ -91,8 +86,8 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with the given shard count, the catalog's default
-    /// routing seed, and incremental publishing on.
+    /// A config with the given shard count and the catalog's default
+    /// routing seed.
     pub fn new(shards: usize, k: usize, z: u64, eps: f64) -> Self {
         EngineConfig {
             shards,
@@ -100,20 +95,10 @@ impl EngineConfig {
             z,
             eps,
             seed: 0x5EED_0E16,
-            incremental: true,
             precision: Precision::F64,
             backend: Backend::Insertion,
             solver: SolverMode::Delta,
         }
-    }
-
-    /// Turns incremental publishing off: every publish re-clones every
-    /// shard, re-runs the whole merge tree, and solves cold.  The
-    /// conformance harness uses this as the from-scratch oracle the
-    /// incremental path is certified against.
-    pub fn full_republish(mut self) -> Self {
-        self.incremental = false;
-        self
     }
 
     /// Sets the shard coresets' absorb-mirror lane precision (see
@@ -160,12 +145,10 @@ pub struct EngineStats {
     /// Largest peak storage of any single shard, in words (the paper's
     /// per-machine measure: shards are machines).
     pub shard_peak_words: usize,
-    /// Extra words held by this snapshot's merge tree: the cloned shard
-    /// summaries *and every interior node of the reduction* live
-    /// alongside the shards (transiently for a full republish, resident
-    /// in the tree cache for an incremental one).  Interior levels are
-    /// counted too — recompression can transiently grow a merged
-    /// summary past the sum of its leaves.
+    /// Extra words held by this snapshot's merge: the cached shard
+    /// leaves (resident between publishes) plus the merged root.  The
+    /// root is counted on top of its leaves because the union exists
+    /// before its recompression shrinks it.
     pub merge_transient_words: usize,
     /// Words of the merged summary the snapshot solved on.
     pub summary_words: usize,
@@ -175,13 +158,13 @@ pub struct EngineStats {
     /// verdicts instead of `disk_greedy` runs (always `0` under
     /// [`SolverMode::Cold`]).
     pub reused_verdicts: usize,
-    /// Merge-tree + Charikar solves performed over the engine's
+    /// Merge + Charikar solves performed over the engine's
     /// lifetime up to this snapshot (the same count
     /// [`Engine::solves`] reads) — snapshots and the engine expose the
     /// solve/elision accounting uniformly.
     pub solves: u64,
-    /// Pair merges performed over the engine's lifetime up to this
-    /// snapshot (see [`Engine::merges`]).
+    /// Root recompressions performed over the engine's lifetime up to
+    /// this snapshot (see [`Engine::merges`]).
     pub merges: u64,
     /// Charikar solves elided on an unchanged merged fingerprint over
     /// the engine's lifetime up to this snapshot (see
@@ -207,8 +190,9 @@ pub struct Snapshot<P> {
     /// (`radius ≤ 3·r̂`) — part of the bit-identity surface the solver
     /// conformance pass compares across delta/cold/scratch solves.
     pub guess: f64,
-    /// The ε′ the merged summary certifies: `ε` for one shard, widened
-    /// by `ε/2` per merge generation (⌈log₂ shards⌉ of them).
+    /// The ε′ the merged summary certifies: `ε` while at most one shard
+    /// holds data, `1.5ε` once two or more do (one recompression of
+    /// their union), plus the backend's extra ε for window and decay.
     pub effective_eps: f64,
     /// The end-to-end certified ratio factor, `3 + 8ε′` (one shared
     /// derivation: [`kcz_coreset::end_to_end_factor`]).
@@ -245,11 +229,11 @@ impl<P: SpaceUsage> SpaceUsage for Snapshot<P> {
 }
 
 /// Recovers a poisoned mutex guard.  Publish-path state (the snapshot
-/// cache, the herd guard, the merge-tree cache) is kept internally
-/// consistent at every step — a publisher that panicked mid-solve has
-/// taken the tree cache out (leaving `None`, which just means the next
-/// publish rebuilds cold) and never half-writes the snapshot cache —
-/// so later publishers must not be wedged by the poison marker.
+/// cache, the herd guard, the leaf cache) is kept internally consistent
+/// at every step — a publisher that panicked mid-solve has taken the
+/// leaf cache out (leaving it empty, which just means the next publish
+/// rebuilds every leaf) and never half-writes the snapshot cache — so
+/// later publishers must not be wedged by the poison marker.
 ///
 /// Shard locks deliberately keep their `.expect`: a panic mid-insert
 /// leaves a shard summary mid-mutation with unknown invariants, and
@@ -262,9 +246,9 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// mix over every representative's routing key and weight, the length,
 /// the radius bound and the certified ε′ — every merged bit the
 /// Charikar solve (and the snapshot's certified fields) consumes.  A
-/// pure function of those bits, so incremental and full-republish
-/// publishes of the same data fingerprint identically.  Never returns
-/// the `0` sentinel.
+/// pure function of those bits, so a persistent engine and a fresh one
+/// fed the same data fingerprint identically.  Never returns the `0`
+/// sentinel.
 fn fingerprint_summary<P, M>(s: &InsertionOnlyCoreset<P, M>) -> u64
 where
     P: Clone + SpaceUsage + ShardKey,
@@ -294,17 +278,11 @@ fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The incremental-publish state carried from one epoch to the next:
-/// the full merge tree of the previous publish.  Clean subtrees are
-/// reused bit-for-bit; only root-to-dirty-leaf paths are re-merged.
-struct TreeCache<P, M: MetricSpace<P>> {
-    /// Per-shard version stamp each leaf clone was taken at.
-    leaf_versions: Vec<u64>,
-    /// `levels[0]` are the leaf clones (one per shard), `levels[g]` the
-    /// nodes after merge generation `g`; the last level is the single
-    /// merged root the epoch solved on.
-    levels: Vec<Vec<InsertionOnlyCoreset<P, M>>>,
-}
+/// One shard's leaf of the last publish, keyed by the backend state
+/// version it was built at: a shard whose version has not moved since
+/// is clean, and its leaf is reused without re-cloning (or, for window
+/// shards, re-streaming the live suffix).
+type Leaf<P, M> = (u64, InsertionOnlyCoreset<P, M>);
 
 /// The engine's instrument set.  Counters double as the engine's own
 /// accounting (they are the single source of truth behind
@@ -318,9 +296,10 @@ struct EngineInstruments {
     points: Counter,
     /// `engine.ingest.batches` — batches accepted.
     batches: Counter,
-    /// `engine.publish.solves` — full merge + Charikar solve passes.
+    /// `engine.publish.solves` — merge + Charikar solve passes.
     solves: Counter,
-    /// `engine.publish.pair_merges` — pair merges actually performed.
+    /// `engine.publish.pair_merges` — root recompressions: one per
+    /// publish whose merge had two or more non-empty leaves.
     merges: Counter,
     /// `engine.publish.elisions` — solves skipped on an unchanged
     /// merged fingerprint.
@@ -336,7 +315,7 @@ struct EngineInstruments {
     publish_total: Stage,
     /// `engine.publish.stage.clone_ns` — phase 1, dirty-shard clones.
     stage_clone: Stage,
-    /// `engine.publish.stage.merge_ns` — phase 2, dirty-path re-merge.
+    /// `engine.publish.stage.merge_ns` — phase 2, the flat merge.
     stage_merge: Stage,
     /// `engine.publish.stage.solve_ns` — phase 3, the Charikar solve.
     stage_solve: Stage,
@@ -353,8 +332,8 @@ struct EngineInstruments {
     summary_words: Gauge,
     /// `engine.publish.epoch` — newest published epoch number.
     epoch_gauge: Gauge,
-    /// `engine.merge.peak_transient_words` — high-water merge-tree
-    /// residency.
+    /// `engine.merge.peak_transient_words` — high-water leaf-cache plus
+    /// merged-root residency.
     peak_transient: Gauge,
 }
 
@@ -444,11 +423,11 @@ pub struct Engine<P, M: MetricSpace<P>> {
     /// this lock, which also orders epoch assignment with the clone
     /// phase (no separate snapshot lock needed).
     publish_order: Mutex<()>,
-    /// The previous epoch's merge tree (incremental mode only; always
-    /// `None` with `full_republish`).  Taken out for the duration of a
-    /// publish so a panicking solve leaves `None` and the next publish
-    /// rebuilds cold.
-    tree_cache: Mutex<Option<TreeCache<P, M>>>,
+    /// The previous publish's shard leaves, one per shard in shard
+    /// order.  Taken out for the duration of a publish, so a panicking
+    /// merge or solve leaves it empty and the next publish rebuilds
+    /// every leaf.
+    leaves: Mutex<Vec<Leaf<P, M>>>,
     /// The delta-aware solver's persistent state ([`SolverMode::Delta`]
     /// only; always `None` under [`SolverMode::Cold`]).  Taken out for
     /// the duration of a solve so a panic leaves `None` and the next
@@ -503,7 +482,7 @@ where
             published: RwLock::new(None),
             published_fp: AtomicU64::new(0),
             publish_order: Mutex::new(()),
-            tree_cache: Mutex::new(None),
+            leaves: Mutex::new(Vec::new()),
             solve_state: Mutex::new(None),
             peak_merge_transient: AtomicUsize::new(0),
             pool: global(),
@@ -553,18 +532,16 @@ where
         self.version.load(Ordering::Acquire)
     }
 
-    /// Merge-tree + Charikar solves performed so far.  Publishing an
+    /// Merge + Charikar solves performed so far.  Publishing an
     /// unchanged version returns the cached snapshot and does not bump
     /// this — the regression surface for the snapshot fast path.
     pub fn solves(&self) -> u64 {
         self.obs.solves.get()
     }
 
-    /// Pair merges actually performed so far, across all publishes.  A
-    /// cold publish of `N` shards costs `N-1`; an incremental publish
-    /// after touching a single shard costs at most `⌈log₂N⌉` (one
-    /// root-to-leaf path) — the regression surface for the dirty-shard
-    /// re-merge.
+    /// Root recompressions performed so far: one per publish whose merge
+    /// found two or more non-empty shard leaves (a lone non-empty leaf
+    /// is adopted as it is).  Exported as `engine.publish.pair_merges`.
     pub fn merges(&self) -> u64 {
         self.obs.merges.get()
     }
@@ -717,25 +694,21 @@ where
     /// `publish_order` held (publishers are fully serialized, which
     /// also orders epoch assignment with the clone phase).  Clones the
     /// *dirty* shard summaries under brief per-shard locks (clean
-    /// shards are reused from the previous epoch's tree cache without
-    /// taking their locks at all), re-merges only root-to-dirty-leaf
-    /// subtrees of the balanced merge tree on the pool, and solves the
-    /// merged coreset with the Charikar-et-al. greedy, warm-started
-    /// from the canonical merged-summary hint (the Gonzalez (k+z)
-    /// radius).  Returns the data version the snapshot is valid for.
+    /// shards reuse the previous publish's leaf without copying it),
+    /// merges every leaf at once into one root — a single union and
+    /// recompression, [`InsertionOnlyCoreset::merge`] — and solves the
+    /// merged coreset with the Charikar-et-al. greedy, warm-started from
+    /// the canonical merged-summary hint (the Gonzalez (k+z) radius).
+    /// Returns the data version the snapshot is valid for.
     ///
-    /// Deterministic given the shard contents: the tree shape depends
-    /// only on the shard count (pairing per `kcz_coreset::merge_level`),
-    /// each pair merge is a sequential recompression, and a reused
-    /// clean node is bit-identical to re-merging its unchanged leaves.
-    /// The ε′-per-generation accounting follows the tree depth exactly
-    /// as in a full rebuild, so `bound_factor = 3 + 8ε′` is unchanged.
+    /// Deterministic given the shard contents: the root is the union of
+    /// the leaves in shard order, recompressed sequentially, and a
+    /// reused clean leaf is bit-identical to rebuilding it.
     fn solve_snapshot(&self) -> (u64, Snapshot<P>) {
         let t_total = self.obs.publish_total.start();
-        // Take the previous tree out for the duration: a panic below
-        // leaves `None` and the next publish simply rebuilds cold.
-        let prev = lock_recover(&self.tree_cache).take();
-        let n = self.cfg.shards;
+        // Take the cached leaves out for the duration: a panic below
+        // leaves the cache empty and the next publish rebuilds them all.
+        let mut cached = std::mem::take(&mut *lock_recover(&self.leaves)).into_iter();
 
         // Read the global version *before* the arrival clock and both
         // before the per-shard pass: a batch landing mid-publish may or
@@ -745,111 +718,61 @@ where
         // worst a later publish re-clones redundantly.
         let version = self.version.load(Ordering::Acquire);
         let now = self.clock.load(Ordering::Acquire);
-        let prev_leaf_versions = match &prev {
-            Some(c) if c.leaf_versions.len() == n => Some(c.leaf_versions.clone()),
-            _ => None,
-        };
-        let mut prev_levels: Vec<Vec<Option<InsertionOnlyCoreset<P, M>>>> = match prev {
-            Some(c) if prev_leaf_versions.is_some() => c
-                .levels
-                .into_iter()
-                .map(|lvl| lvl.into_iter().map(Some).collect())
-                .collect(),
-            _ => Vec::new(),
-        };
 
         // Phase 1: leaves.  Every shard is visited under its brief lock:
         // first `advance_to` delivers the publish-time clock (window
         // expiry / decay ticks — *time-driven* mutation that bumps the
         // backend's state version exactly when the summary could have
         // changed), then the stamp decides dirtiness.  Dirty shards
-        // build a fresh leaf under the same lock; clean shards reuse the
-        // cached clone without copying.  Insertion-only backends ignore
-        // time and their leaves are plain clones — bit-identical to the
-        // pre-backend engine.
+        // build a fresh leaf under the same lock; clean shards keep the
+        // cached one.  Insertion-only backends ignore time and their
+        // leaves are plain clones.
         let t_clone = self.obs.stage_clone.start();
-        let mut stamps = vec![0u64; n];
-        let mut dirty = vec![true; n];
-        let mut leaves = Vec::with_capacity(n);
+        let mut leaves: Vec<Leaf<P, M>> = Vec::with_capacity(self.shards.len());
         let mut shard_peak_words = 0usize;
-        for i in 0..n {
-            let mut guard = self.shards[i].lock().expect("shard lock");
+        for shard in &self.shards {
+            let mut guard = shard.lock().expect("shard lock");
             guard.advance_to(now);
-            stamps[i] = guard.state_version();
+            let stamp = guard.state_version();
             shard_peak_words = shard_peak_words.max(ShardBackend::<P, M>::peak_words(&*guard));
-            let clean = prev_leaf_versions
-                .as_ref()
-                .is_some_and(|lv| lv[i] == stamps[i]);
-            if clean {
-                drop(guard);
-                dirty[i] = false;
-                leaves.push(prev_levels[0][i].take().expect("clean leaf cached"));
-            } else {
-                leaves.push(guard.summary());
-            }
+            leaves.push(match cached.next() {
+                Some(leaf) if leaf.0 == stamp => leaf,
+                _ => (stamp, guard.summary()),
+            });
         }
         t_clone.finish();
 
-        // Phase 2: the balanced merge tree, one pool round per level,
-        // pairing adjacent nodes exactly as `kcz_coreset::merge_level`
-        // does (the single tree-shape definition `merge_tree` folds), so
-        // the reduction is bit-identical to the sequential full rebuild
-        // and the ε′-per-generation accounting matches the tree depth.
-        // A pair is re-merged only when one of its leaves is dirty;
-        // clean pairs take the cached node.  All levels are kept — they
-        // are the next epoch's cache.
+        // Phase 2: one flat merge of every leaf, read by reference.
+        // Empty leaves are skipped and a lone non-empty leaf is adopted
+        // as it is, so only a merge of two or more non-empty leaves
+        // pays (and counts) the recompression.
         let t_merge = self.obs.stage_merge.start();
-        let depth = tree_depth(n);
-        let mut levels: Vec<Vec<InsertionOnlyCoreset<P, M>>> = vec![leaves];
-        let mut level_dirty = dirty;
-        // Interior cache levels, bottom-up (empty when nothing was
-        // cached — but then every pair is dirty and none is consulted).
-        let mut cached_above = prev_levels.into_iter().skip(1);
-        for _ in 1..=depth {
-            let mut cached = cached_above.next().unwrap_or_default();
-            let below = levels.last().expect("level below exists");
-            let width = below.len().div_ceil(2);
-            let pair_dirty: Vec<bool> = (0..width)
-                .map(|p| level_dirty[2 * p] || level_dirty.get(2 * p + 1).copied().unwrap_or(false))
-                .collect();
-            let mut nodes: Vec<Option<InsertionOnlyCoreset<P, M>>> =
-                (0..width).map(|_| None).collect();
-            let mut jobs = Vec::new();
-            for (p, node) in nodes.iter_mut().enumerate() {
-                if !pair_dirty[p] {
-                    *node = Some(cached[p].take().expect("clean node cached"));
-                } else {
-                    let left = below[2 * p].clone();
-                    let right = below.get(2 * p + 1).cloned();
-                    if right.is_some() {
-                        self.obs.merges.incr();
-                    }
-                    jobs.push((p, left, right));
-                }
-            }
-            let remerged = self.pool.scoped_map(jobs, |_, (p, mut left, right)| {
-                if let Some(right) = right {
-                    MergeableSummary::merge(&mut left, right);
-                }
-                (p, left)
-            });
-            for (p, node) in remerged {
-                nodes[p] = Some(node);
-            }
-            levels.push(nodes.into_iter().map(|n| n.expect("node filled")).collect());
-            level_dirty = pair_dirty;
-        }
-        let merge_transient_words: usize = levels
+        let mut merged = InsertionOnlyCoreset::with_precision(
+            self.metric.clone(),
+            self.cfg.k,
+            self.cfg.z,
+            self.cfg.eps,
+            self.cfg.precision,
+        );
+        if leaves
             .iter()
-            .flat_map(|lvl| lvl.iter())
-            .map(|node| node.space_words())
-            .sum();
+            .filter(|(_, leaf)| leaf.points_seen() > 0)
+            .count()
+            >= 2
+        {
+            self.obs.merges.incr();
+        }
+        merged.merge(leaves.iter().map(|(_, leaf)| leaf));
+        let merge_transient_words = leaves
+            .iter()
+            .map(|(_, leaf)| leaf.space_words())
+            .sum::<usize>()
+            + merged.space_words();
         self.peak_merge_transient
             .fetch_max(merge_transient_words, Ordering::Relaxed);
         self.obs
             .peak_transient
             .set_max(merge_transient_words as u64);
-        let merged = levels.last().and_then(|l| l.first()).expect("merged root");
         t_merge.finish();
 
         // Solve elision: the solve below is a deterministic function of
@@ -860,7 +783,7 @@ where
         // with fresh resource accounting — no Charikar solve, no epoch
         // burned.  This fires when the version advanced but no arrival
         // changed the merged bits (weight-saturated representatives).
-        let fp = fingerprint_summary(merged);
+        let fp = fingerprint_summary(&merged);
         if self.published_fp.load(Ordering::Relaxed) == fp {
             if let Some((_, prior)) = &*read_recover(&self.published) {
                 let t_replay = self.obs.stage_replay.start();
@@ -874,12 +797,7 @@ where
                 snap.stats.solves = self.obs.solves.get();
                 snap.stats.merges = self.obs.merges.get();
                 snap.stats.elisions = self.obs.elisions.get();
-                if self.cfg.incremental {
-                    *lock_recover(&self.tree_cache) = Some(TreeCache {
-                        leaf_versions: stamps,
-                        levels,
-                    });
-                }
+                *lock_recover(&self.leaves) = leaves;
                 t_replay.finish();
                 t_total.finish();
                 return (version, snap);
@@ -889,9 +807,9 @@ where
         // Phase 3: solve on the merged summary, warm-started from a
         // *canonical* hint — the Gonzalez (k+z)-center radius of the
         // merged coreset.  The hint is a pure function of the merged
-        // bits (no publish history), so every mode — incremental,
-        // full-republish, a from-scratch oracle — computes the same
-        // hint on the same data and settles on bit-identical answers,
+        // bits (no publish history), so a persistent engine and a
+        // from-scratch oracle compute the same hint on the same data
+        // and settle on bit-identical answers,
         // while the search pays ~2·log₂(gap) probes around the hint
         // instead of a full cold bisection.  (R_gonz(k+z) ≤ 2·opt_{k,z}
         // and every guess ≥ opt is feasible, so the gap is O(1) grid
@@ -943,9 +861,9 @@ where
         self.obs.probes.add(sol.probes as u64);
         self.obs.reused.add(sol.reused_verdicts as u64);
         // ε′ composition: the merged root accounts the leaf ε and the
-        // per-generation widening; the window / decay stage sits in
+        // one recompression's widening; the window / decay stage sits in
         // front of the leaves and adds its own ε (zero for insertion —
-        // `x + 0.0` is exact, so insertion snapshots are bit-identical).
+        // `x + 0.0` is exact).
         let effective_eps = merged.effective_eps() + self.cfg.backend.extra_eps(self.cfg.eps);
         // The epoch number is drawn only now, on success: a panicking
         // merge or solve burns no epoch, keeping the "epochs advance
@@ -979,12 +897,7 @@ where
             },
             coreset: merged.coreset().to_vec(),
         };
-        if self.cfg.incremental {
-            *lock_recover(&self.tree_cache) = Some(TreeCache {
-                leaf_versions: stamps,
-                levels,
-            });
-        }
+        *lock_recover(&self.leaves) = leaves;
         self.published_fp.store(fp, Ordering::Relaxed);
         t_build.finish();
         self.obs.coreset_size.set(snap.coreset.len() as u64);
@@ -1079,31 +992,36 @@ mod tests {
     #[test]
     fn snapshot_radius_meets_certified_bound() {
         let pts = stream(220);
-        for shards in [1usize, 4, 8] {
+        let weighted: Vec<Weighted<[f64; 2]>> = pts.iter().map(|p| Weighted::unit(*p)).collect();
+        let opt = exact_discrete(&L2, &weighted, 2, 6, &pts).radius;
+        for shards in 1usize..=8 {
             let engine = Engine::new(L2, EngineConfig::new(shards, 2, 6, 0.5));
             for batch in pts.chunks(50) {
                 engine.ingest(batch);
             }
             let snap = engine.snapshot();
             // Re-measure the snapshot's centers on the *full input*.
-            let weighted: Vec<Weighted<[f64; 2]>> =
-                pts.iter().map(|p| Weighted::unit(*p)).collect();
             let measured = kcz_kcenter::cost_with_outliers(&L2, &weighted, &snap.centers, 6);
-            let opt = exact_discrete(&L2, &weighted, 2, 6, &pts).radius;
             assert!(
                 measured <= snap.bound_factor * opt + 1e-9,
                 "shards={shards}: {measured} > {}·{opt}",
                 snap.bound_factor
             );
             assert!(snap.radius_bound <= opt + 1e-9, "r must lower-bound opt");
-            // ε′ widens only with tree depth.
-            let gens = (shards as f64).log2().ceil();
-            assert!(
-                (snap.effective_eps - (0.5 + gens * 0.25)).abs() < 1e-12,
-                "shards={shards}: ε′ = {}",
-                snap.effective_eps
-            );
+            // One recompression whatever the shard count: ε′ = 1.5ε as
+            // soon as two shards hold data.
+            let holding = engine.shard_sizes().iter().filter(|&&n| n > 0).count();
+            assert_eq!(holding, shards, "every shard holds data");
+            let expected = if shards >= 2 { 0.75 } else { 0.5 };
+            assert_eq!(snap.effective_eps, expected, "shards={shards}");
+            assert_eq!(snap.bound_factor, 3.0 + 8.0 * expected);
         }
+        // All mass on one location lands on one shard: nothing is
+        // recompressed and ε′ stays ε.
+        let engine = Engine::new(L2, EngineConfig::new(8, 2, 6, 0.5));
+        engine.ingest(&[[1.0, 1.0]; 10]);
+        assert_eq!(engine.snapshot().effective_eps, 0.5);
+        assert_eq!(engine.merges(), 0);
     }
 
     #[test]
@@ -1137,7 +1055,7 @@ mod tests {
         engine.ingest(&stream(200));
         let a = engine.publish();
         assert_eq!(engine.solves(), 1);
-        // Same version: same Arc back, no merge tree, no Charikar solve.
+        // Same version: same Arc back, no merge, no Charikar solve.
         let b = engine.publish();
         assert!(std::sync::Arc::ptr_eq(&a, &b), "cached Arc must be reused");
         assert_eq!(engine.solves(), 1, "unchanged version must not re-solve");

@@ -13,10 +13,9 @@
 //!   [`backend::ShardBackend`] (insertion-only, sliding-window or
 //!   exponentially decayed — see [`backend::Backend`]) behind per-shard
 //!   locks, batched hash-routed ingest stamped by a global arrival
-//!   clock, and epoch-numbered snapshots that merge the shard summaries
-//!   (Lemma 4 union + Lemma 5 recompression, tracked by
-//!   [`kcz_coreset::MergeableSummary`]) on the pool without stalling
-//!   ingest.
+//!   clock, and epoch-numbered snapshots that merge all shard summaries
+//!   at once (one Lemma 4 union + one Lemma 5 recompression) without
+//!   stalling ingest.
 //!
 //! The composed-ε arithmetic lives in `kcz-coreset`
 //! ([`kcz_coreset::end_to_end_factor`]); the engine only *reports* the

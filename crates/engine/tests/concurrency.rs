@@ -133,10 +133,9 @@ fn concurrent_sharded_ingest_meets_certified_bound() {
         assert_eq!(total_weight(&snap.coreset), n, "trial {trial}");
         assert_eq!(engine.points_ingested(), n, "trial {trial}");
 
-        // Merge-transient accounting counts the whole tree, not just
-        // the leaf clones: it must dominate both the merged root and
-        // the largest single shard (the root alone can transiently
-        // exceed the leaf sum when recompression grows a merge).
+        // Merge-transient accounting counts the cached leaves plus the
+        // merged root: it must dominate both the merged root and the
+        // largest single shard.
         assert!(
             snap.stats.merge_transient_words >= snap.stats.summary_words,
             "trial {trial}: transient {} < summary {}",
@@ -148,10 +147,10 @@ fn concurrent_sharded_ingest_meets_certified_bound() {
             "trial {trial}"
         );
 
-        // The mid-stream snapshots above primed the incremental tree
-        // cache and warm state; the final snapshot must nonetheless
-        // satisfy every invariant a cold publish certifies (the
-        // sequential bit-identity property lives in `incremental.rs` —
+        // The mid-stream snapshots above primed the leaf cache and the
+        // solver state; the final snapshot must nonetheless satisfy
+        // every invariant a cold publish certifies (the sequential
+        // bit-identity property lives in `publish.rs` —
         // racy per-shard insertion order makes summaries interleaving-
         // dependent here, as they always were).
 
@@ -161,8 +160,8 @@ fn concurrent_sharded_ingest_meets_certified_bound() {
             uncovered_weight(&L2, &weighted, &snap.centers, measured) <= Z,
             "trial {trial}"
         );
-        // The engine's own certified bound (ε' widened by the merge
-        // tree) must hold...
+        // The engine's own certified bound (ε' widened by the one
+        // recompression) must hold...
         assert!(
             measured <= snap.bound_factor * opt + 1e-9,
             "trial {trial}: {measured} > {}·{opt}",

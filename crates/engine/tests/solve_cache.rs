@@ -6,9 +6,9 @@
 //! * a **persistent cold-solver engine** walking the exact same ingest
 //!   and publish schedule (isolates the solver: same merged summaries,
 //!   different solve path), and
-//! * a **fresh scratch replay** — a full-republish engine fed the same
-//!   prefix, publishing once (no merge-tree cache, no solve state, no
-//!   history at all).
+//! * a **fresh scratch replay** — a new engine fed the same prefix,
+//!   publishing once (no cached leaves, no solve state, no history at
+//!   all).
 //!
 //! The cache must also *do* something: across the seeds, at least one
 //! steady-state epoch (a forced tiny-delta republish after the random
@@ -134,7 +134,7 @@ fn delta_solver_is_bit_identical_under_random_ops() {
             );
             // Scratch replay: no caches of any kind, fed the same
             // prefix, solved cold exactly once.
-            let scratch = Engine::new(L2, cfg.full_republish().with_solver(SolverMode::Cold));
+            let scratch = Engine::new(L2, cfg.with_solver(SolverMode::Cold));
             scratch.ingest(fed);
             let ss = scratch.snapshot();
             assert_same("fresh scratch replay", seed, op, &ds, &ss);

@@ -1,4 +1,4 @@
-//! The churn-capable engine's publish contract, pinned three ways:
+//! The churn-capable engine's publish contract, pinned two ways:
 //!
 //! 1. **Time-driven dirtiness** (the staleness regression): a shard no
 //!    batch touched since the last publish must still be re-merged when
@@ -8,11 +8,7 @@
 //!    verdict of a windowed engine is bit-identical to a from-scratch
 //!    engine replaying only the unexpired suffix of the arrival stream,
 //!    across seeded schedules — the window analogue of
-//!    `tests/incremental.rs`' history independence.
-//! 3. **Decay determinism**: the incremental publish path and a
-//!    persistent full-republish engine publishing at the same instants
-//!    agree bit for bit under decay (decay prune timing is
-//!    publish-scheduled, so the oracle shares the schedule).
+//!    `tests/publish.rs`' history independence.
 
 use kcz_engine::{Engine, EngineConfig, Snapshot};
 use kcz_metric::{total_weight, L2};
@@ -20,7 +16,7 @@ use kcz_workloads::HashPartitioner;
 use std::sync::Arc;
 
 /// Seeded xorshift stream: two clusters plus sparse far outliers (the
-/// same family `tests/incremental.rs` uses).
+/// same family `tests/publish.rs` uses).
 struct Gen(u64);
 
 impl Gen {
@@ -118,12 +114,7 @@ fn expiry_without_new_batches_redirties_the_shard_and_republishes() {
     for _ in 0..window {
         engine.ingest(&[pb]);
     }
-    let merges_before = engine.merges();
     let second = engine.publish();
-    assert!(
-        engine.merges() > merges_before,
-        "the second publish must re-merge, not serve the cached tree"
-    );
     assert_eq!(second.epoch, 2);
     assert_eq!(second.clock, 1 + window);
     assert_eq!(second.window_span(), Some((2, 1 + window)));
@@ -142,8 +133,7 @@ fn expiry_without_new_batches_redirties_the_shard_and_republishes() {
 }
 
 /// Satellite property test (5 seeds): a windowed engine's published
-/// verdict is bit-identical to (a) a persistent full-republish engine
-/// fed the same schedule and (b) a brand-new engine replaying *only the
+/// verdict is bit-identical to a brand-new engine replaying *only the
 /// unexpired suffix* of the arrival stream — no cache, no warm state,
 /// and no expired point ever seen.
 #[test]
@@ -156,77 +146,37 @@ fn windowed_publishes_are_bit_identical_to_unexpired_suffix_replay() {
         (0x5EED_u64, 8, 256),
     ] {
         let cfg = EngineConfig::new(shards, 2, 8, 0.5).windowed(window);
-        let incremental = Engine::new(L2, cfg);
-        let cold = Engine::new(L2, cfg.full_republish());
+        let engine = Engine::new(L2, cfg);
         let mut gen = Gen(seed);
         let mut arrivals: Vec<[f64; 2]> = Vec::new();
         let mut publishes = 0u32;
         for step in 0..30 {
             let batch = gen.batch(48);
-            incremental.ingest(&batch);
-            cold.ingest(&batch);
+            engine.ingest(&batch);
             arrivals.extend_from_slice(&batch);
             if step % 3 != 2 {
                 continue;
             }
             publishes += 1;
-            let inc = incremental.publish();
-            assert_eq!(inc.clock, arrivals.len() as u64, "seed {seed:#x}");
-            // Oracle 1: the persistent cold engine on the same schedule.
-            let per_epoch = cold.publish();
-            assert_eq!(
-                fingerprint(&inc),
-                fingerprint(&per_epoch),
-                "seed {seed:#x} shards {shards} step {step}: incremental \
-                 windowed publish diverged from the full-republish engine"
-            );
-            // Oracle 2: from-scratch suffix replay.  Only the last
+            let snap = engine.publish();
+            assert_eq!(snap.clock, arrivals.len() as u64, "seed {seed:#x}");
+            // The oracle: from-scratch suffix replay.  Only the last
             // min(clock, W) arrivals exist from its point of view; the
             // window machinery is shift-invariant, so its very first
             // publish must match bit for bit.
             let live = arrivals.len().min(window as usize);
             let suffix = &arrivals[arrivals.len() - live..];
-            let scratch = Engine::new(L2, cfg.full_republish());
+            let scratch = Engine::new(L2, cfg);
             scratch.ingest(suffix);
             assert_eq!(
-                fingerprint(&inc),
+                fingerprint(&snap),
                 fingerprint(&scratch.snapshot()),
                 "seed {seed:#x} shards {shards} step {step}: windowed \
                  publish diverged from a from-scratch suffix replay"
             );
-            let span = inc.window_span().expect("window mode has a span");
-            assert_eq!(span, (inc.clock - live as u64 + 1, inc.clock));
+            let span = snap.window_span().expect("window mode has a span");
+            assert_eq!(span, (snap.clock - live as u64 + 1, snap.clock));
         }
         assert!(publishes >= 10, "schedule exercised too few publishes");
-    }
-}
-
-/// Decay-mode determinism: the incremental publish path agrees bit for
-/// bit with a persistent full-republish engine publishing at the same
-/// instants.  (Unlike the window, decay prune timing is part of the
-/// publish schedule, so the oracle must share it — the harness's churn
-/// scenarios pin the semantic decay properties.)
-#[test]
-fn decayed_publishes_are_bit_identical_between_incremental_and_full_republish() {
-    for seed in [0xA11CE_u64, 0xB0B, 0xC0FFEE, 0xD00D, 0x5EED] {
-        let cfg = EngineConfig::new(4, 2, 8, 0.5).decayed(48.0);
-        let incremental = Engine::new(L2, cfg);
-        let cold = Engine::new(L2, cfg.full_republish());
-        let mut gen = Gen(seed);
-        for step in 0..24 {
-            let batch = gen.batch(40);
-            incremental.ingest(&batch);
-            cold.ingest(&batch);
-            if step % 2 == 1 {
-                let (a, b) = (incremental.publish(), cold.publish());
-                assert_eq!(a.epoch, b.epoch, "seed {seed:#x} step {step}");
-                assert_eq!(
-                    fingerprint(&a),
-                    fingerprint(&b),
-                    "seed {seed:#x} step {step}: incremental decay publish \
-                     diverged from the full-republish engine"
-                );
-            }
-        }
     }
 }

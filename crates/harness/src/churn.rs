@@ -1,7 +1,7 @@
 //! Churn conformance: the engine's sliding-window and decayed backends,
 //! judged by from-scratch oracles.
 //!
-//! Three judgments per tier:
+//! Two judgments per tier:
 //!
 //! * **Window / suffix replay** — every scenario is replayed through a
 //!   windowed engine with mid-stream publishes; each checked epoch must
@@ -11,19 +11,13 @@
 //!   center must be a live-suffix location, and the final epoch's
 //!   certified `(3 + 8ε′)` bound is re-measured against the exact
 //!   discrete optimum *of the suffix* (oracle scenarios).
-//! * **Decay / schedule replay** — every scenario is replayed through a
-//!   decayed engine alongside a persistent full-republish engine
-//!   publishing at the same instants; the two must agree bit for bit
-//!   (decay prune timing is part of the publish schedule, so the oracle
-//!   shares it).
 //! * **Decay / expiry** — a fixed two-phase stream: once the arrival
 //!   clock has moved many half-lives past phase 1, no phase-1 location
 //!   may survive into the published summary or centers.
 //!
 //! Violations are strings ready for the conformance judge; they carry
-//! the `churn/` tag and ride the incremental violations array in the
-//! JSON report, keeping the report schema (and the byte-pinned golden)
-//! stable.
+//! the `churn/` tag and ride the `replay_violations` array in the JSON
+//! report.
 
 use std::collections::HashSet;
 
@@ -38,7 +32,7 @@ use crate::scenario::{catalog, Scenario, Tier};
 /// verdicts' slack).
 const TOL: f64 = 1e-6;
 
-/// At most this many epochs are certified per scenario per mode.
+/// At most this many epochs are certified per scenario.
 const MAX_EPOCHS: usize = 8;
 
 /// Runs the churn checks over the tier's catalog plus the fixed decay
@@ -47,11 +41,7 @@ const MAX_EPOCHS: usize = 8;
 /// epoch is certified.
 pub fn churn_violations(tier: Tier) -> Vec<String> {
     let mut out: Vec<String> = kcz_engine::runtime::global()
-        .scoped_map(catalog(tier), |_, sc| {
-            let mut v = window_violations(&sc);
-            v.extend(decay_violations(&sc));
-            v
-        })
+        .scoped_map(catalog(tier), |_, sc| window_violations(&sc))
         .into_iter()
         .flatten()
         .collect();
@@ -115,7 +105,7 @@ fn window_violations(sc: &Scenario) -> Vec<String> {
         let suffix = &sc.points[fed - live..fed];
         // Oracle: a brand-new windowed engine that has only ever seen
         // the unexpired suffix, publishing once.
-        let scratch = Engine::new(L2, cfg.full_republish());
+        let scratch = Engine::new(L2, cfg);
         scratch.ingest(suffix);
         let oracle = scratch.snapshot();
         if bits(&snap) != bits(&oracle) {
@@ -183,44 +173,6 @@ fn window_violations(sc: &Scenario) -> Vec<String> {
                     opt
                 ));
             }
-        }
-    }
-    out
-}
-
-/// Decay checks for one scenario: the incremental publish path against a
-/// persistent full-republish engine sharing the publish schedule.
-fn decay_violations(sc: &Scenario) -> Vec<String> {
-    let mut out = Vec::new();
-    if sc.is_empty() {
-        return out;
-    }
-    let tag = |what: &str| format!("{} / churn/decay/{what}", sc.name);
-    let half_life = (sc.points.len() as f64 / 4.0).max(8.0);
-    let cfg = EngineConfig::new(sc.machines, sc.k, sc.z, sc.eps).decayed(half_life);
-    let incremental = Engine::new(L2, cfg);
-    let cold = Engine::new(L2, cfg.full_republish());
-    let batches: Vec<&[[f64; 2]]> = sc.points.chunks(ENGINE_BATCH).collect();
-    let stride = batches.len().div_ceil(MAX_EPOCHS).max(1);
-    for (i, batch) in batches.iter().enumerate() {
-        incremental.ingest(batch);
-        cold.ingest(batch);
-        if (i + 1) % stride != 0 && i + 1 != batches.len() {
-            continue;
-        }
-        let (a, b) = (incremental.publish(), cold.publish());
-        if a.epoch != b.epoch || bits(&a) != bits(&b) {
-            out.push(format!(
-                "{}: epoch {} vs {}: radius {:.9} vs {:.9}, excluded {} vs {} — \
-                 incremental decay publish diverged from the full-republish engine",
-                tag("replay"),
-                a.epoch,
-                b.epoch,
-                a.radius,
-                b.radius,
-                a.uncovered,
-                b.uncovered
-            ));
         }
     }
     out

@@ -8,15 +8,15 @@
 //! published ε′ folds in [`kcz_metric::F32_EPS_BUDGET`], widening the
 //! certified `3 + 8ε′` factor, and every published radius must still
 //! honor that widened bound when **re-measured in f64** against the
-//! exact oracle.  This module replays each scenario through an
-//! incremental f32 engine, certifies every checked epoch bit-for-bit
-//! against a from-scratch f32 engine fed the same prefix (the
-//! incremental machinery must be precision-agnostic), and re-measures
-//! the final epoch's coverage radius with the f64 kernels against
-//! `(3 + 8ε′)·opt`.
+//! exact oracle.  This module replays each scenario through a
+//! persistent f32 engine with mid-stream publishes, certifies every
+//! checked epoch bit-for-bit against a from-scratch f32 engine fed the
+//! same prefix (the leaf cache and the delta solver must be
+//! precision-agnostic), and re-measures the final epoch's coverage
+//! radius with the f64 kernels against `(3 + 8ε′)·opt`.
 //!
 //! Violations are strings ready for the conformance judge; `kcz
-//! conformance` merges them with the pipeline, query, and incremental
+//! conformance` merges them with the pipeline, query, and other replay
 //! violations and exits 3 if any survive.
 
 use kcz_engine::{Engine, EngineConfig};
@@ -31,14 +31,14 @@ use crate::scenario::{catalog, Scenario, Tier};
 /// verdicts' slack).
 const TOL: f64 = 1e-6;
 
-/// At most this many epochs are certified per scenario (the same stride
-/// rule as the incremental check).
+/// At most this many epochs are certified per scenario: batches are
+/// published on a stride, always including the final prefix.
 const MAX_EPOCHS: usize = 12;
 
 /// Runs the f32 storage-mode check over the tier's catalog.  Scenarios
 /// are mapped over the shared worker pool; the returned violations are
 /// in catalog order.  Empty means the f32 mode is certified: every
-/// incremental f32 epoch matches a from-scratch f32 replay bit-for-bit,
+/// checked f32 epoch matches a from-scratch f32 replay bit-for-bit,
 /// and every final radius honors the budget-widened bound in f64.
 pub fn f32_violations(tier: Tier) -> Vec<String> {
     kcz_engine::runtime::global()
@@ -68,10 +68,10 @@ fn scenario_violations(sc: &Scenario) -> Vec<String> {
             continue;
         }
         let snap = engine.publish();
-        // The from-scratch oracle: a cold full-republish f32 engine fed
-        // the identical prefix.  Incremental re-merging must stay a pure
-        // optimization regardless of the storage precision.
-        let scratch = Engine::new(L2, cfg.full_republish());
+        // The from-scratch oracle: a fresh f32 engine fed the identical
+        // prefix.  Leaf reuse and the delta solve must stay pure
+        // optimizations regardless of the storage precision.
+        let scratch = Engine::new(L2, cfg);
         for b in &batches[..=i] {
             scratch.ingest(b);
         }
@@ -84,7 +84,7 @@ fn scenario_violations(sc: &Scenario) -> Vec<String> {
         {
             out.push(format!(
                 "{}: prefix of {fed} points: radius {:.9} vs {:.9}, excluded {} vs {}, \
-                 factor {:.6} vs {:.6} — incremental f32 publish diverged from scratch",
+                 factor {:.6} vs {:.6} — f32 publish diverged from scratch",
                 tag("publish"),
                 snap.radius,
                 oracle.radius,
@@ -103,10 +103,7 @@ fn scenario_violations(sc: &Scenario) -> Vec<String> {
     // the drift composition) is identical across precisions, so the
     // comparison holds bit-for-bit.
     if let Some(snap) = &last {
-        let f64_engine = Engine::new(
-            L2,
-            EngineConfig::new(sc.machines, sc.k, sc.z, sc.eps).full_republish(),
-        );
+        let f64_engine = Engine::new(L2, EngineConfig::new(sc.machines, sc.k, sc.z, sc.eps));
         for b in &batches {
             f64_engine.ingest(b);
         }

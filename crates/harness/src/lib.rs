@@ -17,19 +17,17 @@
 //! resident engine per scenario, publishes a snapshot, and re-checks
 //! every answer the query layer serves (exact nearest-center agreement,
 //! classify coherence, the epoch's certified bound) — see [`query`].
-//! And so is the engine's incremental-publish mode:
-//! [`incremental_violations`] replays each scenario with mid-stream
-//! publishes and certifies every checked epoch bit-for-bit against a
-//! from-scratch engine fed the same prefix — see [`incremental`].
 //! The opt-in columnar f32 storage mode is certified empirically:
-//! [`f32_violations`] replays each scenario through an f32 engine and
+//! [`f32_violations`] replays each scenario through an f32 engine with
+//! mid-stream publishes, certifies every checked epoch bit-for-bit
+//! against a from-scratch f32 engine fed the same prefix, and
 //! re-measures every published radius in f64 against the
 //! budget-widened `(3 + 8ε′)·opt` — see [`f32cert`].
 //! The churn-capable backends are judged by from-scratch oracles:
 //! [`churn_violations`] certifies windowed epochs bit-for-bit against
 //! unexpired-suffix replays (plus live-membership and a suffix-optimum
-//! bound check) and decayed epochs against a full-republish engine on
-//! the same publish schedule — see [`churn`].
+//! bound check) and checks that decayed epochs drop expired regimes —
+//! see [`churn`].
 //! The metrics layer's MPC communication accounting is certified too:
 //! [`obs_violations`] re-runs the four MPC algorithms per scenario and
 //! checks that each run's per-round word counts are complete (they sum
@@ -49,7 +47,6 @@
 
 pub mod churn;
 pub mod f32cert;
-pub mod incremental;
 pub mod obscheck;
 pub mod pipeline;
 pub mod query;
@@ -59,7 +56,6 @@ pub mod solvecheck;
 
 pub use churn::churn_violations;
 pub use f32cert::f32_violations;
-pub use incremental::incremental_violations;
 pub use obscheck::obs_violations;
 pub use pipeline::{all_pipelines, Model, Pipeline, RadiusBound, Verdict};
 pub use query::query_violations;

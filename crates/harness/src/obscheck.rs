@@ -19,8 +19,7 @@
 //! accumulated `mpc.*` accounting that this pass just certified.
 //!
 //! Violations carry the `obs/` tag and ride the conformance report's
-//! `incremental_violations` array, so the JSON schema — and the
-//! byte-pinned golden — stay stable.
+//! `replay_violations` array.
 
 use kcz_kcenter::charikar::GreedyParams;
 use kcz_metric::L2;

@@ -25,7 +25,7 @@
 //! | `mpc/one-round`    | Theorem 33 (random distribution w.h.p.) | `(3+8ε')·opt` |
 //! | `mpc/r-round`      | Theorem 35 (`(1+ε)^R−1` composition) | `(3+8ε')·opt`, `ε' = (1+ε)^R−1` |
 //! | `mpc/baseline`     | Ceccarello et al. 1-round (`(k+z)/ε^d` space) | `(3+8ε')·opt` |
-//! | `engine/sharded`   | Lemma 4/5 shard merges ([`kcz_coreset::MergeableSummary`]) | `(3+8ε')·opt`, `ε' = (1+⌈log₂s⌉/2)·ε` |
+//! | `engine/sharded`   | Lemma 4 union of the shard coverings + one Lemma 5 recompression | `(3+8ε')·opt`, `ε' = 1.5ε` (`ε` with one non-empty shard) |
 //!
 //! The coreset factor `3 + 8ε'` is one shared derivation,
 //! [`kcz_coreset::end_to_end_factor`] (see its docs for the

@@ -148,19 +148,17 @@ impl ConformanceReport {
     }
 
     /// [`to_json`](Self::to_json) with the out-of-band verdicts folded
-    /// in: the query-conformance check ([`crate::query_violations`]),
-    /// the incremental-publish check ([`crate::incremental_violations`]),
-    /// and the f32 storage-mode check ([`crate::f32_violations`], whose
-    /// entries are tagged `f32/…` and ride the incremental array so the
-    /// report schema stays stable) are judged out of band of the
-    /// pipeline verdicts, but a machine-read report must not look clean
-    /// while the run exits 3 — the trailing `query_violations` and
-    /// `incremental_violations` arrays record what the serving layer,
-    /// the incremental engine, or the f32 mode failed.
+    /// in: the query-conformance check ([`crate::query_violations`]) and
+    /// the replay passes — f32 storage mode, churn backends, delta
+    /// solver and MPC accounting, tagged `f32/`, `churn/`, `solver/` and
+    /// `obs/` — are judged out of band of the pipeline verdicts, but a
+    /// machine-read report must not look clean while the run exits 3:
+    /// the trailing `query_violations` and `replay_violations` arrays
+    /// record what failed.
     pub fn to_json_with_violations(
         &self,
         query_violations: &[String],
-        incremental_violations: &[String],
+        replay_violations: &[String],
     ) -> String {
         let mut s = String::with_capacity(1 << 14);
         s.push_str("{\n");
@@ -236,8 +234,8 @@ impl ConformanceReport {
         }
         s.push_str("  ],\n  \"query_violations\": [");
         push_string_array(&mut s, query_violations);
-        s.push_str("],\n  \"incremental_violations\": [");
-        push_string_array(&mut s, incremental_violations);
+        s.push_str("],\n  \"replay_violations\": [");
+        push_string_array(&mut s, replay_violations);
         s.push_str("]\n}\n");
         s
     }
@@ -345,21 +343,20 @@ mod tests {
         assert!(json.contains("\"pipeline\": \"offline/charikar\""));
         assert!(json.contains("\"within_bound\": "));
         assert!(json.contains("\"query_violations\": []"));
-        assert!(json.contains("\"incremental_violations\": []"));
+        assert!(json.contains("\"replay_violations\": []"));
         // Out-of-band verdicts fold into the machine-readable report (so
         // a failing run never writes a clean-looking JSON), escaped
-        // safely.  f32-mode entries ride the incremental array under
-        // their `f32/` tag.
+        // safely.  Replay-pass entries ride one array under their tags.
         let with_viols = report.to_json_with_violations(
             &[r#"x / query/assign: "bad" answer"#.to_string()],
             &[
-                "y / incremental/publish: diverged".to_string(),
+                "y / churn/window/replay: diverged".to_string(),
                 "z / f32/bound: radius blew the budget".to_string(),
             ],
         );
         assert!(with_viols.contains(r#""query_violations": ["x / query/assign: \"bad\" answer"]"#));
         assert!(with_viols.contains(
-            r#""incremental_violations": ["y / incremental/publish: diverged", "z / f32/bound: radius blew the budget"]"#
+            r#""replay_violations": ["y / churn/window/replay: diverged", "z / f32/bound: radius blew the budget"]"#
         ));
         assert_eq!(json.matches("\"name\": ").count(), 1);
         // Balanced braces/brackets (a cheap structural check without a

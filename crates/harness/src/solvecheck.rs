@@ -7,7 +7,7 @@
 //! (provably equal to what a fresh disk-greedy run would return) or by
 //! actually running disk-greedy, so the binary search takes the exact
 //! same path as a cold solve.  This module replays each scenario in
-//! ingest batches on two incremental engines that differ only in
+//! ingest batches on two engines that differ only in
 //! [`kcz_engine::SolverMode`], publishing both on the same stride, and
 //! compares radius, guess, centers, and uncovered weight at the bit
 //! level.  The probe accounting is checked against the same invariant
@@ -16,8 +16,7 @@
 //! *answer* probes, never add or remove them.
 //!
 //! Violations carry the `solver/` tag and ride the conformance report's
-//! `incremental_violations` array, so the JSON schema — and the
-//! byte-pinned golden — stay stable.
+//! `replay_violations` array.
 
 use kcz_engine::{Engine, EngineConfig, SolverMode};
 use kcz_metric::L2;
@@ -25,9 +24,8 @@ use kcz_metric::L2;
 use crate::pipeline::ENGINE_BATCH;
 use crate::scenario::{catalog, Scenario, Tier};
 
-/// At most this many epochs are certified per scenario (same stride
-/// policy as the incremental-publish check): batches are published on a
-/// stride, always including the final prefix.
+/// At most this many epochs are certified per scenario: batches are
+/// published on a stride, always including the final prefix.
 const MAX_EPOCHS: usize = 12;
 
 /// Runs the delta-vs-cold solver check over the tier's catalog.

@@ -15,7 +15,7 @@
 //! with different settings, which is exactly how they differ in the
 //! literature (see `DESIGN.md`).
 
-use kcz_coreset::{streaming_capacity, update_coreset, MergeableSummary};
+use kcz_coreset::{streaming_capacity, update_coreset};
 use kcz_metric::{ColumnSet, MetricSpace, Precision, SpaceUsage, Weighted, F32_EPS_BUDGET};
 
 /// Radius-doubling streaming engine (Algorithm 3 generalized over the
@@ -33,7 +33,8 @@ pub struct DoublingCoreset<P, M> {
     rebuilds: u64,
     peak_words: usize,
     /// Drift guarantee in units of `a·r`: 2 for a pure stream (Lemma 16),
-    /// +1 per merge generation (Lemma 5 composition; see [`Self::merge`]).
+    /// +1 per recompressing merge (Lemma 5 composition; see
+    /// [`Self::merge`]).
     drift_factor: f64,
     /// Lane precision of the columnar absorb mirror.  [`Precision::F32`]
     /// trades exactness of the absorb test for vector width; everything
@@ -133,45 +134,63 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
         }
     }
 
-    /// Merges another summary (built with the same parameters) into this
-    /// one — distributed/sharded stream ingestion via the union property
-    /// (Lemma 4) plus one recompression (Lemma 5).
+    /// Merges every summary of `others` (each built with the same
+    /// parameters) into this one at once — the coordinator step of
+    /// sharded stream ingestion: one union of all sides (Lemma 4), then
+    /// one recompression (Lemma 5) at the largest side radius.
     ///
-    /// Each merge generation adds one `a·r` term to the drift bound
-    /// (mirroring the `(1+ε)^R − 1` composition of Theorem 35), which
-    /// [`Self::drift_bound`] tracks.  Merging with an empty side is a
-    /// union with ∅ — content and drift are both unchanged, so sharded
-    /// engines with idle shards pay no spurious ε′ widening.
-    pub fn merge(&mut self, other: DoublingCoreset<P, M>) {
-        assert!(
-            self.k == other.k
-                && self.z == other.z
-                && self.absorb == other.absorb
-                && self.capacity == other.capacity
-                && self.precision == other.precision,
-            "merge requires identical (k, z, absorb, capacity, precision) parameters"
-        );
-        // Metrics of the same type can still disagree on the one
-        // observable parameter (doubling dimension, e.g. differently
-        // configured grid metrics); the capacity arithmetic assumes it
-        // matches.
-        assert!(
-            kcz_coreset::merge::compatible_metrics(&self.metric, &other.metric),
-            "merge requires metrics of the same doubling dimension"
-        );
-        if other.n_seen == 0 {
+    /// Each side covers its own share within its drift bound, and every
+    /// share's optimum is at most the whole input's
+    /// (`opt_{k,z}(P_i) ≤ opt_{k,z}(P)`), so the union drifts by at most
+    /// the largest side factor times `a·r`; the recompression adds one
+    /// more `a·r` term however many sides there are, which
+    /// [`Self::drift_bound`] tracks.  Empty sides are skipped, and when
+    /// only one side (`self` included) holds data it is adopted as it is
+    /// — content and drift unchanged — so sharded engines with idle
+    /// shards pay no spurious ε′ widening.
+    pub fn merge<'a>(&mut self, others: impl IntoIterator<Item = &'a DoublingCoreset<P, M>>)
+    where
+        P: 'a,
+        M: Clone + 'a,
+    {
+        let mut sides = Vec::new();
+        for other in others {
+            assert!(
+                self.k == other.k
+                    && self.z == other.z
+                    && self.absorb == other.absorb
+                    && self.capacity == other.capacity
+                    && self.precision == other.precision,
+                "merge requires identical (k, z, absorb, capacity, precision) parameters"
+            );
+            // Metrics of the same type can still disagree on the one
+            // observable parameter (doubling dimension, e.g. differently
+            // configured grid metrics); the capacity arithmetic assumes
+            // it matches.
+            assert!(
+                kcz_coreset::merge::compatible_metrics(&self.metric, &other.metric),
+                "merge requires metrics of the same doubling dimension"
+            );
+            if other.n_seen > 0 {
+                sides.push(other);
+            }
+        }
+        if sides.is_empty() {
             return;
         }
-        if self.n_seen == 0 {
-            let peak = self.peak_words.max(other.peak_words);
-            *self = other;
+        if self.n_seen == 0 && sides.len() == 1 {
+            let peak = self.peak_words.max(sides[0].peak_words);
+            *self = sides[0].clone();
             self.peak_words = peak.max(self.space_words());
             return;
         }
-        self.n_seen = self.n_seen.saturating_add(other.n_seen);
-        self.r = self.r.max(other.r);
-        self.drift_factor = self.drift_factor.max(other.drift_factor) + 1.0;
-        self.reps.extend(other.reps);
+        for side in sides {
+            self.n_seen = self.n_seen.saturating_add(side.n_seen);
+            self.r = self.r.max(side.r);
+            self.drift_factor = self.drift_factor.max(side.drift_factor);
+            self.reps.extend_from_slice(&side.reps);
+        }
+        self.drift_factor += 1.0;
         if self.r > 0.0 {
             // Re-establish the mini-ball granularity at the merged radius.
             self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
@@ -282,15 +301,15 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
 
     /// Drift guarantee: every stream point has a representative within
     /// `drift_factor·a·r` of it — `2a·r` for a pure stream (Lemma 16;
-    /// with `a = ε/2` that is `ε·r`), plus `a·r` per merge generation.
+    /// with `a = ε/2` that is `ε·r`), plus `a·r` per recompressing merge.
     pub fn drift_bound(&self) -> f64 {
         self.drift_factor * self.absorb * self.r
     }
 
     /// The ε′ this summary currently guarantees: with `r ≤ opt` the
     /// covering drift is ≤ `drift_factor·a·r ≤ (drift_factor·a)·opt`.
-    /// For a pure stream with `a = ε/2` this is exactly `ε`; each merge
-    /// generation widens it by `a`.  In [`Precision::F32`] mode the
+    /// For a pure stream with `a = ε/2` this is exactly `ε`; each
+    /// recompressing merge widens it by `a`.  In [`Precision::F32`] mode the
     /// absorb test itself is approximate — a point at true distance up to
     /// `(1 + F32_EPS_BUDGET)·a·r` can be absorbed — so the budget is
     /// folded in multiplicatively here and certified empirically by the
@@ -317,20 +336,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
     /// Maximum storage observed over the stream so far.
     pub fn peak_words(&self) -> usize {
         self.peak_words
-    }
-}
-
-impl<P: Clone + SpaceUsage, M: MetricSpace<P>> MergeableSummary for DoublingCoreset<P, M> {
-    fn merge(&mut self, other: Self) {
-        DoublingCoreset::merge(self, other);
-    }
-
-    fn effective_eps(&self) -> f64 {
-        DoublingCoreset::effective_eps(self)
-    }
-
-    fn words(&self) -> usize {
-        self.space_words()
     }
 }
 
@@ -390,21 +395,26 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> InsertionOnlyCoreset<P, M> {
     }
 
     /// The ε′ the summary currently guarantees — `ε` for a pure stream,
-    /// widened by `ε/2` per merge generation (see
+    /// widened by `ε/2` per recompressing merge (see
     /// [`DoublingCoreset::effective_eps`]).
     pub fn effective_eps(&self) -> f64 {
         self.inner.effective_eps()
     }
 
-    /// Merges another summary built with identical `(k, z, ε)` and the
-    /// same doubling dimension — the sharded-ingest path (Lemma 4 union
-    /// + one recompression, tracked by `effective_eps`).
-    pub fn merge(&mut self, other: Self) {
-        assert!(
-            self.eps == other.eps,
-            "merge requires identical ε parameters"
-        );
-        self.inner.merge(other.inner);
+    /// Merges every summary of `others`, each built with identical
+    /// `(k, z, ε)` and the same doubling dimension — the sharded-ingest
+    /// path: one Lemma 4 union plus at most one recompression, tracked by
+    /// `effective_eps` (see [`DoublingCoreset::merge`]).
+    pub fn merge<'a>(&mut self, others: impl IntoIterator<Item = &'a Self>)
+    where
+        P: 'a,
+        M: Clone + 'a,
+    {
+        let eps = self.eps;
+        self.inner.merge(others.into_iter().map(|other| {
+            assert!(eps == other.eps, "merge requires identical ε parameters");
+            &other.inner
+        }));
     }
 
     /// Lower bound `r ≤ opt`.
@@ -436,20 +446,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> InsertionOnlyCoreset<P, M> {
     /// Points consumed.
     pub fn points_seen(&self) -> u64 {
         self.inner.points_seen()
-    }
-}
-
-impl<P: Clone + SpaceUsage, M: MetricSpace<P>> MergeableSummary for InsertionOnlyCoreset<P, M> {
-    fn merge(&mut self, other: Self) {
-        InsertionOnlyCoreset::merge(self, other);
-    }
-
-    fn effective_eps(&self) -> f64 {
-        InsertionOnlyCoreset::effective_eps(self)
-    }
-
-    fn words(&self) -> usize {
-        self.space_words()
     }
 }
 
@@ -575,34 +571,97 @@ mod tests {
         let _ = DoublingCoreset::<[f64; 2], _>::new(L2, 2, 5, 0.5, 8);
     }
 
-    #[test]
-    fn merged_shards_form_valid_covering() {
-        // Split one stream over two shards, merge, and verify weight
-        // preservation plus the (widened) covering bound for all points.
+    /// Splits one stream over the first `non_empty` of `sides` summaries,
+    /// merges all of them at once into an empty one, and verifies weight
+    /// preservation plus the covering bound for every input point.
+    fn check_merged_covering(sides: usize, non_empty: usize) {
         let pts = stream(600);
-        let (a_pts, b_pts) = pts.split_at(300);
         let mk = || DoublingCoreset::<[f64; 2], _>::new(L2, 2, 8, 0.25, 200);
-        let mut a = mk();
-        let mut b = mk();
-        for p in a_pts {
-            a.insert(*p);
+        let mut parts: Vec<_> = (0..sides).map(|_| mk()).collect();
+        for (part, chunk) in parts
+            .iter_mut()
+            .zip(pts.chunks(pts.len().div_ceil(non_empty)))
+        {
+            for p in chunk {
+                part.insert(*p);
+            }
         }
-        for p in b_pts {
-            b.insert(*p);
-        }
-        a.merge(b);
-        assert_eq!(total_weight(a.coreset()), 600);
-        let bound = a.drift_bound() + 1e-12;
+        let mut merged = mk();
+        merged.merge(&parts);
+        assert_eq!(total_weight(merged.coreset()), 600);
+        assert!(merged.radius_bound() > 0.0);
+        let bound = merged.drift_bound() + 1e-12;
         for p in &pts {
-            let d = a
+            let d = merged
                 .coreset()
                 .iter()
                 .map(|r| L2.dist(p, &r.point))
                 .fold(f64::INFINITY, f64::min);
-            assert!(d <= bound, "point {p:?} at {d} > {bound}");
+            assert!(d <= bound, "{sides} sides: point {p:?} at {d} > {bound}");
         }
-        // One merge generation: factor 3 instead of 2.
-        assert!((a.drift_bound() - 3.0 * 0.25 * a.radius_bound()).abs() < 1e-12);
+        // One recompression however many sides: factor 3 instead of 2,
+        // and a lone non-empty side is adopted with its factor 2 intact.
+        let factor = if non_empty == 1 { 2.0 } else { 3.0 };
+        assert!(
+            (merged.drift_bound() - factor * 0.25 * merged.radius_bound()).abs() < 1e-12,
+            "{sides} sides, {non_empty} non-empty"
+        );
+    }
+
+    #[test]
+    fn merged_shards_form_valid_covering() {
+        for sides in [2, 3, 8] {
+            check_merged_covering(sides, sides);
+            check_merged_covering(sides, 1);
+        }
+    }
+
+    #[test]
+    fn weight_only_bumps_preserve_merged_representative_order() {
+        // The engine's delta-aware solver has a pure-bump fast path: if
+        // no shard gained or lost a representative, the merged summary
+        // must list the same representatives at the same positions, with
+        // only weights moved.  The flat merge concatenates the leaves and
+        // its recompression partitions by position alone, so this must
+        // hold for any leaf's weights bumped by any amount.
+        let pts = stream(400);
+        let mk = || InsertionOnlyCoreset::new(L2, 2, 8, 0.5);
+        let mut leaves: Vec<_> = (0..5).map(|_| mk()).collect();
+        for (i, p) in pts.iter().enumerate() {
+            leaves[i % 5].insert(*p);
+        }
+        let merge = |leaves: &[InsertionOnlyCoreset<[f64; 2], L2>]| {
+            let mut merged = mk();
+            merged.merge(leaves);
+            merged
+        };
+        let before = merge(&leaves);
+        // Re-arrivals at existing representatives are absorbed: weight
+        // bumps only, no leaf gains a representative.
+        let sizes: Vec<usize> = leaves.iter().map(|l| l.coreset().len()).collect();
+        let p = leaves[1].coreset()[3].point;
+        leaves[1].insert_weighted(p, 7);
+        let p = leaves[4].coreset()[0].point;
+        leaves[4].insert(p);
+        assert_eq!(
+            leaves.iter().map(|l| l.coreset().len()).collect::<Vec<_>>(),
+            sizes
+        );
+        let after = merge(&leaves);
+        assert_eq!(before.coreset().len(), after.coreset().len());
+        for (i, (b, a)) in before.coreset().iter().zip(after.coreset()).enumerate() {
+            assert_eq!(
+                b.point.map(f64::to_bits),
+                a.point.map(f64::to_bits),
+                "rep {i} moved position under a weight-only bump"
+            );
+            assert!(a.weight >= b.weight, "rep {i} lost weight");
+        }
+        assert_eq!(
+            total_weight(after.coreset()),
+            total_weight(before.coreset()) + 8,
+            "exactly the bumped mass arrives"
+        );
     }
 
     #[test]
@@ -614,7 +673,7 @@ mod tests {
             a.insert(*p);
         }
         let before: Vec<_> = a.coreset().to_vec();
-        a.merge(mk());
+        a.merge([&mk()]);
         assert_eq!(total_weight(a.coreset()), 100);
         // Content may be re-clustered but weight and covering stay intact;
         // with an empty other side and unchanged r, reps are preserved.
@@ -630,16 +689,16 @@ mod tests {
             a.insert(*p);
         }
         let eps_before = a.effective_eps();
-        a.merge(mk()); // union with ∅
+        a.merge([&mk(), &mk()]); // union with ∅
         assert_eq!(a.effective_eps(), eps_before);
         let mut empty = mk();
-        empty.merge(a.clone()); // ∅ absorbing a summary adopts it as-is
+        empty.merge([&mk(), &a]); // ∅ absorbing one summary adopts it as-is
         assert_eq!(empty.effective_eps(), eps_before);
         assert_eq!(total_weight(empty.coreset()), 120);
     }
 
     #[test]
-    fn effective_eps_tracks_merge_generations() {
+    fn effective_eps_widens_by_half_eps_per_merge() {
         let pts = stream(300);
         let eps = 0.5;
         let mk = || InsertionOnlyCoreset::new(L2, 2, 8, eps);
@@ -653,16 +712,13 @@ mod tests {
         }
         // Pure streams certify exactly ε.
         assert!((a.effective_eps() - eps).abs() < 1e-12);
-        a.merge(b);
-        // One merge generation widens by a = ε/2.
+        a.merge([&b]);
+        // One recompressing merge widens by a = ε/2.
         assert!((a.effective_eps() - 1.5 * eps).abs() < 1e-12);
         assert_eq!(total_weight(a.coreset()), 300);
-        // The trait surface agrees with the inherent methods.
-        assert_eq!(
-            MergeableSummary::effective_eps(&a),
-            InsertionOnlyCoreset::effective_eps(&a)
-        );
-        assert_eq!(MergeableSummary::words(&a), a.space_words());
+        // Merging the merged summary again pays another recompression.
+        a.merge([&b]);
+        assert!((a.effective_eps() - 2.0 * eps).abs() < 1e-12);
     }
 
     #[test]
@@ -670,7 +726,7 @@ mod tests {
     fn merge_rejects_mismatched_parameters() {
         let mut a = DoublingCoreset::<[f64; 2], _>::new(L2, 2, 4, 0.25, 120);
         let b = DoublingCoreset::<[f64; 2], _>::new(L2, 3, 4, 0.25, 120);
-        a.merge(b);
+        a.merge([&b]);
     }
 
     #[test]

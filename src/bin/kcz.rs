@@ -10,7 +10,7 @@
 //! kcz mpc     --input pts.csv --k 3 --z 10 --eps 0.5 --machines 8 \
 //!             [--algorithm two_round|one_round|rround|baseline] [--rounds 3]
 //! kcz engine  --shards 4 --batch 256 --k 3 --z 10 --eps 0.5 \
-//!             [--precision f64|f32] [--incremental | --full-republish] \
+//!             [--precision f64|f32] [--incremental] \
 //!             [--backend insertion|window|decay] [--window W] [--half-life H] \
 //!             [--solver cold|delta] [--metrics m.json] [< pts.csv]
 //! kcz query   --input pts.csv --requests req.csv --shards 4 --batch 256 \
@@ -24,9 +24,8 @@
 //! the resident sharded engine in `--batch`-sized batches and prints the
 //! final snapshot — merged coreset size, per-shard peak words, the
 //! merge-composed ε′ and its certified `3 + 8ε′` bound factor.  With
-//! `--incremental` (dirty-shard re-merge + tree cache) or
-//! `--full-republish` (cold rebuild) it publishes after every batch;
-//! the two print byte-identical output.  `--precision f32` switches the
+//! `--incremental` it publishes after every batch (a resident serving
+//! engine's cadence) instead of once at end.  `--precision f32` switches the
 //! shard absorb sweeps to the columnar f32 storage mode (ε′ widened by
 //! the certified `F32_EPS_BUDGET`); the default `f64` is bit-identical
 //! to the scalar kernels.  `--solver` picks the publish-path Charikar
@@ -40,8 +39,10 @@
 //! `conformance` runs every pipeline over the shared scenario catalog,
 //! checks each radius against its paper ratio bound, re-checks served
 //! query answers against brute force on the published snapshot, and
-//! certifies mid-stream incremental publishes bit-for-bit against
-//! from-scratch replays (exit 3 on any violation).
+//! certifies mid-stream engine publishes (f32 mode, churn backends,
+//! delta solver) bit-for-bit against from-scratch or cold replays
+//! (exit 3 on any violation).
+
 //!
 //! `--metrics <path>` (on `engine`, `query`, `conformance`) exports the
 //! run's `kcz-metrics/v1` JSON — counters, gauges, latency histograms —
@@ -74,12 +75,12 @@ const USAGE: &str = "usage:
   kcz mpc     --input <csv> --k <K> --z <Z> --eps <EPS> --machines <M>
               [--algorithm two_round|one_round|rround|baseline] [--rounds <R>]
   kcz engine  --shards <N> --batch <B> --k <K> --z <Z> --eps <EPS>
-              [--precision f64|f32] [--incremental | --full-republish]
+              [--precision f64|f32] [--incremental]
               [--backend insertion|window|decay] [--window <W>]
               [--half-life <H>] [--solver cold|delta] [--input <csv>]
               [--metrics <json>]
-              (reads stdin when --input is omitted; the republish flags
-               publish after every batch instead of once at end;
+              (reads stdin when --input is omitted; --incremental
+               publishes after every batch instead of once at end;
                --backend window requires --window, --backend decay
                requires --half-life)
   kcz query   --input <csv> --requests <file> --shards <N> --batch <B>
@@ -189,65 +190,50 @@ fn run_conformance_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, Stri
         report.scenarios.len(),
         tq.elapsed()
     );
-    // The incremental engine is judged too: mid-stream publishes are
-    // certified bit-for-bit against from-scratch replays of the same
-    // prefixes.
-    let ti = std::time::Instant::now();
-    let mut incremental_viols = incremental_violations(tier);
-    eprintln!(
-        "incremental conformance: {} scenarios replayed in {:.1?}",
-        report.scenarios.len(),
-        ti.elapsed()
-    );
-    // The f32 storage mode is judged too: every scenario is replayed
-    // through an f32 engine and its published radii re-measured in f64
-    // against the budget-widened bound.  Its entries carry the `f32/`
-    // tag and ride the incremental array, keeping the report schema —
-    // and the byte-pinned golden — stable.
+    // The replay passes are judged too, each tagging its entries into
+    // one `replay_violations` array.  The f32 storage mode: every
+    // scenario is replayed through an f32 engine, its mid-stream
+    // publishes bit-compared against from-scratch f32 engines and its
+    // published radii re-measured in f64 against the budget-widened
+    // bound (`f32/`).
     let tf = std::time::Instant::now();
-    incremental_viols.extend(f32_violations(tier));
+    let mut replay_viols = f32_violations(tier);
     eprintln!(
         "f32 conformance: {} scenarios replayed in {:.1?}",
         report.scenarios.len(),
         tf.elapsed()
     );
-    // The churn-capable backends are judged too: windowed epochs are
-    // certified bit-for-bit against unexpired-suffix replays (plus
-    // live-membership and a suffix-optimum bound check) and decayed
-    // epochs against a full-republish engine on the same schedule.
-    // Entries carry the `churn/` tag and ride the incremental array,
-    // keeping the report schema — and the byte-pinned golden — stable.
+    // The churn-capable backends: windowed epochs are certified
+    // bit-for-bit against unexpired-suffix replays (plus
+    // live-membership and a suffix-optimum bound check), and decayed
+    // epochs must drop expired regimes (`churn/`).
     let tc = std::time::Instant::now();
-    incremental_viols.extend(churn_violations(tier));
+    replay_viols.extend(churn_violations(tier));
     eprintln!(
         "churn conformance: {} scenarios replayed in {:.1?}",
         report.scenarios.len(),
         tc.elapsed()
     );
-    // The delta-aware solver is judged too: strided epochs of every
-    // scenario are re-solved by a cold-solver engine on the same
-    // publish schedule and bit-compared (radius / centers / guess /
-    // uncovered) against the delta solver's snapshots.  Entries carry
-    // the `solver/` tag and ride the incremental array, keeping the
-    // report schema — and the byte-pinned golden — stable.
+    // The delta-aware solver: strided epochs of every scenario are
+    // re-solved by a cold-solver engine on the same publish schedule
+    // and bit-compared (radius / centers / guess / uncovered) against
+    // the delta solver's snapshots (`solver/`).
     let ts = std::time::Instant::now();
-    incremental_viols.extend(solver_violations(tier));
+    replay_viols.extend(solver_violations(tier));
     eprintln!(
         "solver conformance: {} scenarios verified against cold in {:.1?}",
         report.scenarios.len(),
         ts.elapsed()
     );
-    // The metrics layer's MPC communication accounting is judged too:
-    // every algorithm is re-run per scenario and its per-round word
-    // counts certified complete and registry-faithful.  The pass always
-    // records into a live registry — `--metrics` only decides whether
-    // the accumulated accounting is exported.  Entries carry the `obs/`
-    // tag and ride the incremental array, keeping the report schema —
-    // and the byte-pinned golden — stable.
+    // The metrics layer's MPC communication accounting: every
+    // algorithm is re-run per scenario and its per-round word counts
+    // certified complete and registry-faithful (`obs/`).  The pass
+    // always records into a live registry — `--metrics` only decides
+    // whether the accumulated accounting is exported.
     let registry = Registry::new();
     let metrics = MetricsHandle::new(&registry);
     let to = std::time::Instant::now();
-    incremental_viols.extend(obs_violations(tier, &metrics));
+    replay_viols.extend(obs_violations(tier, &metrics));
     eprintln!(
         "obs conformance: {} scenarios re-run in {:.1?}",
         report.scenarios.len(),
@@ -257,7 +243,7 @@ fn run_conformance_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, Stri
         write_metrics(path, &registry)?;
     }
     if let Some(path) = flags.get("json") {
-        let body = report.to_json_with_violations(&query_viols, &incremental_viols);
+        let body = report.to_json_with_violations(&query_viols, &replay_viols);
         if path == "-" {
             print!("{body}");
         } else {
@@ -266,7 +252,7 @@ fn run_conformance_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, Stri
     }
     let mut violations = report.violations();
     violations.extend(query_viols);
-    violations.extend(incremental_viols);
+    violations.extend(replay_viols);
     if violations.is_empty() {
         Ok(ExitCode::SUCCESS)
     } else {
@@ -405,17 +391,10 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             if batch == 0 {
                 return Err("--batch must be at least 1".into());
             }
-            // `--incremental` / `--full-republish` publish after every
-            // batch (a resident serving engine's cadence) with the tree
-            // cache kept or rebuilt respectively; stdout is byte-
-            // identical across the two — incremental re-merging is a
-            // pure optimization.  Without either flag the engine
-            // snapshots once at end of stream, as before.
+            // `--incremental` publishes after every batch (a resident
+            // serving engine's cadence); without it the engine
+            // snapshots once at end of stream.
             let incremental = flags.contains_key("incremental");
-            let full = flags.contains_key("full-republish");
-            if incremental && full {
-                return Err("--incremental and --full-republish are mutually exclusive".into());
-            }
             // `--precision f32` stores shard representatives in the
             // columnar f32 lanes (half the bandwidth per absorb sweep)
             // and folds the certified F32_EPS_BUDGET into ε′; the
@@ -449,17 +428,14 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             // handle is disabled and every recording site is a no-op.
             let (registry, metrics, metrics_path) = metrics_setup(flags);
             let t0 = std::time::Instant::now();
-            let mut cfg = EngineConfig::new(shards, k, z, eps)
+            let cfg = EngineConfig::new(shards, k, z, eps)
                 .with_precision(precision)
                 .with_backend(backend)
                 .with_solver(solver);
-            if full {
-                cfg = cfg.full_republish();
-            }
             let engine = Engine::new(metric, cfg).with_metrics(&metrics);
             for chunk in points.chunks(batch) {
                 engine.ingest_weighted(chunk);
-                if incremental || full {
+                if incremental {
                     let _ = engine.publish();
                 }
             }
@@ -743,7 +719,7 @@ fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
 }
 
 /// Flags that take no value: presence is the value.
-const BOOL_FLAGS: &[&str] = &["incremental", "full-republish"];
+const BOOL_FLAGS: &[&str] = &["incremental"];
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();

@@ -21,7 +21,7 @@
 //! | [`coreset`] | mini-ball coverings: `MBCConstruction` (Alg. 1), `UpdateCoreset` (Alg. 4), index-accelerated sweeps, composition lemmas, validators |
 //! | [`mpc`] | MPC simulator + the 2-round (Alg. 2), randomized 1-round (Alg. 6), R-round (Alg. 7) algorithms and the CPP19 baseline |
 //! | [`streaming`] | insertion-only (Alg. 3), fully dynamic (Alg. 5), sliding-window structures and streaming baselines |
-//! | [`engine`] | shared execution runtime (persistent worker pool) + the resident sharded ingest engine (`kcz engine`) built on [`coreset::MergeableSummary`], with memoized epoch publication (`publish`/`latest`) and pluggable per-shard backends ([`engine::ShardBackend`]: insertion-only, sliding-window, exponential decay) |
+//! | [`engine`] | shared execution runtime (persistent worker pool) + the resident sharded ingest engine (`kcz engine`): one flat union and recompression of the shard coverings per publish, memoized epoch publication (`publish`/`latest`) and pluggable per-shard backends ([`engine::ShardBackend`]: insertion-only, sliding-window, exponential decay) |
 //! | [`serve`] | the read side: immutable published [`serve::SnapshotView`]s (centers + bound + the epoch's arrival clock and live window span), the [`serve::QueryEngine`] (`assign`/`classify`/`nearest_centers` + pool-batched variants, `kcz query`), and the mixed read/write [`serve::LoadDriver`] |
 //! | [`sketch`] | turnstile substrates: s-sparse recovery, F₀ estimation with deletions |
 //! | [`lowerbounds`] | the paper's lower-bound constructions as adversarial generators |
@@ -64,16 +64,14 @@ pub use kcz_workloads as workloads;
 pub mod prelude {
     pub use kcz_coreset::validate::{covering_radius, validate_coreset};
     pub use kcz_coreset::{
-        end_to_end_factor, mbc_construction, streaming_capacity, update_coreset, MergeableSummary,
-        MiniBallCovering,
+        end_to_end_factor, mbc_construction, streaming_capacity, update_coreset, MiniBallCovering,
     };
     pub use kcz_engine::{
         Backend, Engine, EngineConfig, EngineStats, ShardBackend, Snapshot, SolverMode,
     };
     pub use kcz_harness::{
-        all_pipelines, catalog, churn_violations, f32_violations, incremental_violations,
-        obs_violations, query_violations, run_conformance, solver_violations, ConformanceReport,
-        Pipeline, Scenario, Tier, Verdict,
+        all_pipelines, catalog, churn_violations, f32_violations, obs_violations, query_violations,
+        run_conformance, solver_violations, ConformanceReport, Pipeline, Scenario, Tier, Verdict,
     };
     pub use kcz_kcenter::{
         cost_with_outliers, exact_discrete, farthest_first, greedy, uncovered_weight,

@@ -420,8 +420,8 @@ fn bad_inputs_fail_cleanly() {
 #[test]
 fn engine_golden_output_on_committed_fixture() {
     // The resident engine is deterministic end to end (value-hash
-    // routing with a fixed seed, order-preserving pool map, balanced
-    // merge tree), so the full stdout for the committed fixture is
+    // routing with a fixed seed, order-preserving pool map, one flat
+    // merge in shard order), so the full stdout for the committed fixture is
     // pinned byte-for-byte — the same stream the CI `engine-smoke` step
     // pipes through `kcz engine --shards 4 --batch 256`.
     use std::process::Stdio;
@@ -469,24 +469,24 @@ fn engine_golden_output_on_committed_fixture() {
 
 #[test]
 fn engine_incremental_golden_and_mode_equality() {
-    // `--incremental` publishes after every batch through the dirty-
-    // shard re-merge + warm-solve path; `--full-republish` rebuilds
-    // cold each time.  Incremental re-merging is a pure optimization,
-    // so the two print byte-identical output — pinned against a
-    // committed golden (the same pair the CI `engine-smoke` step
-    // diffs).
+    // `--incremental` publishes after every batch, reusing clean shard
+    // leaves and the delta solver's state between epochs — pinned
+    // against a committed golden (the same file the CI `engine-smoke`
+    // step diffs).  Publishing per batch is a cadence, not a different
+    // answer: apart from the epoch count, the output equals a single
+    // publish at end of stream.
     use std::process::Stdio;
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.csv");
     let golden = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/engine_incremental_golden.txt"
     );
-    let run = |mode: &str| {
+    let run = |extra: &[&str]| {
         let child = kcz()
             .args([
                 "engine", "--shards", "8", "--batch", "4", "--k", "2", "--z", "1", "--eps", "0.5",
-                mode,
             ])
+            .args(extra)
             .stdin(Stdio::from(std::fs::File::open(fixture).unwrap()))
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
@@ -495,12 +495,12 @@ fn engine_incremental_golden_and_mode_equality() {
         let out = child.wait_with_output().unwrap();
         assert!(
             out.status.success(),
-            "{mode}: {}",
+            "{extra:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let incremental = run("--incremental");
+    let incremental = run(&["--incremental"]);
     let expected = std::fs::read_to_string(golden).unwrap();
     assert_eq!(
         incremental, expected,
@@ -512,38 +512,12 @@ fn engine_incremental_golden_and_mode_equality() {
     );
     // A publish per batch: the final epoch counts the batches.
     assert!(incremental.contains("epoch=3"), "{incremental}");
-    let full = run("--full-republish");
+    let once = run(&[]);
+    assert!(once.contains("epoch=1"), "{once}");
     assert_eq!(
-        incremental, full,
-        "--incremental and --full-republish must print byte-identical \
-         snapshots"
-    );
-    // The two flags together are contradictory: clean exit 2.
-    let out = kcz()
-        .args([
-            "engine",
-            "--input",
-            fixture,
-            "--shards",
-            "8",
-            "--batch",
-            "4",
-            "--k",
-            "2",
-            "--z",
-            "1",
-            "--eps",
-            "0.5",
-            "--incremental",
-            "--full-republish",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        incremental.lines().skip(1).collect::<Vec<_>>(),
+        once.lines().skip(1).collect::<Vec<_>>(),
+        "per-batch publishing must end on the same snapshot as one publish"
     );
 }
 
@@ -645,8 +619,9 @@ fn engine_solver_modes_print_identical_golden_output() {
 #[test]
 fn engine_sharding_reports_wider_eps_but_same_fixture_radius() {
     // One shard is exactly the single-stream insertion-only pipeline:
-    // ε′ = ε, bound factor 3 + 8ε.  Eight shards pay ⌈log₂ 8⌉ = 3 merge
-    // generations: ε′ = ε(1 + 3/2).  The certified factor widens, the
+    // ε′ = ε, bound factor 3 + 8ε.  Eight shards pay one recompression
+    // of the union of their leaves, whatever the shard count:
+    // ε′ = 1.5ε, bound factor 3 + 12ε.  The certified factor widens, the
     // measured radius on this easy fixture must not.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.csv");
     let run = |shards: &str| {
@@ -664,8 +639,8 @@ fn engine_sharding_reports_wider_eps_but_same_fixture_radius() {
     assert!(one.contains("effective_eps: 0.500000"), "{one}");
     assert!(one.contains("bound_factor: 7.000000"), "{one}");
     let eight = run("8");
-    assert!(eight.contains("effective_eps: 1.250000"), "{eight}");
-    assert!(eight.contains("bound_factor: 13.000000"), "{eight}");
+    assert!(eight.contains("effective_eps: 0.750000"), "{eight}");
+    assert!(eight.contains("bound_factor: 9.000000"), "{eight}");
     for s in [&one, &eight] {
         assert!(s.contains("radius: 0.707107"), "{s}");
         assert!(s.contains("uncovered_weight: 1"), "{s}");
@@ -926,9 +901,9 @@ fn engine_precision_f32_golden_and_f64_default_identity() {
          --precision f32 < tests/fixtures/golden.csv` if the change is \
          intentional"
     );
-    // ε′ carries the folded f32 budget: ε(1 + ⌈log₂ 4⌉/2)(1 + 1e-3).
+    // ε′ carries the folded f32 budget: 1.5ε(1 + 1e-3).
     assert!(
-        f32_golden.contains("effective_eps: 1.001000"),
+        f32_golden.contains("effective_eps: 0.750750"),
         "{f32_golden}"
     );
     let f64_golden = std::fs::read_to_string(concat!(
@@ -1022,9 +997,9 @@ fn engine_window_golden_output_on_committed_fixture() {
          if the change is intentional"
     );
     // The windowed epoch reports its live stamp span and the widened ε′
-    // (one extra ε on top of the ⌈log₂ 4⌉ merge generations).
+    // (one extra ε on top of the recompression's 1.5ε).
     assert!(stdout.contains("live_span=4..11"), "{stdout}");
-    assert!(stdout.contains("effective_eps: 1.500000"), "{stdout}");
+    assert!(stdout.contains("effective_eps: 1.250000"), "{stdout}");
     // `--backend insertion` is the default spelled out: byte-identical
     // to the pre-backend engine golden.
     let explicit = kcz()
