@@ -296,6 +296,9 @@ struct EngineInstruments {
     points: Counter,
     /// `engine.ingest.batches` — batches accepted.
     batches: Counter,
+    /// `engine.ingest.rejected` — arrivals dropped at the boundary
+    /// (non-finite coordinates or zero weight).
+    rejected: Counter,
     /// `engine.publish.solves` — merge + Charikar solve passes.
     solves: Counter,
     /// `engine.publish.pair_merges` — root recompressions: one per
@@ -342,6 +345,7 @@ impl EngineInstruments {
         EngineInstruments {
             points: metrics.counter("engine.ingest.points"),
             batches: metrics.counter("engine.ingest.batches"),
+            rejected: metrics.counter("engine.ingest.rejected"),
             solves: metrics.counter("engine.publish.solves"),
             merges: metrics.counter("engine.publish.pair_merges"),
             elisions: metrics.counter("engine.publish.elisions"),
@@ -367,6 +371,7 @@ impl EngineInstruments {
     fn carry_from(&self, old: &EngineInstruments) {
         self.points.add(old.points.get());
         self.batches.add(old.batches.get());
+        self.rejected.add(old.rejected.get());
         self.solves.add(old.solves.get());
         self.merges.add(old.merges.get());
         self.elisions.add(old.elisions.get());
@@ -546,6 +551,13 @@ where
         self.obs.merges.get()
     }
 
+    /// Arrivals dropped at the ingest boundary so far: points with a
+    /// non-finite coordinate and zero-weight points (see
+    /// [`Engine::ingest`]).
+    pub fn rejected(&self) -> u64 {
+        self.obs.rejected.get()
+    }
+
     /// Charikar solves elided because a publish's freshly merged summary
     /// fingerprinted identically to the cached snapshot's (the data
     /// version advanced but every arrival was absorbed without changing
@@ -560,8 +572,14 @@ where
     /// shard by value hash, then runs the per-shard insert loops
     /// concurrently on the pool (each sub-batch takes its shard lock
     /// once).
+    ///
+    /// Points with a non-finite coordinate are dropped before routing
+    /// and counted in [`Engine::rejected`] (`engine.ingest.rejected`):
+    /// a NaN representative would poison every later solve.  Dropped
+    /// points take no arrival stamp and add nothing to
+    /// [`Engine::points_ingested`].
     pub fn ingest(&self, batch: &[P]) {
-        self.ingest_stamped(batch.len(), batch.iter().map(|p| (p.clone(), 1)));
+        self.ingest_stamped(batch.iter().map(|p| (p.clone(), 1)));
     }
 
     /// Ingests a batch of weighted points (a weight-`w` point is `w`
@@ -569,49 +587,59 @@ where
     /// on the arrival clock it occupies *one* slot — a weighted point
     /// is one arrival carrying mass).  Routing keys on the point only,
     /// so weighted and unit arrivals of the same location always
-    /// co-locate.
+    /// co-locate.  Zero-weight points (the fields are public, so
+    /// `Weighted::new`'s check can be bypassed) are dropped and counted
+    /// like non-finite ones (see [`Engine::ingest`]); the weight total
+    /// saturates at `u64::MAX`.
     pub fn ingest_weighted(&self, batch: &[Weighted<P>]) {
-        self.ingest_stamped(
-            batch.len(),
-            batch.iter().map(|wp| (wp.point.clone(), wp.weight)),
-        );
+        self.ingest_stamped(batch.iter().map(|wp| (wp.point.clone(), wp.weight)));
     }
 
-    /// The one ingest tail both entry points share: draw a contiguous
-    /// range of arrival stamps off the global clock, route each stamped
-    /// point to its shard (same per-point hash as before — stamps ride
-    /// along), run the per-shard insert loops on the pool (one
-    /// shard-lock acquisition per sub-batch), and bump the counters
-    /// only once the whole batch has landed (the mid-burst snapshot
-    /// semantics the concurrency test documents).  Stamps depend only
-    /// on the global arrival order, so batching never changes them.
-    fn ingest_stamped(&self, len: usize, items: impl Iterator<Item = (P, u64)>) {
-        if len == 0 {
-            // An empty flush is a no-op, not an accepted batch.
+    /// The one ingest tail both entry points share: drop what the
+    /// coreset cannot hold, route each accepted point to its shard,
+    /// draw one contiguous range of arrival stamps off the global clock
+    /// for the accepted points, run the per-shard insert loops on the
+    /// pool (one shard-lock acquisition per sub-batch), and bump the
+    /// counters only once the whole batch has landed (the mid-burst
+    /// snapshot semantics the concurrency test documents).  Stamps
+    /// depend only on the global arrival order, so batching never
+    /// changes them.
+    fn ingest_stamped(&self, items: impl Iterator<Item = (P, u64)>) {
+        // A routed arrival: (offset within the batch, point, weight).
+        type Routed<P> = (u64, P, u64);
+        let t_batch = self.obs.ingest_batch.start();
+        let mut routed: Vec<Vec<Routed<P>>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
+        let (mut accepted, mut rejected, mut total) = (0u64, 0u64, 0u64);
+        for (p, w) in items {
+            if w == 0 || !p.all_finite() {
+                rejected += 1;
+                continue;
+            }
+            accepted += 1;
+            total = total.saturating_add(w);
+            routed[self.router.shard_of(&p)].push((accepted, p, w));
+        }
+        if rejected > 0 {
+            self.obs.rejected.add(rejected);
+        }
+        if accepted == 0 {
+            // An empty (or wholly rejected) flush is a no-op, not an
+            // accepted batch.
             return;
         }
-        // A routed arrival: (stamp, point, weight).
-        type Stamped<P> = (u64, P, u64);
-        let t_batch = self.obs.ingest_batch.start();
-        let base = self.clock.fetch_add(len as u64, Ordering::AcqRel);
-        let mut routed: Vec<Vec<Stamped<P>>> = (0..self.cfg.shards).map(|_| Vec::new()).collect();
-        let mut total = 0u64;
-        for (i, (p, w)) in items.enumerate() {
-            total += w;
-            routed[self.router.shard_of(&p)].push((base + 1 + i as u64, p, w));
-        }
-        let jobs: Vec<(usize, Vec<Stamped<P>>)> = routed
+        let base = self.clock.fetch_add(accepted, Ordering::AcqRel);
+        let jobs: Vec<(usize, Vec<Routed<P>>)> = routed
             .into_iter()
             .enumerate()
             .filter(|(_, sub)| !sub.is_empty())
             .collect();
         self.pool.scoped_map(jobs, |_, (shard, sub)| {
             let mut guard = self.shards[shard].lock().expect("shard lock");
-            for (t, p, w) in sub {
-                guard.insert_weighted(p, w, t);
+            for (offset, p, w) in sub {
+                guard.insert_weighted(p, w, base + offset);
             }
         });
-        self.obs.points.add(total);
+        self.obs.points.add_saturating(total);
         self.obs.batches.incr();
         // Version bumps strictly *after* the batch has landed: a publish
         // that reads the new version is guaranteed to observe shards
@@ -1170,6 +1198,65 @@ mod tests {
         let d = engine.publish();
         assert_eq!(d.epoch, a.epoch + 1);
         assert_eq!((engine.solves(), engine.elisions()), (2, 1));
+    }
+
+    /// Non-finite points and zero weights are dropped before routing
+    /// and counted; the engine keeps ingesting and publishing after
+    /// each.  Checked under both CLI metrics: `Linf` cannot see a NaN
+    /// through `dist(p, p)`.
+    fn bad_arrivals_are_dropped_and_counted<M: MetricSpace<[f64; 2]> + Clone>(metric: M) {
+        let registry = kcz_obs::Registry::new();
+        let engine = Engine::new(metric, EngineConfig::new(4, 2, 3, 0.5))
+            .with_metrics(&MetricsHandle::new(&registry));
+        engine.ingest(&stream(100));
+        let bad = [
+            Weighted::unit([f64::NAN, 1.0]),
+            Weighted::unit([1.0, f64::INFINITY]),
+            Weighted::unit([f64::NEG_INFINITY, 0.0]),
+            Weighted {
+                point: [3.0, 3.0],
+                weight: 0,
+            },
+        ];
+        for (i, wp) in bad.into_iter().enumerate() {
+            engine.ingest_weighted(&[wp]);
+            let dropped = i as u64 + 1;
+            assert_eq!(engine.rejected(), dropped);
+            assert_eq!(
+                registry.counter_value("engine.ingest.rejected"),
+                Some(dropped)
+            );
+            engine.ingest(&[[2.0 + i as f64, 2.0]]);
+            let snap = engine.publish();
+            assert!(snap.radius.is_finite());
+            assert_eq!(snap.stats.points, 101 + i as u64);
+        }
+        // Dropped arrivals take no stamp and no weight.
+        assert_eq!(engine.clock(), 104);
+        assert_eq!(engine.points_ingested(), 104);
+        assert_eq!(total_weight(&engine.snapshot().coreset), 104);
+        // A batch mixing good and bad points keeps the good ones.
+        engine.ingest(&[[f64::NAN, f64::NAN], [7.0, 7.0]]);
+        assert_eq!(engine.rejected(), 5);
+        assert_eq!(engine.points_ingested(), 105);
+        assert_eq!(engine.publish().stats.batches, 6);
+    }
+
+    #[test]
+    fn bad_arrivals_are_dropped_and_counted_under_l2_and_linf() {
+        bad_arrivals_are_dropped_and_counted(L2);
+        bad_arrivals_are_dropped_and_counted(kcz_metric::Linf);
+    }
+
+    #[test]
+    fn weight_totals_saturate() {
+        let engine = Engine::new(L2, EngineConfig::new(2, 1, 0, 0.5));
+        let heavy = |x: f64| Weighted::new([x, x], u64::MAX);
+        engine.ingest_weighted(&[heavy(1.0), heavy(9.0)]);
+        assert_eq!(engine.points_ingested(), u64::MAX);
+        engine.ingest_weighted(&[heavy(1.0)]);
+        assert_eq!(engine.points_ingested(), u64::MAX);
+        assert_eq!(engine.publish().stats.points, u64::MAX);
     }
 
     #[test]

@@ -42,6 +42,17 @@ impl Counter {
         self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Adds `n`, pinning at `u64::MAX` instead of wrapping (totals of
+    /// caller-supplied weights).
+    #[inline]
+    pub fn add_saturating(&self, n: u64) {
+        let _ = self
+            .cell
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_add(n))
+            });
+    }
+
     /// Adds 1.
     #[inline]
     pub fn incr(&self) {

@@ -20,17 +20,30 @@ use rand::{Rng, SeedableRng};
 pub trait ShardKey {
     /// The routing key.  Must be a pure function of the value.
     fn shard_key(&self) -> u64;
+
+    /// Whether every coordinate is finite.  A NaN or infinite coordinate
+    /// still has a routing key but no usable distance, so the sharded
+    /// engine drops such points before routing them.
+    fn all_finite(&self) -> bool;
 }
 
 impl ShardKey for f64 {
     fn shard_key(&self) -> u64 {
         self.to_bits()
     }
+
+    fn all_finite(&self) -> bool {
+        f64::is_finite(*self)
+    }
 }
 
 impl ShardKey for u64 {
     fn shard_key(&self) -> u64 {
         *self
+    }
+
+    fn all_finite(&self) -> bool {
+        true
     }
 }
 
@@ -42,6 +55,10 @@ impl<const D: usize> ShardKey for [f64; D] {
         }
         acc
     }
+
+    fn all_finite(&self) -> bool {
+        self.iter().all(|c| c.is_finite())
+    }
 }
 
 impl<const D: usize> ShardKey for [u64; D] {
@@ -52,6 +69,10 @@ impl<const D: usize> ShardKey for [u64; D] {
         }
         acc
     }
+
+    fn all_finite(&self) -> bool {
+        true
+    }
 }
 
 /// Weighted points route by their *point* only: a weight-`w` arrival is
@@ -60,6 +81,10 @@ impl<const D: usize> ShardKey for [u64; D] {
 impl<P: ShardKey> ShardKey for kcz_metric::Weighted<P> {
     fn shard_key(&self) -> u64 {
         self.point.shard_key()
+    }
+
+    fn all_finite(&self) -> bool {
+        self.point.all_finite()
     }
 }
 
