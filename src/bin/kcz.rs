@@ -42,7 +42,9 @@
 //! certifies mid-stream engine publishes (f32 mode, churn backends,
 //! delta solver) bit-for-bit against from-scratch or cold replays
 //! (exit 3 on any violation).
-
+//!
+//! `--help` or `-h`, alone or after any subcommand, prints the usage
+//! text and exits 0.
 //!
 //! `--metrics <path>` (on `engine`, `query`, `conformance`) exports the
 //! run's `kcz-metrics/v1` JSON — counters, gauges, latency histograms —
@@ -86,6 +88,7 @@ const USAGE: &str = "usage:
   kcz query   --input <csv> --requests <file> --shards <N> --batch <B>
               --k <K> --z <Z> --eps <EPS> [--metrics <json>]
   kcz conformance [--tier smoke|full] [--json <path>] [--metrics <path>]
+  kcz [<subcommand>] --help
   (point subcommands accept --metric l2|linf; the default is l2;
    --metrics writes the kcz-metrics/v1 export to <json>, or stderr
    for `-` — never stdout, keeping piped output byte-stable)";
@@ -94,6 +97,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
+    let is_help = |a: &String| a == "--help" || a == "-h";
     // Reject unknown subcommands before demanding their flags, so the
     // diagnostic names the actual mistake (`kcz frobnicate` must not
     // fail with `missing --input`).  Every handler in `run_with_metric`
@@ -108,6 +112,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "query",
         "conformance",
     ];
+    if is_help(cmd) || (COMMANDS.contains(&cmd.as_str()) && args[1..].iter().any(is_help)) {
+        println!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
     if !COMMANDS.contains(&cmd.as_str()) {
         return Err(format!("unknown subcommand `{cmd}`"));
     }

@@ -852,6 +852,29 @@ fn unknown_subcommand_exits_2_with_one_line_message() {
 }
 
 #[test]
+fn help_prints_usage_and_exits_0_on_every_subcommand() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["engine", "--help"],
+        &["engine", "--shards", "4", "-h"],
+        &["query", "--help"],
+        &["conformance", "-h"],
+        &["solve", "--help"],
+    ] {
+        let out = kcz().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(stdout.contains("kcz engine"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
+    // An unknown subcommand stays an error even with --help.
+    let out = kcz().args(["frobnicate", "--help"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
 fn engine_precision_f32_golden_and_f64_default_identity() {
     // `--precision f32` routes shard absorb sweeps through the columnar
     // f32 lanes and folds F32_EPS_BUDGET into ε′, so its snapshot is
