@@ -836,14 +836,14 @@ where
         // *canonical* hint — the Gonzalez (k+z)-center radius of the
         // merged coreset.  The hint is a pure function of the merged
         // bits (no publish history), so a persistent engine and a
-        // from-scratch oracle compute the same hint on the same data
-        // and settle on bit-identical answers,
-        // while the search pays ~2·log₂(gap) probes around the hint
-        // instead of a full cold bisection.  (R_gonz(k+z) ≤ 2·opt_{k,z}
-        // and every guess ≥ opt is feasible, so the gap is O(1) grid
-        // steps.)  Fallback to a cold solve when the hint degenerates:
-        // k+z covers most of the coreset (radius ≈ 0, galloping up from
-        // the bottom would cost more than bisecting).
+        // from-scratch oracle compute the same hint on the same data and
+        // settle on bit-identical answers, while the search pays
+        // ~2·log₂(gap) probes around the hint instead of a full cold
+        // bisection.  (R_gonz(k+z) ≤ 2·opt_{k,z} and every guess ≥ opt
+        // is feasible, so the gap is O(1) grid steps.)  Fallback to a
+        // cold solve when the hint degenerates: k+z covers most of the
+        // coreset (radius ≈ 0, galloping up from the bottom would cost
+        // more than bisecting).
         self.obs.solves.incr();
         let t_solve = self.obs.stage_solve.start();
         let radius_bound = merged.radius_bound();

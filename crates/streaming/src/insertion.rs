@@ -195,7 +195,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             // Re-establish the mini-ball granularity at the merged radius.
             self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
         } else {
-            // Both sides pre-radius: merge exact duplicates only.
+            // Every side pre-radius: merge exact duplicates only.
             self.reps = update_coreset(&self.metric, &self.reps, 0.0);
             if self.reps.len() as u64 > self.k as u64 + self.z {
                 if let Some(min) = self.min_pairwise() {
