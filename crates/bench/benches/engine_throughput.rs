@@ -24,7 +24,7 @@
 //! ingest cost to < 3% of the uninstrumented median.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kcz_engine::{Engine, EngineConfig, SolverMode};
+use kcz_engine::{Engine, EngineConfig};
 use kcz_metric::{Precision, L2};
 use kcz_obs::{MetricsHandle, Registry};
 use kcz_streaming::InsertionOnlyCoreset;
@@ -278,38 +278,27 @@ fn bench_engine(c: &mut Criterion) {
 
     // Republish cadence: one shard touched between publishes — the
     // resident serving steady state.  A publish clones only the dirty
-    // shard, merges all eight leaves at once and solves.  Both cases
-    // produce bit-identical snapshots; `incremental` runs the default
-    // delta-aware solver (feasibility probes answered from certified
-    // cached verdicts), `incremental_cold` isolates its win by forcing
-    // a from-scratch solve on the same merge path.
+    // shard, merges all eight leaves at once and solves.
     let mut g = c.benchmark_group("engine_republish");
     g.sample_size(10);
-    for (label, solver) in [
-        ("incremental", SolverMode::Delta),
-        ("incremental_cold", SolverMode::Cold),
-    ] {
-        g.bench_function(BenchmarkId::new(label, 8), |b| {
-            let engine = Engine::new(L2, EngineConfig::new(8, K, Z, EPS).with_solver(solver));
-            for batch in stream[..200_000].chunks(4096) {
-                engine.ingest(batch);
-            }
-            engine.publish();
-            let mut i = 0usize;
-            b.iter(|| {
-                engine.ingest(&[site_point(i % SITES)]);
-                i += 1;
-                black_box(engine.publish().epoch)
-            });
+    g.bench_function(BenchmarkId::new("incremental", 8), |b| {
+        let engine = Engine::new(L2, EngineConfig::new(8, K, Z, EPS));
+        for batch in stream[..200_000].chunks(4096) {
+            engine.ingest(batch);
+        }
+        engine.publish();
+        let mut i = 0usize;
+        b.iter(|| {
+            engine.ingest(&[site_point(i % SITES)]);
+            i += 1;
+            black_box(engine.publish().epoch)
         });
-    }
+    });
     // Delta-size sweep: D points ingested between publishes.  At D = 1
-    // the merged summary moves by a single weight bump and nearly every
-    // feasibility verdict re-certifies; as D grows the delta adds fresh
-    // representatives, certificates start failing, and the solver
-    // degrades gracefully toward the cold cost.  D ≥ 64 also dirties
-    // several of the 8 value-hash shards per publish (the multi-dirty-
-    // shard case), so the sweep covers leaf re-cloning as well.
+    // the merged summary moves by a single weight bump; as D grows the
+    // delta adds fresh representatives.  D ≥ 64 also dirties several of
+    // the 8 value-hash shards per publish (the multi-dirty-shard case),
+    // so the sweep covers leaf re-cloning as well.
     for d in [1usize, 64, 4096] {
         g.bench_function(BenchmarkId::new("delta_sweep", d), |b| {
             let engine = Engine::new(L2, EngineConfig::new(8, K, Z, EPS));

@@ -29,7 +29,7 @@
 //! harness checks.
 
 use kcz_coreset::end_to_end_factor;
-use kcz_kcenter::{farthest_first, greedy_stateful, greedy_with, GreedyParams, SolveState};
+use kcz_kcenter::{farthest_first, greedy_with, GreedyParams};
 use kcz_metric::{MetricSpace, Precision, SpaceUsage, Weighted};
 use kcz_obs::{Counter, Gauge, MetricsHandle, Stage};
 use kcz_streaming::InsertionOnlyCoreset;
@@ -39,19 +39,6 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuar
 
 use crate::backend::{AnyShard, Backend, ShardBackend};
 use crate::runtime::{global, Pool};
-
-/// Which Charikar solver the publish path runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverMode {
-    /// Every publish re-solves the merged summary from scratch.
-    Cold,
-    /// The delta-aware solve ([`kcz_kcenter::greedy_stateful`]): a
-    /// persistent [`SolveState`] re-certifies the previous epoch's
-    /// feasibility verdicts against the summary delta and re-runs only
-    /// what the certificates cannot absorb.  Bit-identical to
-    /// [`SolverMode::Cold`] by construction — the default.
-    Delta,
-}
 
 /// Construction parameters of an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,9 +67,6 @@ pub struct EngineConfig {
     /// window and decay stages widen the published ε′ by one extra ε
     /// ([`Backend::extra_eps`]).
     pub backend: Backend,
-    /// Which Charikar solver the publish path runs (see [`SolverMode`];
-    /// both modes publish bit-identical snapshots).
-    pub solver: SolverMode,
 }
 
 impl EngineConfig {
@@ -97,7 +81,6 @@ impl EngineConfig {
             seed: 0x5EED_0E16,
             precision: Precision::F64,
             backend: Backend::Insertion,
-            solver: SolverMode::Delta,
         }
     }
 
@@ -111,13 +94,6 @@ impl EngineConfig {
     /// Sets the per-shard backend (see [`EngineConfig::backend`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets the publish-path Charikar solver (see
-    /// [`EngineConfig::solver`]).
-    pub fn with_solver(mut self, solver: SolverMode) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -154,10 +130,6 @@ pub struct EngineStats {
     pub summary_words: usize,
     /// Feasibility probes (`disk_greedy` runs) the epoch's solve spent.
     pub solve_probes: usize,
-    /// Probes the delta-aware solve answered from re-certified cached
-    /// verdicts instead of `disk_greedy` runs (always `0` under
-    /// [`SolverMode::Cold`]).
-    pub reused_verdicts: usize,
     /// Merge + Charikar solves performed over the engine's
     /// lifetime up to this snapshot (the same count
     /// [`Engine::solves`] reads) — snapshots and the engine expose the
@@ -187,8 +159,7 @@ pub struct Snapshot<P> {
     /// Summary weight left uncovered by the solve (≤ `z`).
     pub uncovered: u64,
     /// The feasible guess `r̂` the radius search settled on
-    /// (`radius ≤ 3·r̂`) — part of the bit-identity surface the solver
-    /// conformance pass compares across delta/cold/scratch solves.
+    /// (`radius ≤ 3·r̂`).
     pub guess: f64,
     /// The ε′ the merged summary certifies: `ε` while at most one shard
     /// holds data, `1.5ε` once two or more do (one recompression of
@@ -309,9 +280,6 @@ struct EngineInstruments {
     elisions: Counter,
     /// `engine.solve.probes` — cumulative feasibility probes spent.
     probes: Counter,
-    /// `engine.solve.reused_verdicts` — cumulative probes answered from
-    /// re-certified cached verdicts.
-    reused: Counter,
     /// `engine.ingest.batch_ns` — per-batch ingest latency.
     ingest_batch: Stage,
     /// `engine.publish.total_ns` — whole slow-path publish.
@@ -350,7 +318,6 @@ impl EngineInstruments {
             merges: metrics.counter("engine.publish.pair_merges"),
             elisions: metrics.counter("engine.publish.elisions"),
             probes: metrics.counter("engine.solve.probes"),
-            reused: metrics.counter("engine.solve.reused_verdicts"),
             ingest_batch: metrics.stage("engine.ingest.batch_ns"),
             publish_total: metrics.stage("engine.publish.total_ns"),
             stage_clone: metrics.stage("engine.publish.stage.clone_ns"),
@@ -376,7 +343,6 @@ impl EngineInstruments {
         self.merges.add(old.merges.get());
         self.elisions.add(old.elisions.get());
         self.probes.add(old.probes.get());
-        self.reused.add(old.reused.get());
         self.coreset_size.set(old.coreset_size.get());
         self.summary_words.set(old.summary_words.get());
         self.epoch_gauge.set(old.epoch_gauge.get());
@@ -433,12 +399,6 @@ pub struct Engine<P, M: MetricSpace<P>> {
     /// merge or solve leaves it empty and the next publish rebuilds
     /// every leaf.
     leaves: Mutex<Vec<Leaf<P, M>>>,
-    /// The delta-aware solver's persistent state ([`SolverMode::Delta`]
-    /// only; always `None` under [`SolverMode::Cold`]).  Taken out for
-    /// the duration of a solve so a panic leaves `None` and the next
-    /// publish solves cold — and left untouched by elided publishes,
-    /// whose summaries are bit-identical to the one the state tracks.
-    solve_state: Mutex<Option<SolveState<P>>>,
     /// Largest merge transient observed over all snapshots.
     peak_merge_transient: AtomicUsize,
     pool: &'static Pool,
@@ -488,7 +448,6 @@ where
             published_fp: AtomicU64::new(0),
             publish_order: Mutex::new(()),
             leaves: Mutex::new(Vec::new()),
-            solve_state: Mutex::new(None),
             peak_merge_transient: AtomicUsize::new(0),
             pool: global(),
             cfg,
@@ -858,36 +817,15 @@ where
         } else {
             GreedyParams::default()
         };
-        let sol = match self.cfg.solver {
-            SolverMode::Cold => greedy_with(
-                &self.metric,
-                merged.coreset(),
-                self.cfg.k,
-                self.cfg.z,
-                &params,
-            ),
-            SolverMode::Delta => {
-                // Take the state out for the duration: a panicking solve
-                // leaves `None` and the next publish solves cold.  The
-                // hint above is already the canonical function of the
-                // merged bits, so the stateful solve retraces exactly
-                // the search a cold solve would run.
-                let mut state = lock_recover(&self.solve_state).take();
-                let sol = greedy_stateful(
-                    &self.metric,
-                    merged.coreset(),
-                    self.cfg.k,
-                    self.cfg.z,
-                    &params,
-                    &mut state,
-                );
-                *lock_recover(&self.solve_state) = state;
-                sol
-            }
-        };
+        let sol = greedy_with(
+            &self.metric,
+            merged.coreset(),
+            self.cfg.k,
+            self.cfg.z,
+            &params,
+        );
         t_solve.finish();
         self.obs.probes.add(sol.probes as u64);
-        self.obs.reused.add(sol.reused_verdicts as u64);
         // ε′ composition: the merged root accounts the leaf ε and the
         // one recompression's widening; the window / decay stage sits in
         // front of the leaves and adds its own ε (zero for insertion —
@@ -918,7 +856,6 @@ where
                 merge_transient_words,
                 summary_words,
                 solve_probes: sol.probes,
-                reused_verdicts: sol.reused_verdicts,
                 solves: self.obs.solves.get(),
                 merges: self.obs.merges.get(),
                 elisions: self.obs.elisions.get(),
@@ -1256,7 +1193,30 @@ mod tests {
         assert_eq!(engine.points_ingested(), u64::MAX);
         engine.ingest_weighted(&[heavy(1.0)]);
         assert_eq!(engine.points_ingested(), u64::MAX);
-        assert_eq!(engine.publish().stats.points, u64::MAX);
+        let snap = engine.publish();
+        assert_eq!(snap.stats.points, u64::MAX);
+        // One center must cover both sites: the solve's weight sums
+        // stay exact past u64::MAX.
+        assert_eq!(snap.uncovered, 0);
+        assert!(snap.radius > 0.0, "radius {}", snap.radius);
+    }
+
+    #[test]
+    fn publish_survives_weights_summing_past_u64_max() {
+        let engine = Engine::new(L2, EngineConfig::new(2, 2, 0, 0.5));
+        let at = |x: f64, w: u64| Weighted::new([x, 0.0], w);
+        engine.ingest_weighted(&[at(0.0, 1 << 63), at(100.0, 1 << 63), at(200.0, 5)]);
+        for _ in 0..2 {
+            let snap = engine.publish();
+            assert_eq!(snap.uncovered, 0);
+            assert!(snap.radius > 0.0, "radius {}", snap.radius);
+            assert!(snap.radius <= 3.0 * snap.guess);
+        }
+        // More ingest re-solves on the same heavy summary.
+        engine.ingest_weighted(&[at(1.0, 1)]);
+        let snap = engine.publish();
+        assert_eq!(snap.uncovered, 0);
+        assert!(snap.radius > 0.0, "radius {}", snap.radius);
     }
 
     #[test]

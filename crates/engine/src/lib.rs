@@ -32,5 +32,5 @@ pub use backend::{
     AnyShard, Backend, DecayShard, InsertionShard, ShardBackend, WindowShard, WINDOW_RHO_MAX,
     WINDOW_RHO_MIN,
 };
-pub use engine::{Engine, EngineConfig, EngineStats, Snapshot, SolverMode};
+pub use engine::{Engine, EngineConfig, EngineStats, Snapshot};
 pub use runtime::{global, Pool};

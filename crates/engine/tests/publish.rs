@@ -4,8 +4,8 @@
 //!    seeded random schedules of ingest batches, publishes, and idle
 //!    republishes, every published snapshot is bit-identical to what a
 //!    from-scratch engine fed the same prefix publishes — the clean-leaf
-//!    cache and the warm-started delta solve never leak publish history
-//!    into the answer.
+//!    cache and the warm-started solve never leak publish history into
+//!    the answer.
 //! 2. **Failure atomicity**: a publish that panics mid-merge burns no
 //!    epoch number and poisons nothing a later publish needs — the next
 //!    publish rebuilds every leaf and succeeds.

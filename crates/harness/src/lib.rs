@@ -33,11 +33,6 @@
 //! checks that each run's per-round word counts are complete (they sum
 //! to the total) and that recording them through a [`kcz_obs::Registry`]
 //! reproduces them exactly — see [`obscheck`].
-//! The delta-aware Charikar solver is verified against cold:
-//! [`solver_violations`] replays each scenario on two engines differing
-//! only in solver mode and bit-compares every published epoch (radius,
-//! guess, centers, uncovered weight, probe accounting) — see
-//! [`solvecheck`].
 //!
 //! The facade exposes this as `kcz conformance [--tier smoke|full]
 //! [--json <path>]`; CI runs the smoke tier on every push and fails on
@@ -52,7 +47,6 @@ pub mod pipeline;
 pub mod query;
 pub mod report;
 pub mod scenario;
-pub mod solvecheck;
 
 pub use churn::churn_violations;
 pub use f32cert::f32_violations;
@@ -61,4 +55,3 @@ pub use pipeline::{all_pipelines, Model, Pipeline, RadiusBound, Verdict};
 pub use query::query_violations;
 pub use report::{exact_radius, run_conformance, within_bound, ConformanceReport, ScenarioReport};
 pub use scenario::{catalog, snap_to_grid, Scenario, Tier, SIDE_BITS};
-pub use solvecheck::solver_violations;

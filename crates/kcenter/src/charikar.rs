@@ -15,18 +15,52 @@
 //! binary-search a geometric grid with resolution `1+η`, degrading the
 //! guarantee to `3(1+η)·opt` (substitution #2 in `DESIGN.md`).
 //!
-//! All distance work routes through the batched [`MetricSpace`] kernels:
-//! the distance matrix is filled row-by-row with `dist_many`, and the
-//! matrix-free path answers ball queries with `cover_weight` /
-//! `within_indices` (deferred `sqrt`) instead of per-point `dist` calls.
+//! # Ball queries
+//!
+//! Every question a feasibility probe asks is a ball query — which points
+//! lie within `r` of point `p` — and one solve answers them all from a
+//! neighbour cache built once:
+//!
+//! * **Prune.**  Let `f(p) = dist(pts[0], p)`.  By the triangle
+//!   inequality every `q` with `dist(p, q) ≤ R` has `|f(p) − f(q)| ≤ R`,
+//!   so with the points sorted by `f`, the candidates of `p` form one
+//!   contiguous window.  The window is widened by `1e-9·(R + max f)` to
+//!   absorb the rounding of the computed `f` values.  This holds for any
+//!   metric.
+//! * **Cache.**  The first probe, at radius `R`, runs `dist_many` of every
+//!   point against its window and keeps each `(index, distance)` with
+//!   `distance ≤ R` in one CSR, each list sorted nearest first.  A probe
+//!   at `r ≤ R` reads the prefix of each list with `distance ≤ r`; a
+//!   probe above `R` rebuilds the cache at `r`.  On the engine's warm
+//!   path the first probe is the hint's candidate, so one build serves
+//!   the whole search.
+//! * **Budget.**  Before building, the windows' total length — two
+//!   `partition_point`s per point, no distances — is compared with a fixed
+//!   budget of 1.5 M entries (18 MB, the size of a 1500×1500 `f64`
+//!   distance matrix).  Over the budget, each ball query scans its own
+//!   window on the fly instead, in `O(n)` memory.
+//!
+//! Every radius test, in both modes, compares an exact `dist` value
+//! (`dist_many` returns the scalar distances bit for bit) against the
+//! radius with `<=`: the predicate of a full distance matrix.  A probe's
+//! picks and verdict therefore do not depend on the mode or the budget.
+//! Gains and uncovered weights are summed in `u128`, which is exact for
+//! any `n < 2³²` whatever the weights.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
-use kcz_metric::{ColumnSet, MetricSpace, Precision, Weighted};
+use kcz_metric::{MetricSpace, Weighted};
 
 use crate::cost::cost_with_outliers;
 
-/// Tuning knobs for [`greedy_with`].
+/// Entry budget of the neighbour cache: 1.5 M entries of a `u32` index
+/// and an `f64` distance, 18 MB.
+const CACHE_BUDGET: usize = 1_500_000;
+
+/// Tuning knobs for [`greedy_with`].  They choose the candidate radii
+/// and where the search starts.  How the probes answer their ball
+/// queries (the neighbour cache and its entry budget) is not a knob: it
+/// never changes a probe's outcome.
 #[derive(Debug, Clone)]
 pub struct GreedyParams {
     /// Use the exact pairwise-distance candidate set when `n` is at most
@@ -34,8 +68,6 @@ pub struct GreedyParams {
     pub exact_candidates_max_n: usize,
     /// Resolution `1+η` of the geometric candidate grid.
     pub geometric_step: f64,
-    /// Precompute the full distance matrix when `n` is at most this.
-    pub matrix_max_n: usize,
     /// Warm-start hint: a previous solve's feasible guess `r̂` on nearby
     /// data.  The radius search starts at this value and brackets
     /// outwards instead of bisecting the whole candidate range — under
@@ -51,7 +83,6 @@ impl Default for GreedyParams {
         GreedyParams {
             exact_candidates_max_n: 600,
             geometric_step: 1.01,
-            matrix_max_n: 1500,
             warm_guess: None,
         }
     }
@@ -84,10 +115,6 @@ pub struct GreedySolution<P> {
     /// spent — the observable a warm start shrinks (the result itself is
     /// hint-independent).
     pub probes: usize,
-    /// Probes answered from a re-certified [`SolveState`] verdict instead
-    /// of a `disk_greedy` run — the observable the delta-aware solve
-    /// grows (always `0` for the stateless entry points).
-    pub reused_verdicts: usize,
 }
 
 /// `Greedy(P, k, z)` with default parameters.  See [`greedy_with`].
@@ -112,32 +139,33 @@ pub fn greedy_with<P: Clone, M: MetricSpace<P>>(
     params: &GreedyParams,
 ) -> GreedySolution<P> {
     let n = points.len();
-    let total: u64 = points.iter().fold(0u64, |a, p| a.saturating_add(p.weight));
-    if total <= z || n == 0 {
+    let total: u128 = points.iter().map(|p| u128::from(p.weight)).sum();
+    if n == 0 || total <= u128::from(z) {
         return GreedySolution {
             centers: Vec::new(),
             radius: 0.0,
             guess: 0.0,
-            uncovered: total,
+            // At most `z`, so it fits.
+            uncovered: total as u64,
             probes: 0,
-            reused_verdicts: 0,
         };
     }
     assert!(k > 0, "k must be positive when weight must be covered");
 
     let weights: Vec<u64> = points.iter().map(|p| p.weight).collect();
     let pts: Vec<P> = points.iter().map(|p| p.point.clone()).collect();
-    let oracle = DistOracle::new(metric, &pts, n <= params.matrix_max_n);
-
-    let candidates = candidate_radii(&oracle, params);
+    let mut pivot = Vec::new();
+    metric.dist_many(&pts[0], &pts, &mut pivot);
+    let candidates = candidate_radii(metric, &pts, &pivot, params);
     debug_assert!(!candidates.is_empty());
+    let mut balls = Balls::new(metric, &pts, pivot, CACHE_BUDGET);
 
     // Feasibility is monotone in r for the guarantee's purposes: the
     // largest candidate (≥ diameter) always succeeds with one center.
     let mut probes = 0usize;
     let mut probe = |i: usize| {
         probes += 1;
-        disk_greedy(&oracle, &weights, k, z, candidates[i])
+        disk_greedy(&mut balls, &weights, k, z, candidates[i]).verdict(z)
     };
     let best = match params.warm_guess {
         Some(g) => warm_search(&candidates, g, &mut probe),
@@ -146,7 +174,8 @@ pub fn greedy_with<P: Clone, M: MetricSpace<P>>(
     let (idx, center_idx) = best.unwrap_or_else(|| {
         // The diameter guess must succeed; recompute defensively.
         let last = candidates.len() - 1;
-        let c = disk_greedy(&oracle, &weights, k, z, candidates[last])
+        let c = disk_greedy(&mut balls, &weights, k, z, candidates[last])
+            .verdict(z)
             .expect("diameter-radius guess must be feasible");
         (last, c)
     });
@@ -165,7 +194,6 @@ pub fn greedy_with<P: Clone, M: MetricSpace<P>>(
         guess,
         uncovered,
         probes,
-        reused_verdicts: 0,
     }
 }
 
@@ -269,170 +297,36 @@ fn warm_search(
     }
 }
 
-/// Distance oracle behind the greedy's hot loops: a full matrix (filled
-/// row-by-row with `dist_many`) for small inputs, the batched
-/// deferred-`sqrt` kernels on the raw points otherwise.
-///
-/// The two modes answer ball queries with the same point sets except at
-/// sub-ulp ties (the deferred-`sqrt` contract of [`MetricSpace`]); within
-/// one mode all queries are mutually consistent, which is what the
-/// incremental gain maintenance in [`disk_greedy`] relies on.
-struct DistOracle<'a, P, M> {
-    metric: &'a M,
-    pts: &'a [P],
-    matrix: Option<Vec<f64>>,
-    /// Columnar transpose of `pts` for the matrix-free mode: ball queries
-    /// run the blocked SoA kernels (bit-identical to the AoS kernels in
-    /// f64, per the `columns.rs` equivalence suite) instead of the
-    /// strided AoS scans.  `None` in matrix mode or when the metric has
-    /// no columnar kernels.
-    cols: Option<ColumnSet>,
-}
-
-impl<'a, P, M: MetricSpace<P>> DistOracle<'a, P, M> {
-    fn new(metric: &'a M, pts: &'a [P], use_matrix: bool) -> Self {
-        Self::with_matrix(metric, pts, use_matrix, None)
-    }
-
-    /// Like [`DistOracle::new`], but reuses `prior` as the matrix when it
-    /// matches `pts` in size.  The caller certifies that `prior` was
-    /// computed on *bit-identical positions* (the delta solve's pure
-    /// weight-bump path); a mismatched or absent prior rebuilds exactly
-    /// as `new` does, so the oracle's answers never depend on it.
-    fn with_matrix(metric: &'a M, pts: &'a [P], use_matrix: bool, prior: Option<Vec<f64>>) -> Self {
-        let n = pts.len();
-        let matrix = use_matrix.then(|| match prior {
-            Some(m) if m.len() == n * n => m,
-            _ => {
-                let mut m = Vec::with_capacity(n * n);
-                let mut row = Vec::new();
-                for p in pts {
-                    metric.dist_many(p, pts, &mut row);
-                    m.extend_from_slice(&row);
-                }
-                m
-            }
-        });
-        let cols = if matrix.is_none() {
-            metric.build_columns(pts, Precision::F64)
-        } else {
-            None
-        };
-        DistOracle {
-            metric,
-            pts,
-            matrix,
-            cols,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.pts.len()
-    }
-
-    /// Hand the distance matrix (if any) back to the caller so a future
-    /// pure weight-bump solve on the same positions can skip the
-    /// `O(n²)` rebuild.
-    fn into_matrix(self) -> Option<Vec<f64>> {
-        self.matrix
-    }
-
-    /// Distances from point `i` to every point, as a slice (matrix row or
-    /// freshly computed into `scratch`).
-    fn row<'b>(&'b self, i: usize, scratch: &'b mut Vec<f64>) -> &'b [f64] {
-        match (&self.matrix, &self.cols) {
-            (Some(m), _) => {
-                let n = self.pts.len();
-                &m[i * n..(i + 1) * n]
-            }
-            (None, Some(cols)) => {
-                self.metric.col_dist_many(cols, &self.pts[i], scratch);
-                scratch
-            }
-            (None, None) => {
-                self.metric.dist_many(&self.pts[i], self.pts, scratch);
-                scratch
-            }
-        }
-    }
-
-    /// Total weight within distance `r` of point `i`.
-    fn cover_weight(&self, i: usize, weights: &[u64], r: f64) -> u64 {
-        match (&self.matrix, &self.cols) {
-            (Some(m), _) => {
-                let n = self.pts.len();
-                let row = &m[i * n..(i + 1) * n];
-                let mut total = 0u64;
-                for (&d, &w) in row.iter().zip(weights) {
-                    if d <= r {
-                        total = total.saturating_add(w);
-                    }
-                }
-                total
-            }
-            (None, Some(cols)) => self.metric.col_cover_weight(cols, &self.pts[i], weights, r),
-            (None, None) => self.metric.cover_weight(&self.pts[i], self.pts, weights, r),
-        }
-    }
-
-    /// Ascending indices of all points within distance `r` of point `i`.
-    fn within_row(&self, i: usize, r: f64, out: &mut Vec<usize>) {
-        match (&self.matrix, &self.cols) {
-            (Some(m), _) => {
-                let n = self.pts.len();
-                out.clear();
-                for (j, &d) in m[i * n..(i + 1) * n].iter().enumerate() {
-                    if d <= r {
-                        out.push(j);
-                    }
-                }
-            }
-            (None, Some(cols)) => self.metric.col_within_indices(cols, &self.pts[i], r, out),
-            (None, None) => self.metric.within_indices(&self.pts[i], self.pts, r, out),
-        }
-    }
-}
-
 /// Candidate radii for the binary search, ascending, first element `0`.
+/// `pivot` is the `dist_many` row of `pts[0]`.
 fn candidate_radii<P, M: MetricSpace<P>>(
-    oracle: &DistOracle<'_, P, M>,
+    metric: &M,
+    pts: &[P],
+    pivot: &[f64],
     params: &GreedyParams,
 ) -> Vec<f64> {
-    let n = oracle.len();
-    let mut scratch = Vec::new();
+    let n = pts.len();
+    let mut row = Vec::new();
     if n <= params.exact_candidates_max_n {
         let mut c = Vec::with_capacity(n * (n - 1) / 2 + 1);
         c.push(0.0);
-        for i in 0..n {
-            let row = oracle.row(i, &mut scratch);
-            c.extend_from_slice(&row[i + 1..]);
+        for (i, p) in pts.iter().enumerate() {
+            metric.dist_many(p, &pts[i + 1..], &mut row);
+            c.extend_from_slice(&row);
         }
         c.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN distances"));
         c.dedup();
         c
     } else {
         // Upper bound on the diameter: 2 × the eccentricity of point 0.
-        let ecc = oracle
-            .row(0, &mut scratch)
-            .iter()
-            .fold(0.0f64, |m, &d| m.max(d));
+        let ecc = pivot.iter().fold(0.0f64, |m, &d| m.max(d));
         let hi = (2.0 * ecc).max(f64::MIN_POSITIVE);
-        // Lower bound: smallest positive distance within a sample.  In
-        // matrix mode the distances already sit in the matrix rows; the
-        // matrix-free mode computes suffix rows against the sample prefix.
+        // Lower bound: smallest positive distance within a sample.
         let sample = 512.min(n);
         let mut lo = f64::INFINITY;
-        let mut row = Vec::new();
         for i in 0..sample {
-            let suffix: &[f64] = if oracle.matrix.is_some() {
-                &oracle.row(i, &mut scratch)[i + 1..sample]
-            } else {
-                oracle
-                    .metric
-                    .dist_many(&oracle.pts[i], &oracle.pts[i + 1..sample], &mut row);
-                &row
-            };
-            for &d in suffix {
+            metric.dist_many(&pts[i], &pts[i + 1..sample], &mut row);
+            for &d in &row {
                 if d > 0.0 && d < lo {
                     lo = d;
                 }
@@ -453,107 +347,209 @@ fn candidate_radii<P, M: MetricSpace<P>>(
     }
 }
 
-/// One feasibility test of the Charikar greedy at radius guess `r`:
-/// greedily pick up to `k` disk centers; return their indices if the
-/// uncovered weight ends up ≤ `z`.
-///
-/// `O(n²)` total: gains are initialized with one batched ball query per
-/// point and maintained incrementally as points get covered.
-fn disk_greedy<P, M: MetricSpace<P>>(
-    oracle: &DistOracle<'_, P, M>,
-    weights: &[u64],
-    k: usize,
-    z: u64,
+/// The ball queries of one solve (see the module docs): the points sorted
+/// by their distance `f` to `pts[0]`, and the neighbour cache while it
+/// fits the budget.
+struct Balls<'a, P, M> {
+    metric: &'a M,
+    pts: &'a [P],
+    /// `pts` in ascending order of `f`.
+    sorted: Vec<P>,
+    /// Index into `pts` of each sorted position.
+    order: Vec<usize>,
+    /// `f` of each sorted position, ascending.
+    keys: Vec<f64>,
+    /// `f` of each point, by index into `pts`.
+    pivot: Vec<f64>,
+    /// The largest `f`, or `None` when some `f` is not finite and every
+    /// window spans all points.
+    max_key: Option<f64>,
+    /// Most cache entries a build may allocate.
+    budget: usize,
+    cache: Option<Cache>,
+    /// Whether the current probe reads `cache` rather than scanning.
+    cached: bool,
+    row: Vec<f64>,
+}
+
+/// Neighbour lists at radius `r` in CSR form: the entries of point `p`
+/// (an index into `pts`) are `start[p]..start[p + 1]` of `nbr` and `dist`,
+/// nearest first.
+struct Cache {
     r: f64,
-) -> Option<Vec<usize>> {
-    disk_greedy_recorded(oracle, weights, k, z, r).verdict()
+    start: Vec<usize>,
+    nbr: Vec<u32>,
+    dist: Vec<f64>,
 }
 
-/// Why one [`disk_greedy`] run stopped picking centers.  The delta
-/// re-certification treats each case differently — see
-/// [`SolveState`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Termination {
-    /// All `k` picks were made; the verdict is whatever the final
-    /// uncovered weight says.
-    Exhausted,
-    /// Uncovered weight dropped to ≤ `z` before `k` picks (always
-    /// feasible).
-    Slack,
-    /// Every remaining `r`-ball gain hit `0` before `k` picks (always
-    /// infeasible: more centers cannot help).
-    ZeroGain,
-}
+impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
+    /// `pivot` is the `dist_many` row of `pts[0]`; `budget` caps the
+    /// cache in entries.
+    fn new(metric: &'a M, pts: &'a [P], pivot: Vec<f64>, budget: usize) -> Self {
+        let mut order: Vec<usize> = (0..pts.len()).collect();
+        order.sort_by(|&a, &b| pivot[a].total_cmp(&pivot[b]));
+        let keys: Vec<f64> = order.iter().map(|&i| pivot[i]).collect();
+        let max_key = keys
+            .iter()
+            .all(|f| f.is_finite())
+            .then(|| keys.last().copied().unwrap_or(0.0));
+        Balls {
+            metric,
+            pts,
+            sorted: order.iter().map(|&i| pts[i].clone()).collect(),
+            order,
+            keys,
+            pivot,
+            max_key,
+            // The cache stores `u32` indices.
+            budget: if u32::try_from(pts.len()).is_ok() {
+                budget
+            } else {
+                0
+            },
+            cache: None,
+            cached: false,
+            row: Vec::new(),
+        }
+    }
 
-/// One center pick of a recorded [`disk_greedy`] run, with the margin
-/// data the delta re-certification needs: a lower bound on the pick's
-/// own gain and an upper bound on every competing gain at pick time.
-/// Both degrade conservatively across reuse generations (the gain stays
-/// the stale recorded value, the runner-up absorbs each epoch's new
-/// mass), so a reused record only ever gets *harder* to re-certify —
-/// never unsound.
-#[derive(Debug, Clone)]
-struct Pick {
-    /// Point index of the pick, in the current summary's indexing.
-    index: usize,
-    /// Lower bound on the pick's uncovered-weight gain at pick time.
-    gain: u64,
-    /// Upper bound on every *other* point's gain at pick time.
-    runner_up: u64,
-}
+    /// Sorted positions of every point that can lie within `r` of `p`.
+    fn window(&self, p: usize, r: f64) -> Range<usize> {
+        let all = 0..self.keys.len();
+        let Some(max_key) = self.max_key else {
+            return all;
+        };
+        let w = r + 1e-9 * (r + max_key);
+        if !w.is_finite() {
+            return all;
+        }
+        let f = self.pivot[p];
+        self.keys.partition_point(|&x| x < f - w)..self.keys.partition_point(|&x| x <= f + w)
+    }
 
-/// Certified record of one [`disk_greedy`] probe: the full pick
-/// sequence with margins, the final coverage set, the final uncovered
-/// weight and the termination reason — everything needed to prove that
-/// re-running the probe on a weight-grown summary would retrace the
-/// identical picks and land on a known verdict.
-#[derive(Debug, Clone)]
-struct ProbeRecord {
-    picks: Vec<Pick>,
-    /// Final coverage flags, indexed like the summary the record was
-    /// last certified against.
-    covered: Vec<bool>,
-    /// Final uncovered weight (exact — the delta path only runs when
-    /// totals are overflow-free).
-    uncovered: u64,
-    term: Termination,
-    /// Outlier budget the record was taken against (verdict = `uncovered
-    /// ≤ z`).
-    z: u64,
-}
+    /// Readies the ball queries of one probe at radius `r`: read the cache
+    /// if it was built at `r` or above, else rebuild it at `r` if the
+    /// windows fit the budget, else scan the windows on the fly.
+    fn prepare(&mut self, r: f64) {
+        if self.cache.as_ref().is_some_and(|c| r <= c.r) {
+            self.cached = true;
+            return;
+        }
+        let mut total = 0usize;
+        for p in 0..self.pts.len() {
+            total += self.window(p, r).len();
+            if total > self.budget {
+                self.cached = false;
+                return;
+            }
+        }
+        // Free the old cache before allocating its replacement, once.
+        self.cache = None;
+        let mut start = Vec::with_capacity(self.pts.len() + 1);
+        let mut nbr = Vec::with_capacity(total);
+        let mut dist = Vec::with_capacity(total);
+        start.push(0);
+        let mut list = Vec::new();
+        for p in 0..self.pts.len() {
+            let win = self.window(p, r);
+            let lo = win.start;
+            self.metric
+                .dist_many(&self.pts[p], &self.sorted[win], &mut self.row);
+            list.clear();
+            for (j, &d) in self.row.iter().enumerate() {
+                if d <= r {
+                    list.push((d, self.order[lo + j] as u32));
+                }
+            }
+            // Nearest first, so a ball at r ≤ R is a prefix of the list.
+            list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            dist.extend(list.iter().map(|e| e.0));
+            nbr.extend(list.iter().map(|e| e.1));
+            start.push(nbr.len());
+        }
+        self.cache = Some(Cache {
+            r,
+            start,
+            nbr,
+            dist,
+        });
+        self.cached = true;
+    }
 
-impl ProbeRecord {
-    /// The probe's verdict in [`disk_greedy`]'s return convention.
-    fn verdict(&self) -> Option<Vec<usize>> {
-        (self.uncovered <= self.z).then(|| self.picks.iter().map(|p| p.index).collect())
+    /// Calls `visit(q)` for every `q` with `dist(p, q) ≤ r`, where `r`
+    /// is the radius of the last [`Balls::prepare`].
+    fn for_each_within(&mut self, p: usize, r: f64, mut visit: impl FnMut(usize)) {
+        match &self.cache {
+            Some(c) if self.cached => {
+                let span = c.start[p]..c.start[p + 1];
+                for (&q, &d) in c.nbr[span.clone()].iter().zip(&c.dist[span]) {
+                    if d > r {
+                        break;
+                    }
+                    visit(q as usize);
+                }
+            }
+            _ => {
+                let win = self.window(p, r);
+                let lo = win.start;
+                self.metric
+                    .dist_many(&self.pts[p], &self.sorted[win], &mut self.row);
+                for (j, &d) in self.row.iter().enumerate() {
+                    if d <= r {
+                        visit(self.order[lo + j]);
+                    }
+                }
+            }
+        }
     }
 }
 
-/// [`disk_greedy`] with certificate extraction: identical pick-by-pick
-/// behaviour (same argmax, same tie-break, same break conditions), plus
-/// a second scan per pick for the runner-up margin and the final
-/// coverage state.
-fn disk_greedy_recorded<P, M: MetricSpace<P>>(
-    oracle: &DistOracle<'_, P, M>,
+/// Outcome of one [`disk_greedy`] run.
+#[derive(Debug, PartialEq)]
+struct Probe {
+    /// Center indices, in pick order.
+    picks: Vec<usize>,
+    /// Weight outside every pick's `3r` ball.
+    uncovered: u128,
+}
+
+impl Probe {
+    /// The picks when the guess is feasible for outlier budget `z`.
+    fn verdict(self, z: u64) -> Option<Vec<usize>> {
+        (self.uncovered <= u128::from(z)).then_some(self.picks)
+    }
+}
+
+/// One feasibility test of the Charikar greedy at radius guess `r`:
+/// greedily pick up to `k` disk centers, stopping early once the
+/// uncovered weight is at most `z` or no `r`-ball covers any of it.
+///
+/// Gains start as ball sums and are maintained incrementally as points
+/// get covered: `O(Σ|ball|)` from the neighbour cache, plus one
+/// `dist_many` row over all points per pick for its `3r` ball.
+fn disk_greedy<P: Clone, M: MetricSpace<P>>(
+    balls: &mut Balls<'_, P, M>,
     weights: &[u64],
     k: usize,
     z: u64,
     r: f64,
-) -> ProbeRecord {
+) -> Probe {
     let n = weights.len();
-    let mut covered = vec![false; n];
-    let mut uncovered_total: u64 = weights.iter().fold(0u64, |a, &w| a.saturating_add(w));
+    balls.prepare(r);
     // gain[p] = uncovered weight within distance r of p.
-    let mut gain: Vec<u64> = (0..n).map(|p| oracle.cover_weight(p, weights, r)).collect();
-    let mut picks: Vec<Pick> = Vec::with_capacity(k);
+    let mut gain = vec![0u128; n];
+    for (p, g) in gain.iter_mut().enumerate() {
+        balls.for_each_within(p, r, |q| *g += u128::from(weights[q]));
+    }
+    let mut uncovered: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let mut covered = vec![false; n];
+    let mut picks = Vec::with_capacity(k);
     let mut ball = Vec::new();
-    let mut shrink = Vec::new();
-    let mut term = Termination::Exhausted;
     for _ in 0..k {
-        if uncovered_total <= z {
-            term = Termination::Slack;
+        if uncovered <= u128::from(z) {
             break;
         }
+        // Ties go to the last maximal index.
         let (best, &g) = gain
             .iter()
             .enumerate()
@@ -561,431 +557,30 @@ fn disk_greedy_recorded<P, M: MetricSpace<P>>(
             .expect("non-empty gains");
         if g == 0 {
             // No r-ball covers any uncovered weight; more centers cannot help.
-            term = Termination::ZeroGain;
             break;
         }
-        let runner_up = gain
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| p != best)
-            .map(|(_, &g)| g)
-            .max()
-            .unwrap_or(0);
-        picks.push(Pick {
-            index: best,
-            gain: g,
-            runner_up,
-        });
-        oracle.within_row(best, 3.0 * r, &mut ball);
-        for &q in &ball {
-            if !covered[q] {
+        picks.push(best);
+        balls
+            .metric
+            .dist_many(&balls.pts[best], balls.pts, &mut ball);
+        for (q, &d) in ball.iter().enumerate() {
+            if d <= 3.0 * r && !covered[q] {
                 covered[q] = true;
-                uncovered_total -= weights[q];
+                let w = u128::from(weights[q]);
+                uncovered -= w;
                 // q leaves every gain it contributed to.
-                oracle.within_row(q, r, &mut shrink);
-                for &p in &shrink {
-                    gain[p] -= weights[q];
-                }
+                balls.for_each_within(q, r, |p| gain[p] -= w);
             }
         }
     }
-    ProbeRecord {
-        picks,
-        covered,
-        uncovered: uncovered_total,
-        term,
-        z,
-    }
-}
-
-/// Persistent state of the delta-aware solve ([`greedy_stateful`]): the
-/// previous solve's summary, candidate radius ladder, per-probe
-/// feasibility records (keyed by the candidate's `f64` bits, so they
-/// survive ladder recomputation) and — when positions were unchanged —
-/// the distance matrix.
-///
-/// The contract is *bit-identity by construction*: a stateful solve
-/// answers each radius probe either by actually running `disk_greedy`
-/// or by a cached record whose certificates prove `disk_greedy` would
-/// retrace the identical pick sequence and verdict on the new summary.
-/// The radius search itself is the very same `warm_search` /
-/// `lowest_feasible` code the cold solve runs, so the settled guess,
-/// centers, radius and uncovered weight are the cold solve's bits —
-/// only the probe *cost* changes.
-pub struct SolveState<P> {
-    k: usize,
-    z: u64,
-    /// Ladder/matrix knobs the records were taken under; any change
-    /// falls back to a cold solve (the warm hint is *not* part of the
-    /// key — it only reorders probes).
-    exact_candidates_max_n: usize,
-    geometric_step_bits: u64,
-    matrix_max_n: usize,
-    points: Vec<P>,
-    weights: Vec<u64>,
-    candidates: Vec<f64>,
-    records: BTreeMap<u64, ProbeRecord>,
-    /// Distance matrix of `points` (when `n ≤ matrix_max_n`), handed
-    /// back to the next pure weight-bump solve.
-    matrix: Option<Vec<f64>>,
-}
-
-impl<P> SolveState<P> {
-    /// Number of retained probe records (primarily for tests).
-    pub fn records(&self) -> usize {
-        self.records.len()
-    }
-}
-
-/// How the new summary differs from [`SolveState::points`]: every old
-/// representative reappears in order with equal-or-bumped weight, plus
-/// zero or more added representatives.  Any other shape (removals,
-/// weight decreases, reorders) fails the diff and the solve runs cold.
-struct SummaryDelta {
-    /// `(old index, weight increase)` for each weight-bumped survivor.
-    bumped: Vec<(usize, u64)>,
-    /// New-summary indices of added representatives.
-    adds: Vec<usize>,
-    /// Old-summary index → new-summary index for every survivor.
-    old_to_new: Vec<usize>,
-    /// Total new mass: Σ bumps + Σ added weights (the `Δ⁺` every
-    /// certificate budgets against).
-    new_mass: u64,
-    /// No adds: positions are bit-identical, so the ladder and matrix
-    /// carry over outright.
-    pure_bump: bool,
-}
-
-/// Greedy ordered-subsequence match of the old summary inside the new
-/// one.  Any valid decomposition is sound — the certificates reason
-/// about weight multisets, not provenance — so the first match wins.
-fn classify_delta<P: PartialEq>(
-    st: &SolveState<P>,
-    pts: &[P],
-    weights: &[u64],
-    k: usize,
-    z: u64,
-    params: &GreedyParams,
-) -> Option<SummaryDelta> {
-    if st.k != k
-        || st.z != z
-        || st.exact_candidates_max_n != params.exact_candidates_max_n
-        || st.geometric_step_bits != params.geometric_step.to_bits()
-        || st.matrix_max_n != params.matrix_max_n
-    {
-        return None;
-    }
-    let mut old_to_new = vec![0usize; st.points.len()];
-    let mut bumped = Vec::new();
-    let mut adds = Vec::new();
-    let mut new_mass = 0u64;
-    let mut i = 0usize;
-    for (j, p) in pts.iter().enumerate() {
-        if i < st.points.len() && st.points[i] == *p && weights[j] >= st.weights[i] {
-            if weights[j] > st.weights[i] {
-                let d = weights[j] - st.weights[i];
-                bumped.push((i, d));
-                new_mass = new_mass.checked_add(d)?;
-            }
-            old_to_new[i] = j;
-            i += 1;
-        } else {
-            adds.push(j);
-            new_mass = new_mass.checked_add(weights[j])?;
-        }
-    }
-    if i < st.points.len() {
-        // Some old representative vanished (or shrank, or moved out of
-        // order): the delta can only *remove* certified coverage, which
-        // no certificate survives.  Run cold.
-        return None;
-    }
-    Some(SummaryDelta {
-        pure_bump: adds.is_empty(),
-        bumped,
-        adds,
-        old_to_new,
-        new_mass,
-    })
-}
-
-/// Re-certify one probe record against the delta, or drop it.
-///
-/// The certificates, each of which a cold `disk_greedy` on the new
-/// summary provably satisfies when they all hold:
-///
-/// * **Pick margins** — every recorded pick's gain strictly exceeds its
-///   recorded runner-up plus the whole new mass `Δ⁺`.  New gains only
-///   grow, and by at most `Δ⁺`, so the pick stays the *unique* argmax at
-///   its step (strictness makes the certificate tie-break- and
-///   index-order-proof).
-/// * **Added-rep containment** — every added representative's initial
-///   gain (all mass uncovered) stays strictly below the smallest
-///   recorded pick gain, so no added point can out-bid a pick at any
-///   step.
-/// * **Coverage accounting** — the new uncovered weight is computed
-///   *exactly*: bumps on uncovered survivors plus added reps outside
-///   every pick's `3r` ball (membership asked of the same oracle
-///   `disk_greedy` would use, so boundary ties agree bit-for-bit).
-/// * **Termination** — `Slack` records must still reach `uncovered ≤ z`
-///   (else the new run would keep picking); `ZeroGain` records must see
-///   zero new uncovered mass (else some gain became positive);
-///   `Exhausted` records just take the recomputed verdict.
-///
-/// A surviving record keeps its stale pick gains as lower bounds and
-/// absorbs `Δ⁺` (and the added reps' gains) into its runner-up upper
-/// bounds, so chained reuse across epochs stays sound by induction.
-fn update_record<P, M: MetricSpace<P>>(
-    rec: &ProbeRecord,
-    r: f64,
-    delta: &SummaryDelta,
-    oracle: &DistOracle<'_, P, M>,
-    weights: &[u64],
-    z: u64,
-) -> Option<ProbeRecord> {
-    // Pick margins under the whole new mass.
-    for pick in &rec.picks {
-        if pick.gain <= pick.runner_up.saturating_add(delta.new_mass) {
-            return None;
-        }
-    }
-    // Added-rep containment.
-    let mut max_add_gain = 0u64;
-    if !delta.adds.is_empty() {
-        let min_gain = rec.picks.iter().map(|p| p.gain).min()?;
-        for &a in &delta.adds {
-            let g = oracle.cover_weight(a, weights, r);
-            if g >= min_gain {
-                return None;
-            }
-            max_add_gain = max_add_gain.max(g);
-        }
-    }
-    // Exact coverage accounting for the new mass.
-    let n_new = weights.len();
-    let mut covered = vec![false; n_new];
-    for (old_idx, &new_idx) in delta.old_to_new.iter().enumerate() {
-        covered[new_idx] = rec.covered[old_idx];
-    }
-    let mut fresh_uncovered = 0u64;
-    for &(old_idx, bump) in &delta.bumped {
-        if !rec.covered[old_idx] {
-            fresh_uncovered += bump;
-        }
-    }
-    if !delta.adds.is_empty() {
-        let mut ball = Vec::new();
-        let mut in_ball = vec![false; n_new];
-        for pick in &rec.picks {
-            oracle.within_row(delta.old_to_new[pick.index], 3.0 * r, &mut ball);
-            for &q in &ball {
-                in_ball[q] = true;
-            }
-        }
-        for &a in &delta.adds {
-            if in_ball[a] {
-                covered[a] = true;
-            } else {
-                fresh_uncovered += weights[a];
-            }
-        }
-    }
-    let uncovered = rec.uncovered + fresh_uncovered;
-    match rec.term {
-        Termination::Exhausted => {}
-        Termination::Slack => {
-            if uncovered > z {
-                return None;
-            }
-        }
-        Termination::ZeroGain => {
-            if fresh_uncovered != 0 {
-                return None;
-            }
-        }
-    }
-    let picks = rec
-        .picks
-        .iter()
-        .map(|p| Pick {
-            index: delta.old_to_new[p.index],
-            gain: p.gain,
-            runner_up: p.runner_up.saturating_add(delta.new_mass).max(max_add_gain),
-        })
-        .collect();
-    Some(ProbeRecord {
-        picks,
-        covered,
-        uncovered,
-        term: rec.term,
-        z,
-    })
-}
-
-/// The delta-aware Charikar greedy: bit-identical to [`greedy_with`]
-/// (same searches, same probe semantics, same assembly) but retaining a
-/// [`SolveState`] across calls so a republish after a small summary
-/// delta answers most — on the pure weight-bump steady state, *all* —
-/// feasibility probes from re-certified records instead of `disk_greedy`
-/// runs.
-///
-/// Pass `state = None` for the first call (a recording cold solve);
-/// every call leaves the state ready for the next.  Any delta the
-/// certificates cannot absorb — removals, weight decreases, `k`/`z`/
-/// parameter changes, weight-total overflow — falls back to a recording
-/// cold solve, so the result is *always* the cold solve's bits.
-pub fn greedy_stateful<P, M>(
-    metric: &M,
-    points: &[Weighted<P>],
-    k: usize,
-    z: u64,
-    params: &GreedyParams,
-    state: &mut Option<SolveState<P>>,
-) -> GreedySolution<P>
-where
-    P: Clone + PartialEq,
-    M: MetricSpace<P>,
-{
-    let n = points.len();
-    let Some(total) = points.iter().try_fold(0u64, |a, p| a.checked_add(p.weight)) else {
-        // Saturated-weight regime: exact uncovered accounting (and thus
-        // every certificate) is off the table.  Match the stateless
-        // solve bit-for-bit and drop the state.
-        *state = None;
-        return greedy_with(metric, points, k, z, params);
-    };
-    if total <= z || n == 0 {
-        *state = None;
-        return GreedySolution {
-            centers: Vec::new(),
-            radius: 0.0,
-            guess: 0.0,
-            uncovered: total,
-            probes: 0,
-            reused_verdicts: 0,
-        };
-    }
-    assert!(k > 0, "k must be positive when weight must be covered");
-
-    let weights: Vec<u64> = points.iter().map(|p| p.weight).collect();
-    let pts: Vec<P> = points.iter().map(|p| p.point.clone()).collect();
-    let use_matrix = n <= params.matrix_max_n;
-
-    let prior = state.take();
-    let delta = prior
-        .as_ref()
-        .and_then(|st| classify_delta(st, &pts, &weights, k, z, params));
-
-    // Oracle + ladder + surviving records for this epoch.
-    let (oracle, candidates, mut records) = match (prior, delta) {
-        (Some(mut st), Some(delta)) => {
-            let oracle = if delta.pure_bump {
-                // Positions are bit-identical: the stored matrix *is*
-                // what a rebuild would produce.
-                DistOracle::with_matrix(metric, &pts, use_matrix, st.matrix.take())
-            } else {
-                DistOracle::new(metric, &pts, use_matrix)
-            };
-            let candidates = if delta.pure_bump {
-                // Same positions ⇒ same ladder, carried over outright.
-                std::mem::take(&mut st.candidates)
-            } else {
-                candidate_radii(&oracle, params)
-            };
-            let mut records = BTreeMap::new();
-            for (key, rec) in &st.records {
-                let r = f64::from_bits(*key);
-                if let Some(updated) = update_record(rec, r, &delta, &oracle, &weights, z) {
-                    records.insert(*key, updated);
-                }
-            }
-            (oracle, candidates, records)
-        }
-        _ => {
-            // Cold (but recording) solve: first call, or a delta the
-            // certificates cannot absorb.
-            let oracle = DistOracle::new(metric, &pts, use_matrix);
-            let candidates = candidate_radii(&oracle, params);
-            (oracle, candidates, BTreeMap::new())
-        }
-    };
-    debug_assert!(!candidates.is_empty());
-
-    let mut probes = 0usize;
-    let mut reused = 0usize;
-    {
-        let mut probe = |i: usize| {
-            let key = candidates[i].to_bits();
-            if let Some(rec) = records.get(&key) {
-                reused += 1;
-                return rec.verdict();
-            }
-            probes += 1;
-            let rec = disk_greedy_recorded(&oracle, &weights, k, z, candidates[i]);
-            let verdict = rec.verdict();
-            records.insert(key, rec);
-            verdict
-        };
-        let best = match params.warm_guess {
-            Some(g) => warm_search(&candidates, g, &mut probe),
-            None => lowest_feasible(0, candidates.len() - 1, &mut probe),
-        };
-        let (idx, center_idx) = best.unwrap_or_else(|| {
-            // The diameter guess must succeed; recompute defensively
-            // (answered from the cache when certified, like any probe —
-            // but uncounted, matching `greedy_with`'s accounting).
-            let last = candidates.len() - 1;
-            let key = candidates[last].to_bits();
-            let c = records
-                .get(&key)
-                .map(|rec| rec.verdict())
-                .unwrap_or_else(|| {
-                    let rec = disk_greedy_recorded(&oracle, &weights, k, z, candidates[last]);
-                    let verdict = rec.verdict();
-                    records.insert(key, rec);
-                    verdict
-                })
-                .expect("diameter-radius guess must be feasible");
-            (last, c)
-        });
-        let guess = candidates[idx];
-        let centers: Vec<P> = center_idx
-            .iter()
-            .map(|&i| points[i].point.clone())
-            .collect();
-        // Tighten the certified 3·r̂ to the measured cost of this center set.
-        let measured = cost_with_outliers(metric, points, &centers, z);
-        let radius = measured.min(3.0 * guess);
-        let uncovered = crate::cost::uncovered_weight(metric, points, &centers, radius);
-
-        let matrix = oracle.into_matrix();
-        *state = Some(SolveState {
-            k,
-            z,
-            exact_candidates_max_n: params.exact_candidates_max_n,
-            geometric_step_bits: params.geometric_step.to_bits(),
-            matrix_max_n: params.matrix_max_n,
-            points: pts,
-            weights,
-            candidates,
-            records,
-            matrix,
-        });
-        GreedySolution {
-            centers,
-            radius,
-            guess,
-            uncovered,
-            probes,
-            reused_verdicts: reused,
-        }
-    }
+    Probe { picks, uncovered }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcz_metric::{unit_weighted, L2};
+    use crate::exact::exact_discrete;
+    use kcz_metric::{unit_weighted, Line, Linf, L2};
 
     /// Two tight clusters plus two far outliers.
     fn instance() -> Vec<Weighted<[f64; 2]>> {
@@ -1067,6 +662,216 @@ mod tests {
         assert!(sol.uncovered <= 1);
     }
 
+    #[test]
+    fn saturated_weights_stay_exact() {
+        // Weight sums past u64::MAX: a saturating total lost weight, so
+        // the probe called the zero guess feasible on the first input
+        // (uncovered u64::MAX > z) and underflowed on the second.
+        let at = |x: f64, weight: u64| Weighted {
+            point: [x, x],
+            weight,
+        };
+        let cases = [
+            (vec![at(1.0, u64::MAX), at(9.0, u64::MAX)], 1, 0),
+            (
+                vec![at(0.0, 1 << 63), at(100.0, 1 << 63), at(200.0, 5)],
+                2,
+                0,
+            ),
+        ];
+        for (pts, k, z) in cases {
+            let sol = greedy(&L2, &pts, k, z);
+            let cands: Vec<[f64; 2]> = pts.iter().map(|p| p.point).collect();
+            let opt = exact_discrete(&L2, &pts, k, z, &cands).radius;
+            assert!(sol.uncovered <= z, "uncovered {}", sol.uncovered);
+            assert!(sol.radius > 0.0, "radius {}", sol.radius);
+            assert!(
+                opt <= sol.radius && sol.radius <= 3.0 * opt,
+                "radius {} vs opt {opt}",
+                sol.radius
+            );
+            assert!(sol.radius <= 3.0 * sol.guess);
+        }
+    }
+
+    /// The plain `O(n²)` probe the neighbour cache must reproduce: every
+    /// ball query scans the scalar `dist` values of all points.
+    fn reference_probe<P, M: MetricSpace<P>>(
+        metric: &M,
+        pts: &[P],
+        weights: &[u64],
+        k: usize,
+        z: u64,
+        r: f64,
+    ) -> Probe {
+        let n = pts.len();
+        let ball = |p: usize, r: f64| (0..n).filter(move |&q| metric.dist(&pts[p], &pts[q]) <= r);
+        let mut gain: Vec<u128> = (0..n)
+            .map(|p| ball(p, r).map(|q| u128::from(weights[q])).sum())
+            .collect();
+        let mut uncovered: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+        let mut covered = vec![false; n];
+        let mut picks = Vec::new();
+        for _ in 0..k {
+            if uncovered <= u128::from(z) {
+                break;
+            }
+            let (best, &g) = gain.iter().enumerate().max_by_key(|&(_, g)| *g).unwrap();
+            if g == 0 {
+                break;
+            }
+            picks.push(best);
+            for q in ball(best, 3.0 * r) {
+                if !covered[q] {
+                    covered[q] = true;
+                    uncovered -= u128::from(weights[q]);
+                    for p in ball(q, r) {
+                        gain[p] -= u128::from(weights[q]);
+                    }
+                }
+            }
+        }
+        Probe { picks, uncovered }
+    }
+
+    /// Checks probes of both ladders against [`reference_probe`], with
+    /// the cache always fitting, never fitting, and fitting only at some
+    /// radii.  Up to 100 evenly spaced candidates per ladder are visited
+    /// in a scrambled order, so that the cache both serves lower probes
+    /// and gets rebuilt for higher ones.
+    fn assert_probes_match<P: Clone, M: MetricSpace<P>>(
+        metric: &M,
+        points: &[Weighted<P>],
+        what: &str,
+    ) {
+        let n = points.len();
+        let weights: Vec<u64> = points.iter().map(|p| p.weight).collect();
+        let pts: Vec<P> = points.iter().map(|p| p.point.clone()).collect();
+        let mut pivot = Vec::new();
+        metric.dist_many(&pts[0], &pts, &mut pivot);
+        let exact = candidate_radii(metric, &pts, &pivot, &GreedyParams::default());
+        let geometric = GreedyParams {
+            exact_candidates_max_n: 0,
+            ..Default::default()
+        };
+        let geometric = candidate_radii(metric, &pts, &pivot, &geometric);
+        for ladder in [exact, geometric] {
+            let stride = ladder.len().div_ceil(100);
+            let candidates: Vec<f64> = ladder.into_iter().step_by(stride).collect();
+            let m = candidates.len();
+            let order: Vec<usize> = (0..m).map(|i| (i * 7919 + m / 2) % m).collect();
+            for (k, z) in [(1usize, 0u64), (3, 2)] {
+                let expect: Vec<Probe> = candidates
+                    .iter()
+                    .map(|&r| reference_probe(metric, &pts, &weights, k, z, r))
+                    .collect();
+                for budget in [usize::MAX, n * n / 3, 0] {
+                    let mut balls = Balls::new(metric, &pts, pivot.clone(), budget);
+                    for &i in &order {
+                        let got = disk_greedy(&mut balls, &weights, k, z, candidates[i]);
+                        assert_eq!(
+                            got, expect[i],
+                            "{what}: k={k} z={z} budget={budget} r={}",
+                            candidates[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Seeded xorshift uniforms in `[0, 1)`.
+    fn uniforms(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The seeded planar instances of the reference comparison.
+    fn planar_instances(seed: u64) -> Vec<(&'static str, Vec<Weighted<[f64; 2]>>)> {
+        let mut u = uniforms(seed);
+        let weight = |u: &mut dyn FnMut() -> f64| 1 + (u() * 4.0) as u64;
+        // A unit lattice: exact distance ties everywhere.
+        let lattice = (0..36)
+            .map(|i| Weighted::new([(i % 6) as f64, (i / 6) as f64], 1 + (i % 2)))
+            .collect();
+        // Duplicates: a few sites repeated, plus two far points.
+        let mut duplicates = Vec::new();
+        for s in 0..5 {
+            let site = [(u() * 50.0).round(), (u() * 50.0).round()];
+            for _ in 0..1 + s {
+                duplicates.push(Weighted::new(site, weight(&mut u)));
+            }
+        }
+        duplicates.push(Weighted::new([500.0, 0.0], 1));
+        duplicates.push(Weighted::new([0.0, -500.0], 2));
+        // Gaussian clusters (Box–Muller) with a few outliers.
+        let mut gaussian = Vec::new();
+        for c in 0..3 {
+            let center = [c as f64 * 40.0, (c % 2) as f64 * 25.0];
+            for _ in 0..10 {
+                let (a, b) = (1.0 - u(), u());
+                let rad = (-2.0 * a.ln()).sqrt() * 2.0;
+                let th = std::f64::consts::TAU * b;
+                let p = [center[0] + rad * th.cos(), center[1] + rad * th.sin()];
+                gaussian.push(Weighted::new(p, weight(&mut u)));
+            }
+        }
+        for _ in 0..3 {
+            gaussian.push(Weighted::new([u() * 900.0 - 450.0, 300.0 + u() * 100.0], 1));
+        }
+        vec![
+            ("lattice", lattice),
+            ("duplicates", duplicates),
+            ("gaussian", gaussian),
+        ]
+    }
+
+    #[test]
+    fn probes_match_the_reference_in_every_mode() {
+        for seed in 0..2 {
+            for (name, pts) in planar_instances(seed) {
+                assert_probes_match(&L2, &pts, &format!("L2 {name} seed {seed}"));
+                assert_probes_match(&Linf, &pts, &format!("Linf {name} seed {seed}"));
+                let line: Vec<Weighted<f64>> = pts
+                    .iter()
+                    .map(|p| Weighted::new(p.point[0] + 0.5 * p.point[1], p.weight))
+                    .collect();
+                assert_probes_match(&Line, &line, &format!("Line {name} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn window_edge_pair_is_not_missed() {
+        // Seen from the pivot at 0, p and q sit at computed distance
+        // exactly r from each other, yet q lies above the computed edge
+        // f(p) + r of p's window, and p below the edge f(q) − r of q's:
+        // only the widening keeps each in the other's ball.
+        let (p, q) = (8.867689006035121, 212.70829658103784);
+        let r = Line.dist(&p, &q);
+        assert!(p + r < q && q - r > p, "precondition: both edges miss");
+        let line = vec![
+            Weighted::new(0.0, 1),
+            Weighted::new(p, 1),
+            Weighted::new(q, 5),
+            Weighted::new(1000.0, 1),
+        ];
+        assert_probes_match(&Line, &line, "Line edge pair");
+        // The same pair on an axis of the plane has the same distances.
+        let planar: Vec<Weighted<[f64; 2]>> = line
+            .iter()
+            .map(|w| Weighted::new([w.point, 0.0], w.weight))
+            .collect();
+        assert_eq!(L2.dist(&planar[1].point, &planar[2].point), r);
+        assert_probes_match(&L2, &planar, "L2 edge pair");
+        assert_probes_match(&Linf, &planar, "Linf edge pair");
+    }
+
     /// Exhaustive feasibility sweep over the exact candidate set: returns
     /// `Some(boundary)` when feasibility is genuinely monotone (a prefix
     /// of infeasible candidates followed by a feasible suffix), `None`
@@ -1076,10 +881,17 @@ mod tests {
     fn monotone_boundary(pts: &[Weighted<[f64; 2]>], k: usize, z: u64) -> Option<usize> {
         let weights: Vec<u64> = pts.iter().map(|p| p.weight).collect();
         let raw: Vec<[f64; 2]> = pts.iter().map(|p| p.point).collect();
-        let oracle = DistOracle::new(&L2, &raw, true);
-        let candidates = candidate_radii(&oracle, &GreedyParams::default());
-        let feas: Vec<bool> = (0..candidates.len())
-            .map(|i| disk_greedy(&oracle, &weights, k, z, candidates[i]).is_some())
+        let mut pivot = Vec::new();
+        L2.dist_many(&raw[0], &raw, &mut pivot);
+        let candidates = candidate_radii(&L2, &raw, &pivot, &GreedyParams::default());
+        let mut balls = Balls::new(&L2, &raw, pivot, CACHE_BUDGET);
+        let feas: Vec<bool> = candidates
+            .iter()
+            .map(|&r| {
+                disk_greedy(&mut balls, &weights, k, z, r)
+                    .verdict(z)
+                    .is_some()
+            })
             .collect();
         let boundary = feas.iter().position(|&f| f)?;
         feas[boundary..].iter().all(|&f| f).then_some(boundary)
@@ -1167,7 +979,6 @@ mod tests {
         let pts = instance();
         let geo = GreedyParams {
             exact_candidates_max_n: 0,
-            matrix_max_n: 0,
             ..Default::default()
         };
         let cold = greedy_with(&L2, &pts, 2, 2, &geo);
@@ -1184,156 +995,6 @@ mod tests {
         assert_eq!(warm.centers, cold.centers);
         assert_eq!(warm.radius.to_bits(), cold.radius.to_bits());
         assert!(warm.probes <= 2);
-    }
-
-    /// Four well-separated single-point sites with sharply distinct
-    /// masses: every ball gain is a sum of distinct weights, so pick
-    /// margins dwarf small weight bumps and verdicts re-certify.  (Ties
-    /// — e.g. co-located points with identical balls — deliberately
-    /// fail the strict margin certificate and re-run.)
-    fn delta_instance() -> Vec<Weighted<[f64; 2]>> {
-        [(0.0, 400u64), (100.0, 150), (200.0, 60), (300.0, 30)]
-            .iter()
-            .map(|&(x, weight)| Weighted {
-                point: [x, 0.0],
-                weight,
-            })
-            .collect()
-    }
-
-    fn assert_bit_identical(
-        sol: &GreedySolution<[f64; 2]>,
-        cold: &GreedySolution<[f64; 2]>,
-        what: &str,
-    ) {
-        assert_eq!(sol.centers, cold.centers, "{what}: centers");
-        assert_eq!(
-            sol.radius.to_bits(),
-            cold.radius.to_bits(),
-            "{what}: radius"
-        );
-        assert_eq!(sol.guess.to_bits(), cold.guess.to_bits(), "{what}: guess");
-        assert_eq!(sol.uncovered, cold.uncovered, "{what}: uncovered");
-        // The stateful search retraces the cold search probe-for-probe:
-        // every probe is either answered from a certified record or run.
-        assert_eq!(
-            sol.probes + sol.reused_verdicts,
-            cold.probes,
-            "{what}: probe accounting"
-        );
-    }
-
-    #[test]
-    fn stateful_matches_stateless_across_deltas() {
-        let (k, z) = (3usize, 35u64);
-        let mut pts = delta_instance();
-        let mut state = None;
-        let first = greedy_stateful(&L2, &pts, k, z, &GreedyParams::default(), &mut state);
-        let cold = greedy_with(&L2, &pts, k, z, &GreedyParams::default());
-        assert_bit_identical(&first, &cold, "first (recording cold)");
-        assert_eq!(first.reused_verdicts, 0);
-
-        // Pure weight bump: every probe should come from the cache.
-        pts[0].weight += 1;
-        let warm = greedy_stateful(&L2, &pts, k, z, &GreedyParams::default(), &mut state);
-        let cold = greedy_with(&L2, &pts, k, z, &GreedyParams::default());
-        assert_bit_identical(&warm, &cold, "pure bump");
-        assert!(warm.reused_verdicts > 0, "bump must reuse verdicts");
-        assert_eq!(warm.probes, 0, "unit bump should re-certify every probe");
-
-        // Added representative: ladder recomputes, verdicts still reusable
-        // when the addition is light.
-        pts.push(Weighted {
-            point: [300.9, 0.0],
-            weight: 2,
-        });
-        let added = greedy_stateful(&L2, &pts, k, z, &GreedyParams::default(), &mut state);
-        let cold = greedy_with(&L2, &pts, k, z, &GreedyParams::default());
-        assert_bit_identical(&added, &cold, "added rep");
-
-        // Removal: no certificate survives — the solve falls back cold and
-        // still matches bit-for-bit.
-        pts.remove(0);
-        let removed = greedy_stateful(&L2, &pts, k, z, &GreedyParams::default(), &mut state);
-        let cold = greedy_with(&L2, &pts, k, z, &GreedyParams::default());
-        assert_bit_identical(&removed, &cold, "removal (cold fallback)");
-        assert_eq!(removed.reused_verdicts, 0);
-    }
-
-    #[test]
-    fn stateful_with_warm_hint_stays_bit_identical() {
-        let (k, z) = (3usize, 35u64);
-        let mut pts = delta_instance();
-        let mut state = None;
-        let first = greedy_stateful(&L2, &pts, k, z, &GreedyParams::default(), &mut state);
-        pts[3].weight += 2;
-        let params = GreedyParams::warm(first.guess);
-        let warm = greedy_stateful(&L2, &pts, k, z, &params, &mut state);
-        let cold = greedy_with(&L2, &pts, k, z, &params);
-        assert_bit_identical(&warm, &cold, "warm-hint bump");
-        assert!(warm.reused_verdicts > 0);
-        assert_eq!(warm.probes, 0);
-    }
-
-    #[test]
-    fn stateful_fuzz_bit_identical_to_stateless() {
-        // 3 seeds × 25 epochs of random bumps / adds / removals / idle
-        // republishes, on both the exact-matrix and geometric-columnar
-        // configurations: the stateful solve must reproduce the
-        // stateless solve's bits at every epoch.
-        for seed in 0u64..3 {
-            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (seed.wrapping_mul(0xD134_2543_DE82_EF95));
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            let base = if seed % 2 == 0 {
-                GreedyParams::default()
-            } else {
-                GreedyParams {
-                    exact_candidates_max_n: 0,
-                    matrix_max_n: 0,
-                    ..Default::default()
-                }
-            };
-            let (k, z) = (3usize, 35u64);
-            let mut pts = delta_instance();
-            let mut state = None;
-            let mut prev_guess: Option<f64> = None;
-            for epoch in 0..25 {
-                match next() % 4 {
-                    0 => {
-                        let i = (next() as usize) % pts.len();
-                        pts[i].weight += 1 + next() % 5;
-                    }
-                    1 => {
-                        let x = (next() % 400) as f64;
-                        pts.push(Weighted {
-                            point: [x, 1.0],
-                            weight: 1 + next() % 3,
-                        });
-                    }
-                    2 if pts.len() > 3 => {
-                        let i = (next() as usize) % pts.len();
-                        pts.remove(i);
-                    }
-                    _ => {} // idle republish: identical summary
-                }
-                let params = match prev_guess {
-                    Some(g) => GreedyParams {
-                        warm_guess: Some(g),
-                        ..base.clone()
-                    },
-                    None => base.clone(),
-                };
-                let sol = greedy_stateful(&L2, &pts, k, z, &params, &mut state);
-                let cold = greedy_with(&L2, &pts, k, z, &params);
-                assert_bit_identical(&sol, &cold, &format!("seed {seed} epoch {epoch}"));
-                prev_guess = Some(sol.guess);
-            }
-        }
     }
 
     #[test]
@@ -1356,7 +1017,6 @@ mod tests {
             2,
             &GreedyParams {
                 exact_candidates_max_n: 0,
-                matrix_max_n: 0,
                 ..Default::default()
             },
         );

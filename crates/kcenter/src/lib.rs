@@ -21,9 +21,7 @@ pub mod cost;
 pub mod exact;
 pub mod gonzalez;
 
-pub use charikar::{
-    greedy, greedy_stateful, greedy_with, GreedyParams, GreedySolution, SolveState,
-};
+pub use charikar::{greedy, greedy_with, GreedyParams, GreedySolution};
 pub use cost::{cost_with_outliers, uncovered_weight};
 pub use exact::exact_discrete;
 pub use gonzalez::farthest_first;

@@ -148,12 +148,6 @@ impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
         self.snap.stats.solve_probes
     }
 
-    /// Probes the delta-aware solve answered from re-certified cached
-    /// verdicts (always `0` under the cold solver).
-    pub fn reused_verdicts(&self) -> usize {
-        self.snap.stats.reused_verdicts
-    }
-
     /// The ε′ the epoch's summary certifies.
     pub fn effective_eps(&self) -> f64 {
         self.snap.effective_eps
@@ -354,7 +348,7 @@ mod tests {
         engine.ingest(&[pts[0]]);
         let view = SnapshotView::new(L2, engine.publish());
         assert!(
-            view.solve_probes() + view.reused_verdicts() > 0,
+            view.solve_probes() > 0,
             "a republish must account its radius probes"
         );
         assert!(view.radius() <= 3.0 * view.guess() + 1e-9);

@@ -618,12 +618,12 @@ mod tests {
 
     #[test]
     fn weight_only_bumps_preserve_merged_representative_order() {
-        // The engine's delta-aware solver has a pure-bump fast path: if
-        // no shard gained or lost a representative, the merged summary
-        // must list the same representatives at the same positions, with
-        // only weights moved.  The flat merge concatenates the leaves and
-        // its recompression partitions by position alone, so this must
-        // hold for any leaf's weights bumped by any amount.
+        // If no shard gained or lost a representative, the merged
+        // summary must list the same representatives at the same
+        // positions, with only weights moved.  The flat merge
+        // concatenates the leaves and its recompression partitions by
+        // position alone, so this must hold for any leaf's weights
+        // bumped by any amount.
         let pts = stream(400);
         let mk = || InsertionOnlyCoreset::new(L2, 2, 8, 0.5);
         let mut leaves: Vec<_> = (0..5).map(|_| mk()).collect();

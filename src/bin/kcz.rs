@@ -12,7 +12,7 @@
 //! kcz engine  --shards 4 --batch 256 --k 3 --z 10 --eps 0.5 \
 //!             [--precision f64|f32] [--incremental] \
 //!             [--backend insertion|window|decay] [--window W] [--half-life H] \
-//!             [--solver cold|delta] [--metrics m.json] [< pts.csv]
+//!             [--metrics m.json] [< pts.csv]
 //! kcz query   --input pts.csv --requests req.csv --shards 4 --batch 256 \
 //!             --k 3 --z 10 --eps 0.5 [--metrics m.json]
 //! kcz conformance [--tier smoke|full] [--json <path>] [--metrics <path>]
@@ -28,20 +28,15 @@
 //! engine's cadence) instead of once at end.  `--precision f32` switches the
 //! shard absorb sweeps to the columnar f32 storage mode (ε′ widened by
 //! the certified `F32_EPS_BUDGET`); the default `f64` is bit-identical
-//! to the scalar kernels.  `--solver` picks the publish-path Charikar
-//! solver: `delta` (the default) re-certifies the previous epoch's
-//! feasibility verdicts against the summary delta, `cold` re-solves
-//! from scratch — the two print byte-identical clustering output, and
-//! the solver's probe accounting goes to stderr.
+//! to the scalar kernels.  The solve's probe count goes to stderr.
 //! `query` ingests the stream the same way, publishes a snapshot, and
 //! answers the request file against it (`assign,x,y` / `classify,x,y,r`
 //! / `nearest,x,y,j` per line) — the read side of the same engine.
 //! `conformance` runs every pipeline over the shared scenario catalog,
 //! checks each radius against its paper ratio bound, re-checks served
 //! query answers against brute force on the published snapshot, and
-//! certifies mid-stream engine publishes (f32 mode, churn backends,
-//! delta solver) bit-for-bit against from-scratch or cold replays
-//! (exit 3 on any violation).
+//! certifies mid-stream engine publishes (f32 mode, churn backends)
+//! bit-for-bit against from-scratch replays (exit 3 on any violation).
 //!
 //! `--help` or `-h`, alone or after any subcommand, prints the usage
 //! text and exits 0.
@@ -79,8 +74,7 @@ const USAGE: &str = "usage:
   kcz engine  --shards <N> --batch <B> --k <K> --z <Z> --eps <EPS>
               [--precision f64|f32] [--incremental]
               [--backend insertion|window|decay] [--window <W>]
-              [--half-life <H>] [--solver cold|delta] [--input <csv>]
-              [--metrics <json>]
+              [--half-life <H>] [--input <csv>] [--metrics <json>]
               (reads stdin when --input is omitted; --incremental
                publishes after every batch instead of once at end;
                --backend window requires --window, --backend decay
@@ -123,6 +117,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if cmd == "conformance" {
         return run_conformance_cmd(&flags);
     }
+    if cmd == "engine" {
+        check_flags(cmd, &flags, ENGINE_FLAGS)?;
+    }
     // `engine` is the one subcommand meant to sit at the end of a pipe
     // (`kcz engine … < stream.csv`); everything else requires --input.
     let (input, points) = match flags.get("input") {
@@ -159,12 +156,7 @@ fn run_conformance_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, Stri
     // Conformance has no required flags, so a misspelled optional one
     // would otherwise be silently ignored (e.g. `--teir full` running the
     // smoke tier with exit 0).
-    if let Some(unknown) = flags
-        .keys()
-        .find(|k| !["tier", "json", "metrics"].contains(&k.as_str()))
-    {
-        return Err(format!("unknown flag --{unknown} for conformance"));
-    }
+    check_flags("conformance", flags, &["tier", "json", "metrics"])?;
     let tier = match flags.get("tier").map(String::as_str) {
         None | Some("smoke") => Tier::Smoke,
         Some("full") => Tier::Full,
@@ -221,17 +213,6 @@ fn run_conformance_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, Stri
         "churn conformance: {} scenarios replayed in {:.1?}",
         report.scenarios.len(),
         tc.elapsed()
-    );
-    // The delta-aware solver: strided epochs of every scenario are
-    // re-solved by a cold-solver engine on the same publish schedule
-    // and bit-compared (radius / centers / guess / uncovered) against
-    // the delta solver's snapshots (`solver/`).
-    let ts = std::time::Instant::now();
-    replay_viols.extend(solver_violations(tier));
-    eprintln!(
-        "solver conformance: {} scenarios verified against cold in {:.1?}",
-        report.scenarios.len(),
-        ts.elapsed()
     );
     // The metrics layer's MPC communication accounting: every
     // algorithm is re-run per scenario and its per-round word counts
@@ -419,27 +400,13 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             // insertion backend prints byte-identical output to before
             // backends existed.
             let backend = parse_backend(flags)?;
-            // `--solver delta` (the default) runs the delta-aware
-            // Charikar solve; `--solver cold` re-solves every publish
-            // from scratch.  Both print byte-identical clustering
-            // output — the delta path is certified bit-identical by
-            // construction — so the choice only moves the probe
-            // accounting reported on stderr.
-            let (solver, solver_name) = match flags.get("solver").map(String::as_str) {
-                None | Some("delta") => (SolverMode::Delta, "delta"),
-                Some("cold") => (SolverMode::Cold, "cold"),
-                Some(other) => {
-                    return Err(format!("--solver must be cold or delta, got `{other}`"))
-                }
-            };
             // `--metrics` attaches a live registry; without it the
             // handle is disabled and every recording site is a no-op.
             let (registry, metrics, metrics_path) = metrics_setup(flags);
             let t0 = std::time::Instant::now();
             let cfg = EngineConfig::new(shards, k, z, eps)
                 .with_precision(precision)
-                .with_backend(backend)
-                .with_solver(solver);
+                .with_backend(backend);
             let engine = Engine::new(metric, cfg).with_metrics(&metrics);
             for chunk in points.chunks(batch) {
                 engine.ingest_weighted(chunk);
@@ -490,11 +457,11 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
                 t0.elapsed(),
                 shards
             );
-            // Solver accounting stays on stderr so the clustering
-            // output above remains byte-identical across solver modes.
+            // Solve accounting stays on stderr, off the byte-pinned
+            // clustering output above.
             eprintln!(
-                "(solver {solver_name}: {} probes, {} reused verdicts at epoch {})",
-                snap.stats.solve_probes, snap.stats.reused_verdicts, snap.epoch
+                "(solve: {} probes at epoch {})",
+                snap.stats.solve_probes, snap.epoch
             );
             if let Some(path) = metrics_path {
                 write_metrics(&path, &registry)?;
@@ -728,6 +695,32 @@ fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
 
 /// Flags that take no value: presence is the value.
 const BOOL_FLAGS: &[&str] = &["incremental"];
+
+/// Every flag `engine` reads.
+const ENGINE_FLAGS: &[&str] = &[
+    "input",
+    "metric",
+    "shards",
+    "batch",
+    "k",
+    "z",
+    "eps",
+    "incremental",
+    "precision",
+    "backend",
+    "window",
+    "half-life",
+    "metrics",
+];
+
+/// Rejects any flag `cmd` does not read: a misspelled or retired
+/// optional flag would otherwise be silently ignored.
+fn check_flags(cmd: &str, flags: &HashMap<String, String>, known: &[&str]) -> Result<(), String> {
+    match flags.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(unknown) => Err(format!("unknown flag --{unknown} for {cmd}")),
+        None => Ok(()),
+    }
+}
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();

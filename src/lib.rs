@@ -66,12 +66,10 @@ pub mod prelude {
     pub use kcz_coreset::{
         end_to_end_factor, mbc_construction, streaming_capacity, update_coreset, MiniBallCovering,
     };
-    pub use kcz_engine::{
-        Backend, Engine, EngineConfig, EngineStats, ShardBackend, Snapshot, SolverMode,
-    };
+    pub use kcz_engine::{Backend, Engine, EngineConfig, EngineStats, ShardBackend, Snapshot};
     pub use kcz_harness::{
         all_pipelines, catalog, churn_violations, f32_violations, obs_violations, query_violations,
-        run_conformance, solver_violations, ConformanceReport, Pipeline, Scenario, Tier, Verdict,
+        run_conformance, ConformanceReport, Pipeline, Scenario, Tier, Verdict,
     };
     pub use kcz_kcenter::{
         cost_with_outliers, exact_discrete, farthest_first, greedy, uncovered_weight,

@@ -470,7 +470,7 @@ fn engine_golden_output_on_committed_fixture() {
 #[test]
 fn engine_incremental_golden_and_mode_equality() {
     // `--incremental` publishes after every batch, reusing clean shard
-    // leaves and the delta solver's state between epochs — pinned
+    // leaves between epochs — pinned
     // against a committed golden (the same file the CI `engine-smoke`
     // step diffs).  Publishing per batch is a cadence, not a different
     // answer: apart from the epoch count, the output equals a single
@@ -522,98 +522,71 @@ fn engine_incremental_golden_and_mode_equality() {
 }
 
 #[test]
-fn engine_solver_modes_print_identical_golden_output() {
-    // The delta-aware solver is bit-identical to a cold solve by
-    // construction, so `--solver cold` and `--solver delta` (the
-    // default) print byte-identical clustering output — both pinned
-    // against the SAME incremental golden the mode-equality test uses.
-    // The solver's probe accounting goes to stderr only.
+fn engine_reports_probes_on_stderr_and_rejects_unknown_flags() {
+    // The solve's probe count goes to stderr only, so stdout stays on
+    // the incremental golden.  A flag `engine` does not read, such as
+    // the retired `--solver`, is a clean usage error: exit 2 with a
+    // one-line diagnostic naming it, never silently ignored.
     use std::process::Stdio;
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.csv");
     let golden = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/engine_incremental_golden.txt"
     );
-    let run = |solver: &str| {
-        let child = kcz()
-            .args([
-                "engine",
-                "--shards",
-                "8",
-                "--batch",
-                "4",
-                "--k",
-                "2",
-                "--z",
-                "1",
-                "--eps",
-                "0.5",
-                "--incremental",
-                "--solver",
-                solver,
-            ])
-            .stdin(Stdio::from(std::fs::File::open(fixture).unwrap()))
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("run kcz engine");
-        let out = child.wait_with_output().unwrap();
-        assert!(
-            out.status.success(),
-            "--solver {solver}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        (
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
-    let expected = std::fs::read_to_string(golden).unwrap();
-    let (cold_out, cold_err) = run("cold");
-    let (delta_out, delta_err) = run("delta");
-    assert_eq!(
-        cold_out, expected,
-        "--solver cold drifted from the committed incremental golden"
-    );
-    assert_eq!(
-        delta_out, expected,
-        "--solver delta drifted from the committed incremental golden"
-    );
-    // The probe accounting lands on stderr, named per mode.
-    assert!(cold_err.contains("(solver cold:"), "{cold_err}");
-    assert!(delta_err.contains("(solver delta:"), "{delta_err}");
-    // An unknown solver is a clean usage error: exit 2, one-line
-    // diagnostic naming the valid choices.
-    let out = kcz()
-        .args([
-            "engine",
-            "--input",
-            fixture,
-            "--shards",
-            "8",
-            "--batch",
-            "4",
-            "--k",
-            "2",
-            "--z",
-            "1",
-            "--eps",
-            "0.5",
-            "--incremental",
-            "--solver",
-            "bogus",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    let args = [
+        "engine",
+        "--shards",
+        "8",
+        "--batch",
+        "4",
+        "--k",
+        "2",
+        "--z",
+        "1",
+        "--eps",
+        "0.5",
+        "--incremental",
+    ];
+    let child = kcz()
+        .args(args)
+        .stdin(Stdio::from(std::fs::File::open(fixture).unwrap()))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run kcz engine");
+    let out = child.wait_with_output().unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.lines()
-            .next()
-            .unwrap_or_default()
-            .contains("cold or delta"),
-        "{err}"
+    assert!(out.status.success(), "{err}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        std::fs::read_to_string(golden).unwrap()
     );
+    let probes = err
+        .lines()
+        .find_map(|l| l.strip_prefix("(solve: "))
+        .and_then(|l| l.strip_suffix(" probes at epoch 3)"))
+        .unwrap_or_else(|| panic!("no solve line on stderr: {err}"));
+    assert!(probes.parse::<usize>().unwrap() > 0, "{err}");
+    for extra in [
+        ["--solver", "cold"],
+        ["--solver", "delta"],
+        ["--shard", "2"],
+    ] {
+        let out = kcz()
+            .args(args)
+            .args(["--input", fixture])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let first = err.lines().next().unwrap_or_default();
+        assert_eq!(
+            first,
+            format!("kcz: error: unknown flag {} for engine", extra[0]),
+            "{err}"
+        );
+    }
 }
 
 #[test]
