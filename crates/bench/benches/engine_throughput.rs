@@ -13,47 +13,17 @@
 //! exists for: heavy arrival traffic over a large site population
 //! (duplicate-rich sensor streams, the catalog's hot-shard theme).
 //!
-//! The bench also carries the allocation-regression assert for the
-//! absorb path (see [`absorb_path_is_allocation_free`]): a steady-state
-//! insert that lands on an existing representative must not allocate —
-//! the guard for the fix that removed the per-call clone of every
-//! representative from the summary's pairwise-distance scan.  The same
-//! assert covers the *instrumented* absorb (span + counter recording
-//! through a live registry), and
 //! [`instrumentation_overhead_guardrail`] pins the metrics layer's
-//! ingest cost to < 3% of the uninstrumented median.
+//! ingest cost to < 3% of the uninstrumented median.  The absorb
+//! path's allocation guards are integration tests of `kcz-engine`
+//! (`tests/absorb_alloc.rs`), so `cargo test` enforces them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kcz_engine::{Engine, EngineConfig};
-use kcz_metric::{Precision, L2};
+use kcz_metric::L2;
 use kcz_obs::{MetricsHandle, Registry};
 use kcz_streaming::InsertionOnlyCoreset;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Allocation counter wrapped around the system allocator, so the bench
-/// can assert the absorb path performs zero allocations at steady state.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const N: usize = 1_000_000;
 /// Distinct sites.  Below the streaming capacity for (k, z, ε) below, so
@@ -81,87 +51,6 @@ fn arrivals(n: usize) -> Vec<[f64; 2]> {
             site_point((s >> 16) as usize % SITES)
         })
         .collect()
-}
-
-/// Regression guard: once a representative exists for a site, inserting
-/// that site again (the absorb path: one columnar find-within scan over
-/// the mirror + a saturating weight bump + the words recount) must not
-/// allocate — in either lane precision.  The warm-up misses build the
-/// mirror (lazily on the first insert, appended per miss), so the
-/// counted steady state touches only stack state.
-fn absorb_path_is_allocation_free(stream: &[[f64; 2]]) {
-    for precision in [Precision::F64, Precision::F32] {
-        let mut alg = InsertionOnlyCoreset::with_precision(L2, K, Z, EPS, precision);
-        // Deterministic warm-up: one representative per site, so every
-        // stream arrival below lands on the absorb path.
-        for site in 0..SITES {
-            alg.insert(site_point(site));
-        }
-        let reps_before = alg.coreset().len();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for p in &stream[..4 * SITES] {
-            alg.insert(*p);
-        }
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(
-            alg.coreset().len(),
-            reps_before,
-            "warm-up must have established every representative"
-        );
-        assert_eq!(
-            allocations, 0,
-            "absorb-path inserts ({precision}) allocated {allocations} times \
-             (the scan must borrow the mirror, not rebuild or clone it)"
-        );
-        println!(
-            "engine_throughput/absorb_alloc_regression[{precision}]: \
-             0 allocations over {} absorbs — ok",
-            4 * SITES
-        );
-    }
-}
-
-/// The instrumented absorb path must be just as allocation-free: one
-/// span (two monotonic clock reads + one atomic histogram record) and
-/// one counter bump per insert touch only pre-registered atomics.
-/// Registration happens once up front — steady-state recording never
-/// takes the registry lock or names a metric.
-fn instrumented_absorb_is_allocation_free(stream: &[[f64; 2]]) {
-    let registry = Registry::new();
-    let metrics = MetricsHandle::new(&registry);
-    // Pre-registered instruments: the only allocating step.
-    let span = metrics.stage("bench.absorb.span_ns");
-    let absorbs = metrics.counter("bench.absorb.inserts");
-    let mut alg = InsertionOnlyCoreset::new(L2, K, Z, EPS);
-    for site in 0..SITES {
-        alg.insert(site_point(site));
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for p in &stream[..4 * SITES] {
-        let t = span.start();
-        alg.insert(*p);
-        t.finish();
-        absorbs.incr();
-    }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocations, 0,
-        "instrumented absorb-path inserts allocated {allocations} times \
-         (recording must touch only pre-registered atomics)"
-    );
-    let hist = registry
-        .histogram_snapshot("bench.absorb.span_ns")
-        .expect("span registered");
-    assert_eq!(hist.count(), (4 * SITES) as u64);
-    assert_eq!(
-        registry.counter_value("bench.absorb.inserts"),
-        Some((4 * SITES) as u64)
-    );
-    println!(
-        "engine_throughput/instrumented_absorb_alloc_regression: \
-         0 allocations over {} recorded absorbs — ok",
-        4 * SITES
-    );
 }
 
 /// Overhead guardrail for the metrics layer: a fully instrumented
@@ -211,8 +100,6 @@ fn instrumentation_overhead_guardrail(stream: &[[f64; 2]]) {
 
 fn bench_engine(c: &mut Criterion) {
     let stream = arrivals(N);
-    absorb_path_is_allocation_free(&stream);
-    instrumented_absorb_is_allocation_free(&stream);
     instrumentation_overhead_guardrail(&stream);
 
     let mut g = c.benchmark_group("engine_ingest");
@@ -260,20 +147,6 @@ fn bench_engine(c: &mut Criterion) {
             });
         },
     );
-    // The f32 absorb mirror at the same shard counts: published points
-    // stay f64, only the absorb scan runs on f32 lanes.
-    for shards in [1usize, 8] {
-        g.bench_with_input(BenchmarkId::new("sharded_f32", shards), &stream, |b, s| {
-            b.iter(|| {
-                let cfg = EngineConfig::new(shards, K, Z, EPS).with_precision(Precision::F32);
-                let engine = Engine::new(L2, cfg);
-                for batch in s.chunks(4096) {
-                    engine.ingest(batch);
-                }
-                black_box(engine.snapshot().coreset.len())
-            });
-        });
-    }
     g.finish();
 
     // Republish cadence: one shard touched between publishes — the

@@ -1,13 +1,10 @@
 //! Kernel bench: scalar per-point `dist` loops vs the batched one-to-many
 //! kernels and pruned absorb queries of `kcz-metric`, across
 //! n ∈ {10³, 10⁴, 10⁵}.  The batched `dist_many` must beat the scalar
-//! loop at n = 10⁵ — the contract the hot-path refactor rests on — and
-//! the columnar (SoA) kernels must beat the AoS kernels again on the
-//! same queries (blocked lanes, stable-rustc autovectorization), with
-//! the f32 lane mode on top for the halved memory traffic.
+//! loop at n = 10⁵ — the contract the hot-path refactor rests on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use kcz_metric::{MetricSpace, Precision, L2};
+use kcz_metric::{MetricSpace, L2};
 use kcz_workloads::uniform_box;
 use std::hint::black_box;
 
@@ -57,56 +54,6 @@ fn bench_kernels(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("absorb_batched", n), &pts, |b, pts| {
             b.iter(|| black_box(L2.find_within(&q, pts, r)));
         });
-
-        // Ball-cover counting, the greedy's gain initialisation.
-        g.bench_with_input(BenchmarkId::new("count_within", n), &pts, |b, pts| {
-            b.iter(|| black_box(L2.count_within(&[500.0, 500.0], pts, 100.0)));
-        });
-
-        // The columnar (SoA) kernels over the same queries — AoS vs
-        // columnar at both lane precisions.  f64 columns are
-        // bit-identical to the AoS kernels; f32 columns halve the lane
-        // traffic under the certified error budget.
-        let cols64 = L2
-            .build_columns(&pts, Precision::F64)
-            .expect("L2 has columnar kernels");
-        let cols32 = L2
-            .build_columns(&pts, Precision::F32)
-            .expect("L2 has columnar kernels");
-        let mut cbuf = Vec::with_capacity(n);
-        for (label, cols) in [("columnar_f64", &cols64), ("columnar_f32", &cols32)] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("one_to_many_{label}"), n),
-                cols,
-                |b, cols| {
-                    b.iter(|| {
-                        L2.col_dist_many(cols, &q, &mut cbuf);
-                        black_box(cbuf.iter().copied().fold(f64::INFINITY, f64::min))
-                    });
-                },
-            );
-            g.bench_with_input(
-                BenchmarkId::new(format!("nearest_{label}"), n),
-                cols,
-                |b, cols| {
-                    b.iter(|| black_box(L2.col_nearest(cols, &q)));
-                },
-            );
-            g.bench_with_input(
-                BenchmarkId::new(format!("absorb_{label}"), n),
-                cols,
-                |b, cols| {
-                    b.iter(|| black_box(L2.col_find_within(cols, &q, r)));
-                },
-            );
-            g.bench_with_input(
-                BenchmarkId::new(format!("count_within_{label}"), n),
-                cols,
-                |b, cols| {
-                    b.iter(|| black_box(L2.col_count_within(cols, &[500.0, 500.0], 100.0)));
-                },
-            );
-        }
     }
     g.finish();
 }

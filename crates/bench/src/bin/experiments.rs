@@ -851,45 +851,6 @@ fn ablation(w: &mut String) {
         w,
         "packing bound at the data's effective doubling dimension (Lemma 6's slack)."
     );
-
-    // (c) Mini-ball partition: generic O(n²) sweep vs the grid-indexed
-    // sweep (identical outputs by construction; see kcz-coreset::fast).
-    say!(w, "");
-    let big = gaussian_clusters::<2>(4, 12_000, 1.0, 50, 81);
-    let weighted_big = unit_weighted(&big.points);
-    let delta = 0.5;
-    let mut t = Table::new(&["partition variant", "n", "reps", "time"]);
-    let t0 = std::time::Instant::now();
-    let naive = kcz_coreset::update_coreset(&L2, &weighted_big, delta);
-    let t_naive = t0.elapsed();
-    let t0 = std::time::Instant::now();
-    let fast = kcz_coreset::update_coreset_grid(&weighted_big, delta);
-    let t_fast = t0.elapsed();
-    assert_eq!(naive.len(), fast.len(), "grid path must match generic path");
-    for (case, wall, reps) in [
-        ("partition_generic", t_naive, naive.len()),
-        ("partition_grid", t_fast, fast.len()),
-    ] {
-        record_run(
-            "ablation",
-            case,
-            wall.as_secs_f64() * 1e3,
-            &[("input", weighted_big.len() as f64), ("reps", reps as f64)],
-        );
-    }
-    t.row(vec![
-        "generic O(n²) sweep".into(),
-        weighted_big.len().to_string(),
-        naive.len().to_string(),
-        format!("{t_naive:.1?}"),
-    ]);
-    t.row(vec![
-        "grid-indexed sweep".into(),
-        weighted_big.len().to_string(),
-        fast.len().to_string(),
-        format!("{t_fast:.1?}"),
-    ]);
-    w.push_str(&t.render());
 }
 
 /// Extension: the paper's Section-5 remarks made executable — the

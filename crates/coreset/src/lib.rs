@@ -29,7 +29,6 @@
 
 pub mod bounds;
 pub mod compose;
-pub mod fast;
 pub mod mbc;
 pub mod merge;
 pub mod update;
@@ -37,7 +36,6 @@ pub mod validate;
 
 pub use bounds::{mbc_size_bound, streaming_capacity};
 pub use compose::union_coverings;
-pub use fast::{absorb_sweep, update_coreset_grid};
 pub use mbc::{mbc_construction, mbc_construction_with, MiniBallCovering};
 pub use merge::end_to_end_factor;
 pub use update::update_coreset;

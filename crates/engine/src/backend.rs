@@ -57,7 +57,7 @@
 use std::collections::VecDeque;
 
 use kcz_coreset::streaming_capacity;
-use kcz_metric::{MetricSpace, Precision, SpaceUsage};
+use kcz_metric::{MetricSpace, SpaceUsage};
 use kcz_streaming::{InsertionOnlyCoreset, SlidingWindowCoreset};
 
 /// Which per-shard backend an engine runs (see the module docs).
@@ -152,9 +152,9 @@ pub struct InsertionShard<P, M: MetricSpace<P>> {
 
 impl<P: Clone + SpaceUsage, M: MetricSpace<P>> InsertionShard<P, M> {
     /// An empty shard with the given coreset parameters.
-    pub fn new(metric: M, k: usize, z: u64, eps: f64, precision: Precision) -> Self {
+    pub fn new(metric: M, k: usize, z: u64, eps: f64) -> Self {
         InsertionShard {
-            inner: InsertionOnlyCoreset::with_precision(metric, k, z, eps, precision),
+            inner: InsertionOnlyCoreset::new(metric, k, z, eps),
             version: 0,
         }
     }
@@ -216,7 +216,6 @@ pub struct WindowShard<P, M: MetricSpace<P>> {
     k: usize,
     z: u64,
     eps: f64,
-    precision: Precision,
     window: u64,
     now: u64,
     /// `(arrival stamp, point, weight)`, stamp-sorted, only unexpired.
@@ -227,14 +226,13 @@ pub struct WindowShard<P, M: MetricSpace<P>> {
 
 impl<P: Clone + SpaceUsage, M: MetricSpace<P>> WindowShard<P, M> {
     /// An empty shard summarizing the last `window` global arrivals.
-    pub fn new(metric: M, k: usize, z: u64, eps: f64, precision: Precision, window: u64) -> Self {
+    pub fn new(metric: M, k: usize, z: u64, eps: f64, window: u64) -> Self {
         assert!(window >= 1, "window must be at least 1");
         WindowShard {
             metric,
             k,
             z,
             eps,
-            precision,
             window,
             now: 0,
             buf: VecDeque::new(),
@@ -312,13 +310,7 @@ where
     }
 
     fn summary(&mut self) -> InsertionOnlyCoreset<P, M> {
-        let mut leaf = InsertionOnlyCoreset::with_precision(
-            self.metric.clone(),
-            self.k,
-            self.z,
-            self.eps,
-            self.precision,
-        );
+        let mut leaf = InsertionOnlyCoreset::new(self.metric.clone(), self.k, self.z, self.eps);
         if self.buf.is_empty() {
             return leaf;
         }
@@ -400,7 +392,6 @@ pub struct DecayShard<P, M: MetricSpace<P>> {
     k: usize,
     z: u64,
     eps: f64,
-    precision: Precision,
     /// Per-arrival decay factor `2^(−1/half_life)`.
     lambda: f64,
     now: u64,
@@ -416,14 +407,7 @@ pub struct DecayShard<P, M: MetricSpace<P>> {
 impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DecayShard<P, M> {
     /// An empty shard whose representative weights halve every
     /// `half_life` arrivals.
-    pub fn new(
-        metric: M,
-        k: usize,
-        z: u64,
-        eps: f64,
-        precision: Precision,
-        half_life: f64,
-    ) -> Self {
+    pub fn new(metric: M, k: usize, z: u64, eps: f64, half_life: f64) -> Self {
         assert!(
             half_life.is_finite() && half_life > 0.0,
             "half-life must be positive and finite"
@@ -436,7 +420,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DecayShard<P, M> {
             k,
             z,
             eps,
-            precision,
             now: 0,
             reps: Vec::new(),
             radius: 0.0,
@@ -582,13 +565,7 @@ where
         // long-dead representative rides the ≥1 weight rounding back
         // into the published epoch.
         self.prune();
-        let mut leaf = InsertionOnlyCoreset::with_precision(
-            self.metric.clone(),
-            self.k,
-            self.z,
-            self.eps,
-            self.precision,
-        );
+        let mut leaf = InsertionOnlyCoreset::new(self.metric.clone(), self.k, self.z, self.eps);
         for i in 0..self.reps.len() {
             let w = self.live_weight(&self.reps[i]).round().max(1.0) as u64;
             leaf.insert_weighted(self.reps[i].point.clone(), w);
@@ -619,22 +596,11 @@ pub enum AnyShard<P, M: MetricSpace<P>> {
 
 impl<P: Clone + SpaceUsage, M: MetricSpace<P> + Clone> AnyShard<P, M> {
     /// Builds the shard the backend choice calls for.
-    pub fn new(
-        backend: Backend,
-        metric: M,
-        k: usize,
-        z: u64,
-        eps: f64,
-        precision: Precision,
-    ) -> Self {
+    pub fn new(backend: Backend, metric: M, k: usize, z: u64, eps: f64) -> Self {
         match backend {
-            Backend::Insertion => {
-                AnyShard::Insertion(InsertionShard::new(metric, k, z, eps, precision))
-            }
-            Backend::Window(w) => {
-                AnyShard::Window(WindowShard::new(metric, k, z, eps, precision, w))
-            }
-            Backend::Decay(h) => AnyShard::Decay(DecayShard::new(metric, k, z, eps, precision, h)),
+            Backend::Insertion => AnyShard::Insertion(InsertionShard::new(metric, k, z, eps)),
+            Backend::Window(w) => AnyShard::Window(WindowShard::new(metric, k, z, eps, w)),
+            Backend::Decay(h) => AnyShard::Decay(DecayShard::new(metric, k, z, eps, h)),
         }
     }
 }
@@ -700,8 +666,7 @@ mod tests {
 
     #[test]
     fn insertion_shard_summary_is_a_clone_and_time_is_inert() {
-        let mut s: InsertionShard<[f64; 2], L2> =
-            InsertionShard::new(L2, 2, 1, 0.5, Precision::F64);
+        let mut s: InsertionShard<[f64; 2], L2> = InsertionShard::new(L2, 2, 1, 0.5);
         s.insert_weighted([0.0, 0.0], 3, 1);
         s.insert_weighted([10.0, 0.0], 1, 2);
         let v = s.state_version();
@@ -717,7 +682,7 @@ mod tests {
 
     #[test]
     fn window_shard_version_advances_on_expiry_without_an_arrival() {
-        let mut s: WindowShard<[f64; 2], L2> = WindowShard::new(L2, 1, 0, 0.5, Precision::F64, 10);
+        let mut s: WindowShard<[f64; 2], L2> = WindowShard::new(L2, 1, 0, 0.5, 10);
         s.insert_weighted([1.0, 1.0], 1, 1);
         let v = s.state_version();
         // Time passes but nothing expires yet: still clean.
@@ -736,8 +701,7 @@ mod tests {
             .map(|i| (i + 1, [(i % 7) as f64 * 3.0, (i % 5) as f64]))
             .collect();
         let build = |shift: u64| {
-            let mut s: WindowShard<[f64; 2], L2> =
-                WindowShard::new(L2, 2, 2, 0.5, Precision::F64, 25);
+            let mut s: WindowShard<[f64; 2], L2> = WindowShard::new(L2, 2, 2, 0.5, 25);
             for &(t, p) in &pts {
                 s.insert_weighted(p, 1, t + shift);
             }
@@ -757,11 +721,9 @@ mod tests {
     #[test]
     fn window_summary_clamps_weighted_arrivals_losslessly() {
         let (z, w) = (2u64, 1_000_000u64);
-        let mut heavy: WindowShard<[f64; 2], L2> =
-            WindowShard::new(L2, 1, z, 0.5, Precision::F64, 100);
+        let mut heavy: WindowShard<[f64; 2], L2> = WindowShard::new(L2, 1, z, 0.5, 100);
         heavy.insert_weighted([5.0, 5.0], w, 1);
-        let mut clamped: WindowShard<[f64; 2], L2> =
-            WindowShard::new(L2, 1, z, 0.5, Precision::F64, 100);
+        let mut clamped: WindowShard<[f64; 2], L2> = WindowShard::new(L2, 1, z, 0.5, 100);
         clamped.insert_weighted([5.0, 5.0], z + 1, 1);
         let (a, b) = (heavy.summary(), clamped.summary());
         assert_eq!(a.coreset().len(), b.coreset().len());
@@ -773,7 +735,7 @@ mod tests {
 
     #[test]
     fn decay_shard_halves_weight_per_half_life_and_prunes_dead_reps() {
-        let mut s: DecayShard<[f64; 2], L2> = DecayShard::new(L2, 1, 0, 0.5, Precision::F64, 8.0);
+        let mut s: DecayShard<[f64; 2], L2> = DecayShard::new(L2, 1, 0, 0.5, 8.0);
         s.insert_weighted([0.0, 0.0], 8, 1);
         // One half-life later the 8 has decayed to ~4.
         ShardBackend::<[f64; 2], L2>::advance_to(&mut s, 9);
@@ -790,7 +752,7 @@ mod tests {
 
     #[test]
     fn decay_shard_refreshes_touched_reps_and_respects_capacity() {
-        let mut s: DecayShard<[f64; 2], L2> = DecayShard::new(L2, 1, 0, 1.0, Precision::F64, 50.0);
+        let mut s: DecayShard<[f64; 2], L2> = DecayShard::new(L2, 1, 0, 1.0, 50.0);
         // Keep touching one location while time passes: it must survive
         // indefinitely (weight refreshed on every touch).
         for t in 1..=400u64 {
@@ -800,8 +762,7 @@ mod tests {
         let leaf = s.summary();
         assert!(leaf.coreset()[0].weight >= 1);
         // Capacity pressure compresses instead of growing unboundedly.
-        let mut wide: DecayShard<[f64; 2], L2> =
-            DecayShard::new(L2, 1, 0, 1.0, Precision::F64, 1e9);
+        let mut wide: DecayShard<[f64; 2], L2> = DecayShard::new(L2, 1, 0, 1.0, 1e9);
         let cap = wide.cap;
         for i in 0..(cap * 2) {
             wide.insert_weighted([i as f64 * 50.0, 0.0], 1, i + 1);

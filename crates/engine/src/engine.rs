@@ -30,7 +30,7 @@
 
 use kcz_coreset::end_to_end_factor;
 use kcz_kcenter::{farthest_first, greedy_with, GreedyParams};
-use kcz_metric::{MetricSpace, Precision, SpaceUsage, Weighted};
+use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 use kcz_obs::{Counter, Gauge, MetricsHandle, Stage};
 use kcz_streaming::InsertionOnlyCoreset;
 use kcz_workloads::{HashPartitioner, ShardKey};
@@ -53,13 +53,6 @@ pub struct EngineConfig {
     pub eps: f64,
     /// Seed of the hash partitioner (routing is deterministic given it).
     pub seed: u64,
-    /// Lane precision of the shard coresets' columnar absorb mirrors.
-    /// [`Precision::F64`] (the default) is bit-identical to the scalar
-    /// kernels; [`Precision::F32`] halves the absorb scan's memory
-    /// traffic and widens every shard's certified ε′ by
-    /// [`kcz_metric::F32_EPS_BUDGET`] (published points, weights and
-    /// radii stay f64 either way).
-    pub precision: Precision,
     /// Which per-shard backend the engine runs (see
     /// [`crate::backend`]): insertion-only (the default — summaries
     /// cover everything ever ingested), a sliding window over the last
@@ -79,16 +72,8 @@ impl EngineConfig {
             z,
             eps,
             seed: 0x5EED_0E16,
-            precision: Precision::F64,
             backend: Backend::Insertion,
         }
-    }
-
-    /// Sets the shard coresets' absorb-mirror lane precision (see
-    /// [`EngineConfig::precision`]).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// Sets the per-shard backend (see [`EngineConfig::backend`]).
@@ -432,7 +417,6 @@ where
                     cfg.k,
                     cfg.z,
                     cfg.eps,
-                    cfg.precision,
                 ))
             })
             .collect();
@@ -734,13 +718,8 @@ where
         // as it is, so only a merge of two or more non-empty leaves
         // pays (and counts) the recompression.
         let t_merge = self.obs.stage_merge.start();
-        let mut merged = InsertionOnlyCoreset::with_precision(
-            self.metric.clone(),
-            self.cfg.k,
-            self.cfg.z,
-            self.cfg.eps,
-            self.cfg.precision,
-        );
+        let mut merged =
+            InsertionOnlyCoreset::new(self.metric.clone(), self.cfg.k, self.cfg.z, self.cfg.eps);
         if leaves
             .iter()
             .filter(|(_, leaf)| leaf.points_seen() > 0)

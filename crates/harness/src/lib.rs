@@ -17,12 +17,6 @@
 //! resident engine per scenario, publishes a snapshot, and re-checks
 //! every answer the query layer serves (exact nearest-center agreement,
 //! classify coherence, the epoch's certified bound) — see [`query`].
-//! The opt-in columnar f32 storage mode is certified empirically:
-//! [`f32_violations`] replays each scenario through an f32 engine with
-//! mid-stream publishes, certifies every checked epoch bit-for-bit
-//! against a from-scratch f32 engine fed the same prefix, and
-//! re-measures every published radius in f64 against the
-//! budget-widened `(3 + 8ε′)·opt` — see [`f32cert`].
 //! The churn-capable backends are judged by from-scratch oracles:
 //! [`churn_violations`] certifies windowed epochs bit-for-bit against
 //! unexpired-suffix replays (plus live-membership and a suffix-optimum
@@ -41,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod f32cert;
 pub mod obscheck;
 pub mod pipeline;
 pub mod query;
@@ -49,7 +42,6 @@ pub mod report;
 pub mod scenario;
 
 pub use churn::churn_violations;
-pub use f32cert::f32_violations;
 pub use obscheck::obs_violations;
 pub use pipeline::{all_pipelines, Model, Pipeline, RadiusBound, Verdict};
 pub use query::query_violations;

@@ -149,12 +149,11 @@ impl ConformanceReport {
 
     /// [`to_json`](Self::to_json) with the out-of-band verdicts folded
     /// in: the query-conformance check ([`crate::query_violations`]) and
-    /// the replay passes — f32 storage mode, churn backends, delta
-    /// solver and MPC accounting, tagged `f32/`, `churn/`, `solver/` and
-    /// `obs/` — are judged out of band of the pipeline verdicts, but a
-    /// machine-read report must not look clean while the run exits 3:
-    /// the trailing `query_violations` and `replay_violations` arrays
-    /// record what failed.
+    /// the replay passes — churn backends and MPC accounting, tagged
+    /// `churn/` and `obs/` — are judged out of band of the pipeline
+    /// verdicts, but a machine-read report must not look clean while the
+    /// run exits 3: the trailing `query_violations` and
+    /// `replay_violations` arrays record what failed.
     pub fn to_json_with_violations(
         &self,
         query_violations: &[String],
@@ -351,12 +350,12 @@ mod tests {
             &[r#"x / query/assign: "bad" answer"#.to_string()],
             &[
                 "y / churn/window/replay: diverged".to_string(),
-                "z / f32/bound: radius blew the budget".to_string(),
+                "z / obs/mpc/two_round/rounds: words do not sum".to_string(),
             ],
         );
         assert!(with_viols.contains(r#""query_violations": ["x / query/assign: \"bad\" answer"]"#));
         assert!(with_viols.contains(
-            r#""replay_violations": ["y / churn/window/replay: diverged", "z / f32/bound: radius blew the budget"]"#
+            r#""replay_violations": ["y / churn/window/replay: diverged", "z / obs/mpc/two_round/rounds: words do not sum"]"#
         ));
         assert_eq!(json.matches("\"name\": ").count(), 1);
         // Balanced braces/brackets (a cheap structural check without a

@@ -10,15 +10,12 @@
 //! * metrics: [`L2`], [`Linf`], and their discrete-grid counterparts;
 //! * **batched distance kernels**: every [`MetricSpace`] ships one-to-many
 //!   methods ([`MetricSpace::dist_many`], [`MetricSpace::nearest`],
-//!   [`MetricSpace::count_within`], [`MetricSpace::cover_weight`], …) with
-//!   auto-vectorizable overrides for the Euclidean metrics that defer or
-//!   skip the `sqrt` — the single kernel surface behind every hot loop in
-//!   the suite (greedy cover counting, mini-ball partitions, streaming
-//!   absorption, MPC local rounds);
-//! * [`index::NeighborIndex`]: pruned neighbor queries (`within`,
-//!   `absorb_candidate`) with a hash-grid bucket implementation
-//!   ([`index::GridBucketIndex`]) and a kernel-backed brute-force
-//!   fallback ([`index::BruteForceIndex`]);
+//!   [`MetricSpace::find_within`], [`MetricSpace::within_indices`], …)
+//!   over the slice the caller already owns, with auto-vectorizable
+//!   overrides for the Euclidean metrics that defer or skip the `sqrt` —
+//!   the single kernel surface behind every hot loop in the suite
+//!   (mini-ball partitions, streaming absorption, query serving, MPC
+//!   local rounds);
 //! * [`Weighted`] points with positive integer weights (the paper's weighted
 //!   k-center formulation, Section 1);
 //! * utilities used throughout: pairwise-distance extrema, spread
@@ -29,15 +26,10 @@
 
 #![warn(missing_docs)]
 
-pub mod columns;
-pub(crate) mod grid;
-pub mod index;
 pub mod space;
 pub mod stats;
 pub mod weighted;
 
-pub use columns::{ColumnSet, ColumnStore, Precision, F32_EPS_BUDGET};
-pub use index::{BruteForceIndex, ColumnIndex, GridBucketIndex, NeighborIndex};
 pub use space::SpaceUsage;
 pub use weighted::{total_weight, unit_weighted, Weighted};
 
@@ -53,10 +45,9 @@ pub use weighted::{total_weight, unit_weighted, Weighted};
 /// # Batched kernels and the deferred-`sqrt` contract
 ///
 /// Beyond the scalar [`dist`](Self::dist), the trait provides one-to-many
-/// kernels (`dist_many`, `nearest`, `find_within`, `count_within`,
-/// `within_indices`, `cover_weight`, `argmax_cover_weight`, and the
-/// `*_weighted` variants).  The provided defaults are plain scalar loops;
-/// the Euclidean metrics ([`L2`], [`GridL2`]) override them to compute
+/// kernels (`dist_many`, `nearest`, `find_within`, `within_indices`, and
+/// the `*_weighted` variants).  The provided defaults are plain scalar
+/// loops; the Euclidean metrics ([`L2`], [`GridL2`]) override them to compute
 /// *squared* distances in the inner loop and defer the `sqrt`:
 ///
 /// * kernels that return distances (`dist_many`, `nearest`) apply the
@@ -64,12 +55,12 @@ pub use weighted::{total_weight, unit_weighted, Weighted};
 ///   same values as the scalar `dist` (IEEE `sqrt` is correctly rounded,
 ///   so `√(min sᵢ) = min √sᵢ`);
 /// * kernels that only *test* a radius (`within`, `find_within`,
-///   `count_within`, `within_indices`, `cover_weight`,
-///   `argmax_cover_weight`) skip the `sqrt` entirely and evaluate
-///   `dist²(a,b) ≤ r²`.  This agrees with the scalar `dist(a,b) ≤ r` at
-///   `r = 0`, at exactly representable ties (duplicate points, integer
-///   3-4-5 configurations, …), and everywhere except when the two sides
-///   are within one floating-point ulp of equality.  Callers that test a
+///   `within_indices`, `find_within_weighted`) skip the `sqrt` entirely
+///   and evaluate `dist²(a,b) ≤ r²`.  This agrees with the scalar
+///   `dist(a,b) ≤ r` at `r = 0`, at exactly representable ties
+///   (duplicate points, integer 3-4-5 configurations, …), and everywhere
+///   except when the two sides are within one floating-point ulp of
+///   equality.  Callers that test a
 ///   radius *derived from a computed distance* and need boundary-exact
 ///   classification (e.g. the cost validators, whose radius is itself some
 ///   point's distance) should compare via `nearest`/`dist_many` instead.
@@ -132,12 +123,6 @@ pub trait MetricSpace<P>: Send + Sync {
         pts.iter().position(|p| self.within(q, p, r))
     }
 
-    /// Number of points of `pts` within distance `r` of `q`.
-    /// Deferred-`sqrt` contract applies.
-    fn count_within(&self, q: &P, pts: &[P], r: f64) -> usize {
-        pts.iter().filter(|p| self.within(q, p, r)).count()
-    }
-
     /// Writes the ascending indices of all points of `pts` within distance
     /// `r` of `q` into `out` (cleared first).  Deferred-`sqrt` contract
     /// applies.
@@ -148,42 +133,6 @@ pub trait MetricSpace<P>: Send + Sync {
                 out.push(i);
             }
         }
-    }
-
-    /// Total weight of the points of `pts` within distance `r` of `q` —
-    /// the covered weight of the ball `B(q, r)` (saturating).  `weights`
-    /// must be parallel to `pts`.  Deferred-`sqrt` contract applies.
-    fn cover_weight(&self, q: &P, pts: &[P], weights: &[u64], r: f64) -> u64 {
-        assert_eq!(pts.len(), weights.len(), "weights must parallel pts");
-        let mut total = 0u64;
-        for (p, &w) in pts.iter().zip(weights) {
-            if self.within(q, p, r) {
-                total = total.saturating_add(w);
-            }
-        }
-        total
-    }
-
-    /// Among `candidates`, the index whose `r`-ball covers the most weight
-    /// of `pts`, together with that weight; `None` when `candidates` is
-    /// empty.  Ties resolve to the smallest index.  This is the selection
-    /// rule of the Charikar-et-al. greedy.  Deferred-`sqrt` contract
-    /// applies.
-    fn argmax_cover_weight(
-        &self,
-        candidates: &[P],
-        pts: &[P],
-        weights: &[u64],
-        r: f64,
-    ) -> Option<(usize, u64)> {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            let g = self.cover_weight(c, pts, weights, r);
-            if best.is_none_or(|(_, b)| g > b) {
-                best = Some((i, g));
-            }
-        }
-        best
     }
 
     /// [`find_within`](Self::find_within) over a weighted slice, scanning
@@ -216,89 +165,6 @@ pub trait MetricSpace<P>: Send + Sync {
             }
         }
         best
-    }
-
-    // ------------------------------------------------------------------
-    // Columnar kernels (see the `columns` module).
-    //
-    // A metric that supports structure-of-arrays scans overrides
-    // `build_columns`/`build_columns_weighted` to transpose a point
-    // slice into a [`ColumnSet`], and the `col_*` kernels to run on it.
-    // The defaults return `None` — consumers must treat a `None` as "no
-    // columnar support" and fall back to the AoS kernels above.  The
-    // `col_*` defaults panic: they are only reachable by handing a
-    // metric a `ColumnSet` it did not build, which is a caller bug.
-    //
-    // In [`Precision::F64`] mode the columnar kernels are bit-identical
-    // to the AoS kernels (same deferred-`sqrt` contract, same ties);
-    // [`Precision::F32`] mode is approximate — see [`F32_EPS_BUDGET`].
-    // ------------------------------------------------------------------
-
-    /// Transposes `pts` into a columnar store scanned by the `col_*`
-    /// kernels, or `None` when this metric has no columnar support
-    /// (the default).
-    fn build_columns(&self, _pts: &[P], _mode: Precision) -> Option<ColumnSet> {
-        None
-    }
-
-    /// [`build_columns`](Self::build_columns) over a weighted slice,
-    /// carrying the weights into the store's weight lane.
-    fn build_columns_weighted(&self, _pts: &[Weighted<P>], _mode: Precision) -> Option<ColumnSet> {
-        None
-    }
-
-    /// Appends one point (with weight) to a [`ColumnSet`] this metric
-    /// built — the incremental absorb-miss path.
-    fn col_push(&self, _cols: &mut ColumnSet, _p: &P, _w: u64) {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
-    }
-
-    /// [`dist_many`](Self::dist_many) over a [`ColumnSet`] this metric
-    /// built.
-    fn col_dist_many(&self, _cols: &ColumnSet, _q: &P, _out: &mut Vec<f64>) {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
-    }
-
-    /// [`nearest`](Self::nearest) over a [`ColumnSet`] this metric built.
-    fn col_nearest(&self, _cols: &ColumnSet, _q: &P) -> Option<(usize, f64)> {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
-    }
-
-    /// [`find_within`](Self::find_within) over a [`ColumnSet`] this
-    /// metric built.
-    fn col_find_within(&self, _cols: &ColumnSet, _q: &P, _r: f64) -> Option<usize> {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
-    }
-
-    /// [`count_within`](Self::count_within) over a [`ColumnSet`] this
-    /// metric built.
-    fn col_count_within(&self, _cols: &ColumnSet, _q: &P, _r: f64) -> usize {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
-    }
-
-    /// [`within_indices`](Self::within_indices) over a [`ColumnSet`]
-    /// this metric built.
-    fn col_within_indices(&self, _cols: &ColumnSet, _q: &P, _r: f64, _out: &mut Vec<usize>) {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
-    }
-
-    /// [`cover_weight`](Self::cover_weight) over a [`ColumnSet`] this
-    /// metric built; `weights` must parallel the stored points (pass
-    /// [`ColumnSet`]'s own weight lane or an external one).
-    fn col_cover_weight(&self, _cols: &ColumnSet, _q: &P, _weights: &[u64], _r: f64) -> u64 {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
-    }
-
-    /// [`argmax_cover_weight`](Self::argmax_cover_weight) with the
-    /// covered point set held in a [`ColumnSet`] this metric built.
-    fn col_argmax_cover_weight(
-        &self,
-        _candidates: &[P],
-        _cols: &ColumnSet,
-        _weights: &[u64],
-        _r: f64,
-    ) -> Option<(usize, u64)> {
-        panic!("metric has no columnar kernels (ColumnSet from a different metric?)");
     }
 }
 
@@ -358,6 +224,15 @@ fn nearer(d: f64, best: Option<(usize, f64)>) -> bool {
     }
 }
 
+/// Points per block of the blocked Euclidean kernels (`nearest`, the
+/// view's assign, and `find_within_weighted`, the shard absorb): each
+/// block's squared distances are computed into an array before any of
+/// them is compared, so no branch sits between the sums.  Every point's
+/// sum keeps its coordinate order and the comparisons run in index
+/// order, so the blocked kernels return exactly what the unblocked loops
+/// do.
+const BLOCK: usize = 8;
+
 /// Batched-kernel overrides shared by the Euclidean metrics: squared
 /// distances in the inner loops, `sqrt` deferred (distance-returning
 /// kernels) or skipped (radius-testing kernels).
@@ -386,10 +261,23 @@ macro_rules! euclidean_batch_kernels {
 
         fn nearest(&self, q: &$pt, pts: &[$pt]) -> Option<(usize, f64)> {
             let mut best: Option<(usize, f64)> = None;
-            for (i, p) in pts.iter().enumerate() {
+            let mut blocks = pts.chunks_exact(BLOCK);
+            for (b, block) in blocks.by_ref().enumerate() {
+                let mut s = [0.0; BLOCK];
+                for (v, p) in s.iter_mut().zip(block) {
+                    *v = $sq(q, p);
+                }
+                for (j, &v) in s.iter().enumerate() {
+                    if nearer(v, best) {
+                        best = Some((b * BLOCK + j, v));
+                    }
+                }
+            }
+            let base = pts.len() - blocks.remainder().len();
+            for (i, p) in blocks.remainder().iter().enumerate() {
                 let s = $sq(q, p);
                 if nearer(s, best) {
-                    best = Some((i, s));
+                    best = Some((base + i, s));
                 }
             }
             best.map(|(i, s)| (i, s.sqrt()))
@@ -401,14 +289,6 @@ macro_rules! euclidean_batch_kernels {
             }
             let r2 = sq_threshold(r);
             pts.iter().position(|p| $sq(q, p) <= r2)
-        }
-
-        fn count_within(&self, q: &$pt, pts: &[$pt], r: f64) -> usize {
-            if sq_overflows(r) {
-                return pts.iter().filter(|p| self.dist(q, p) <= r).count();
-            }
-            let r2 = sq_threshold(r);
-            pts.iter().filter(|p| $sq(q, p) <= r2).count()
         }
 
         fn within_indices(&self, q: &$pt, pts: &[$pt], r: f64, out: &mut Vec<usize>) {
@@ -429,32 +309,29 @@ macro_rules! euclidean_batch_kernels {
             }
         }
 
-        fn cover_weight(&self, q: &$pt, pts: &[$pt], weights: &[u64], r: f64) -> u64 {
-            assert_eq!(pts.len(), weights.len(), "weights must parallel pts");
-            let mut total = 0u64;
-            if sq_overflows(r) {
-                for (p, &w) in pts.iter().zip(weights) {
-                    if self.dist(q, p) <= r {
-                        total = total.saturating_add(w);
-                    }
-                }
-                return total;
-            }
-            let r2 = sq_threshold(r);
-            for (p, &w) in pts.iter().zip(weights) {
-                if $sq(q, p) <= r2 {
-                    total = total.saturating_add(w);
-                }
-            }
-            total
-        }
-
         fn find_within_weighted(&self, q: &$pt, pts: &[Weighted<$pt>], r: f64) -> Option<usize> {
             if sq_overflows(r) {
                 return pts.iter().position(|w| self.dist(q, &w.point) <= r);
             }
             let r2 = sq_threshold(r);
-            pts.iter().position(|w| $sq(q, &w.point) <= r2)
+            let mut blocks = pts.chunks_exact(BLOCK);
+            for (b, block) in blocks.by_ref().enumerate() {
+                let mut s = [0.0; BLOCK];
+                for (v, w) in s.iter_mut().zip(block) {
+                    *v = $sq(q, &w.point);
+                }
+                // One branch per block; the first hit is found only once
+                // the block is known to hold one.
+                if s.iter().fold(false, |hit, &v| hit | (v <= r2)) {
+                    return s.iter().position(|&v| v <= r2).map(|j| b * BLOCK + j);
+                }
+            }
+            let base = pts.len() - blocks.remainder().len();
+            blocks
+                .remainder()
+                .iter()
+                .position(|w| $sq(q, &w.point) <= r2)
+                .map(|i| base + i)
         }
 
         fn nearest_weighted(&self, q: &$pt, pts: &[Weighted<$pt>]) -> Option<(usize, f64)> {
@@ -481,130 +358,6 @@ macro_rules! euclidean_batch_kernels {
     };
 }
 
-/// Coordinates of a Euclidean point, as the columnar lanes store them.
-#[inline(always)]
-fn euclid_coords<const D: usize>(p: &[f64; D]) -> [f64; D] {
-    *p
-}
-
-/// Columnar-hook overrides shared by all four array metrics: transpose
-/// via `$coords` (identity for `[f64; D]`, exact `as f64` conversion for
-/// grid points — the same conversion the scalar kernels apply), then
-/// dispatch to the `$family` kernels of [`ColumnStore`].
-macro_rules! columnar_hooks {
-    ($pt:ty, $coords:path,
-     $dist_many:ident, $nearest:ident, $find_within:ident, $count_within:ident,
-     $within_indices:ident, $cover_weight:ident, $argmax_cover_weight:ident) => {
-        fn build_columns(&self, pts: &[$pt], mode: Precision) -> Option<ColumnSet> {
-            Some(ColumnSet::new(ColumnStore::<D>::from_points(
-                mode,
-                pts.iter().map(|p| ($coords(p), 1u64)),
-            )))
-        }
-
-        fn build_columns_weighted(
-            &self,
-            pts: &[Weighted<$pt>],
-            mode: Precision,
-        ) -> Option<ColumnSet> {
-            Some(ColumnSet::new(ColumnStore::<D>::from_points(
-                mode,
-                pts.iter().map(|p| ($coords(&p.point), p.weight)),
-            )))
-        }
-
-        fn col_push(&self, cols: &mut ColumnSet, p: &$pt, w: u64) {
-            cols.store_mut::<D>()
-                .expect("column dimension mismatch")
-                .push(&$coords(p), w)
-        }
-
-        fn col_dist_many(&self, cols: &ColumnSet, q: &$pt, out: &mut Vec<f64>) {
-            cols.store::<D>()
-                .expect("column dimension mismatch")
-                .$dist_many(&$coords(q), out)
-        }
-
-        fn col_nearest(&self, cols: &ColumnSet, q: &$pt) -> Option<(usize, f64)> {
-            cols.store::<D>()
-                .expect("column dimension mismatch")
-                .$nearest(&$coords(q))
-        }
-
-        fn col_find_within(&self, cols: &ColumnSet, q: &$pt, r: f64) -> Option<usize> {
-            cols.store::<D>()
-                .expect("column dimension mismatch")
-                .$find_within(&$coords(q), r)
-        }
-
-        fn col_count_within(&self, cols: &ColumnSet, q: &$pt, r: f64) -> usize {
-            cols.store::<D>()
-                .expect("column dimension mismatch")
-                .$count_within(&$coords(q), r)
-        }
-
-        fn col_within_indices(&self, cols: &ColumnSet, q: &$pt, r: f64, out: &mut Vec<usize>) {
-            cols.store::<D>()
-                .expect("column dimension mismatch")
-                .$within_indices(&$coords(q), r, out)
-        }
-
-        fn col_cover_weight(&self, cols: &ColumnSet, q: &$pt, weights: &[u64], r: f64) -> u64 {
-            cols.store::<D>()
-                .expect("column dimension mismatch")
-                .$cover_weight(&$coords(q), weights, r)
-        }
-
-        fn col_argmax_cover_weight(
-            &self,
-            candidates: &[$pt],
-            cols: &ColumnSet,
-            weights: &[u64],
-            r: f64,
-        ) -> Option<(usize, u64)> {
-            cols.store::<D>()
-                .expect("column dimension mismatch")
-                .$argmax_cover_weight(candidates.iter().map($coords), weights, r)
-        }
-    };
-}
-
-/// [`columnar_hooks!`] bound to the Euclidean (deferred-`sqrt`) kernel
-/// family of [`ColumnStore`].
-macro_rules! columnar_euclid_hooks {
-    ($pt:ty, $coords:path) => {
-        columnar_hooks!(
-            $pt,
-            $coords,
-            euclid_dist_many,
-            euclid_nearest,
-            euclid_find_within,
-            euclid_count_within,
-            euclid_within_indices,
-            euclid_cover_weight,
-            euclid_argmax_cover_weight
-        );
-    };
-}
-
-/// [`columnar_hooks!`] bound to the Chebyshev (running-max) kernel
-/// family of [`ColumnStore`].
-macro_rules! columnar_cheby_hooks {
-    ($pt:ty, $coords:path) => {
-        columnar_hooks!(
-            $pt,
-            $coords,
-            cheby_dist_many,
-            cheby_nearest,
-            cheby_find_within,
-            cheby_count_within,
-            cheby_within_indices,
-            cheby_cover_weight,
-            cheby_argmax_cover_weight
-        );
-    };
-}
-
 /// Euclidean (`L2`) metric over fixed-dimension points `[f64; D]`.
 ///
 /// The doubling dimension of `R^D` under `L2` is `Θ(D)`; we report `D`.
@@ -625,7 +378,6 @@ impl<const D: usize> MetricSpace<[f64; D]> for L2 {
     }
 
     euclidean_batch_kernels!([f64; D], sq_l2);
-    columnar_euclid_hooks!([f64; D], euclid_coords);
 }
 
 /// Chebyshev (`L∞`) metric over fixed-dimension points `[f64; D]`.
@@ -719,7 +471,7 @@ macro_rules! chebyshev_batch_kernels {
             }
         }
 
-        // find_within / count_within / within_indices need no override:
+        // find_within / within_indices need no override:
         // the trait defaults already delegate to the early-exit `within`.
     };
 }
@@ -736,7 +488,6 @@ impl<const D: usize> MetricSpace<[f64; D]> for Linf {
     }
 
     chebyshev_batch_kernels!([f64; D], d_linf, linf_within);
-    columnar_cheby_hooks!([f64; D], euclid_coords);
 }
 
 /// Euclidean metric over discrete grid points `[u64; D]` from `[Δ]^D`
@@ -757,7 +508,6 @@ impl<const D: usize> MetricSpace<[u64; D]> for GridL2 {
     }
 
     euclidean_batch_kernels!([u64; D], sq_grid);
-    columnar_euclid_hooks!([u64; D], grid_to_euclid);
 }
 
 /// `L∞` metric over discrete grid points `[u64; D]`.  Shares the
@@ -777,7 +527,6 @@ impl<const D: usize> MetricSpace<[u64; D]> for GridLinf {
     }
 
     chebyshev_batch_kernels!([u64; D], d_gridlinf, gridlinf_within);
-    columnar_cheby_hooks!([u64; D], grid_to_euclid);
 }
 
 /// One-dimensional Euclidean metric over bare `f64` values.
@@ -799,16 +548,6 @@ impl MetricSpace<f64> for Line {
     fn doubling_dim(&self) -> usize {
         1
     }
-}
-
-/// Converts a discrete grid point into the Euclidean point at its location.
-#[inline]
-pub fn grid_to_euclid<const D: usize>(p: &[u64; D]) -> [f64; D] {
-    let mut out = [0.0; D];
-    for i in 0..D {
-        out[i] = p[i] as f64;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -838,10 +577,7 @@ mod tests {
         let b = [4u64, 6];
         assert_eq!(GridL2.dist(&a, &b), 5.0);
         assert_eq!(GridLinf.dist(&a, &b), 4.0);
-        assert_eq!(
-            GridL2.dist(&a, &b),
-            L2.dist(&grid_to_euclid(&a), &grid_to_euclid(&b))
-        );
+        assert_eq!(GridL2.dist(&a, &b), L2.dist(&[1.0, 2.0], &[4.0, 6.0]));
     }
 
     #[test]
@@ -873,7 +609,6 @@ mod tests {
         let pts = [[3.0, 4.0], [3.0, 4.000001], [0.0, 0.0]];
         assert!(L2.within(&q, &pts[0], 5.0));
         assert!(!L2.within(&q, &pts[1], 5.0));
-        assert_eq!(L2.count_within(&q, &pts, 5.0), 2);
         assert_eq!(L2.find_within(&q, &pts, 0.0), Some(2));
         let mut idx = Vec::new();
         L2.within_indices(&q, &pts, 5.0, &mut idx);
@@ -884,10 +619,10 @@ mod tests {
     fn negative_and_nan_radii_match_nothing() {
         let q = [0.0, 0.0];
         let pts = [[0.0, 0.0], [1.0, 0.0]];
-        assert_eq!(L2.count_within(&q, &pts, -1.0), 0);
-        assert_eq!(L2.count_within(&q, &pts, f64::NAN), 0);
-        assert_eq!(Linf.count_within(&q, &pts, -0.5), 0);
-        assert_eq!(GridL2.count_within(&[0u64, 0], &[[0u64, 0]], -1.0), 0);
+        assert_eq!(L2.find_within(&q, &pts, -1.0), None);
+        assert_eq!(L2.find_within(&q, &pts, f64::NAN), None);
+        assert_eq!(Linf.find_within(&q, &pts, -0.5), None);
+        assert_eq!(GridL2.find_within(&[0u64, 0], &[[0u64, 0]], -1.0), None);
     }
 
     #[test]
@@ -901,9 +636,10 @@ mod tests {
         let r = 2e200;
         assert!(L2.within(&q, &near, r));
         assert!(!L2.within(&q, &far, r));
-        assert_eq!(L2.count_within(&q, &[near, far], r), 1);
+        let mut idx = Vec::new();
+        L2.within_indices(&q, &[near, far], r, &mut idx);
+        assert_eq!(idx, vec![0]);
         assert_eq!(L2.find_within(&q, &[far, near], r), Some(1));
-        assert_eq!(L2.cover_weight(&q, &[near, far], &[3, 5], r), 3);
     }
 
     #[test]
@@ -924,19 +660,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_and_argmax() {
+    fn nearest_picks_the_closest() {
         let pts = [[10.0, 0.0], [1.0, 1.0], [0.5, 0.5], [9.0, 9.0]];
         let (i, d) = L2.nearest(&[0.0, 0.0], &pts).unwrap();
         assert_eq!(i, 2);
         assert_eq!(d, L2.dist(&[0.0, 0.0], &pts[2]));
         assert_eq!(L2.nearest(&[0.0, 0.0], &[] as &[[f64; 2]]), None);
-
-        let weights = [1u64, 5, 2, 1];
-        let g = L2.cover_weight(&[0.75, 0.75], &pts, &weights, 1.0);
-        assert_eq!(g, 7);
-        let (best, cover) = L2.argmax_cover_weight(&pts, &pts, &weights, 1.0).unwrap();
-        assert_eq!(best, 1, "the weight-5 point plus its neighbour win");
-        assert_eq!(cover, 7);
     }
 
     #[test]

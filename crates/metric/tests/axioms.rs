@@ -60,24 +60,4 @@ proptest! {
         prop_assert_eq!(<L2 as MetricSpace<[f64; 3]>>::doubling_dim(&L2), 3);
     }
 
-    #[test]
-    fn grid_index_never_misses_neighbors(
-        pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..80),
-        qx in 0.0f64..100.0, qy in 0.0f64..100.0, cell in 0.5f64..20.0,
-    ) {
-        use kcz_metric::{GridBucketIndex, NeighborIndex};
-        let mut idx = GridBucketIndex::<2>::new(cell);
-        let pts: Vec<[f64; 2]> = pts.into_iter().map(|(x, y)| [x, y]).collect();
-        for (i, p) in pts.iter().enumerate() {
-            idx.insert(p, i);
-        }
-        let q = [qx, qy];
-        let mut near = Vec::new();
-        idx.within(&q, cell, &mut near);
-        for (i, p) in pts.iter().enumerate() {
-            if L2.dist(p, &q) <= cell {
-                prop_assert!(near.contains(&i), "missed {:?} near {:?}", p, q);
-            }
-        }
-    }
 }

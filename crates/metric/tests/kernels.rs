@@ -1,13 +1,24 @@
-//! Property tests for the batched distance kernels and the
-//! [`NeighborIndex`] implementations: on all four metrics the batched
-//! paths must agree with the scalar `dist`, including the deferred-`sqrt`
-//! paths at `r = 0` and at exactly representable ties.
+//! Property tests for the batched distance kernels: on all four metrics
+//! the batched paths must agree with the scalar `dist`, including the
+//! deferred-`sqrt` paths at `r = 0` and at exactly representable ties,
+//! and the 8-point blocks of the Euclidean `nearest` and
+//! `find_within_weighted` on every block/tail split, at squared ties,
+//! at overflowing radii and on NaN coordinates.
 
-use kcz_metric::{
-    BruteForceIndex, GridBucketIndex, GridL2, GridLinf, Linf, MetricSpace, NeighborIndex, Weighted,
-    L2,
-};
+use kcz_metric::{GridL2, GridLinf, Linf, MetricSpace, Weighted, L2};
 use proptest::prelude::*;
+
+/// The scalar reference for `nearest`: the first index with the smallest
+/// distance, where a NaN distance never beats a comparable one.
+fn scalar_nearest(scalar: &[f64]) -> Option<(usize, u64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &d) in scalar.iter().enumerate() {
+        if best.is_none_or(|(_, b)| d < b || (b.is_nan() && !d.is_nan())) {
+            best = Some((i, d));
+        }
+    }
+    best.map(|(i, d)| (i, d.to_bits()))
+}
 
 /// Checks every batched kernel of `metric` against the scalar `dist` on
 /// one (query, point-set, radius) instance.
@@ -18,22 +29,20 @@ fn check_kernels<P: Clone + std::fmt::Debug, M: MetricSpace<P>>(
     r: f64,
 ) -> Result<(), TestCaseError> {
     let scalar: Vec<f64> = pts.iter().map(|p| metric.dist(q, p)).collect();
+    let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
 
     // dist_many returns exactly the scalar distances (sqrt deferred, not
     // skipped).
     let mut batched = Vec::new();
     metric.dist_many(q, pts, &mut batched);
-    prop_assert_eq!(&batched, &scalar);
+    prop_assert_eq!(bits(&batched), bits(&scalar));
 
-    // nearest: the distance is the scalar minimum, exactly.
-    let nearest = metric.nearest(q, pts);
-    match nearest {
-        None => prop_assert!(pts.is_empty()),
-        Some((i, d)) => {
-            prop_assert_eq!(d, scalar[i]);
-            prop_assert!(scalar.iter().all(|&s| d <= s));
-        }
-    }
+    // nearest: the scalar minimum, exactly, at the smallest index.
+    let expect_nearest = scalar_nearest(&scalar);
+    prop_assert_eq!(
+        metric.nearest(q, pts).map(|(i, d)| (i, d.to_bits())),
+        expect_nearest
+    );
 
     // within-family kernels agree with the scalar predicate.  (Random
     // coordinates never land within one ulp of the radius; the exact-tie
@@ -42,8 +51,6 @@ fn check_kernels<P: Clone + std::fmt::Debug, M: MetricSpace<P>>(
     for (i, p) in pts.iter().enumerate() {
         prop_assert_eq!(metric.within(q, p, r), expect[i], "point {}", i);
     }
-    let n_within = expect.iter().filter(|&&b| b).count();
-    prop_assert_eq!(metric.count_within(q, pts, r), n_within);
     prop_assert_eq!(
         metric.find_within(q, pts, r),
         expect.iter().position(|&b| b)
@@ -53,45 +60,58 @@ fn check_kernels<P: Clone + std::fmt::Debug, M: MetricSpace<P>>(
     let expect_idx: Vec<usize> = (0..pts.len()).filter(|&i| expect[i]).collect();
     prop_assert_eq!(&idx, &expect_idx);
 
-    // Weighted variants and the cover-weight kernels.
-    let weights: Vec<u64> = (0..pts.len()).map(|i| 1 + (i as u64 % 5)).collect();
-    let expect_cover: u64 = expect_idx.iter().map(|&i| weights[i]).sum();
-    prop_assert_eq!(metric.cover_weight(q, pts, &weights, r), expect_cover);
+    // Weighted variants.
     let weighted: Vec<Weighted<P>> = pts
         .iter()
-        .zip(&weights)
-        .map(|(p, &w)| Weighted::new(p.clone(), w))
+        .enumerate()
+        .map(|(i, p)| Weighted::new(p.clone(), 1 + (i as u64 % 5)))
         .collect();
     prop_assert_eq!(
         metric.find_within_weighted(q, &weighted, r),
         expect.iter().position(|&b| b)
     );
-    match metric.nearest_weighted(q, &weighted) {
-        None => prop_assert!(pts.is_empty()),
-        Some((i, d)) => prop_assert_eq!(d, scalar[i]),
-    }
-
-    // argmax_cover_weight: its winner's cover is the maximum over the
-    // per-candidate scalar covers.
-    if let Some((best, cover)) = metric.argmax_cover_weight(pts, pts, &weights, r) {
-        prop_assert_eq!(cover, metric.cover_weight(&pts[best], pts, &weights, r));
-        for c in pts {
-            prop_assert!(metric.cover_weight(c, pts, &weights, r) <= cover);
-        }
-    } else {
-        prop_assert!(pts.is_empty());
-    }
+    prop_assert_eq!(
+        metric
+            .nearest_weighted(q, &weighted)
+            .map(|(i, d)| (i, d.to_bits())),
+        expect_nearest
+    );
+    metric.dist_many_weighted(q, &weighted, &mut batched);
+    prop_assert_eq!(bits(&batched), bits(&scalar));
     Ok(())
 }
 
-fn euclid_pts(max_n: usize) -> impl Strategy<Value = Vec<[f64; 2]>> {
-    prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 0..max_n)
-        .prop_map(|v| v.into_iter().map(|(x, y)| [x, y]).collect())
+/// Number of points of `pts` within `r` of `q`, via `within_indices`.
+fn n_within<P, M: MetricSpace<P>>(metric: &M, q: &P, pts: &[P], r: f64) -> usize {
+    let mut idx = Vec::new();
+    metric.within_indices(q, pts, r, &mut idx);
+    idx.len()
 }
 
-fn grid_pts(max_n: usize) -> impl Strategy<Value = Vec<[u64; 2]>> {
-    prop::collection::vec((0u64..1000, 0u64..1000), 0..max_n)
-        .prop_map(|v| v.into_iter().map(|(x, y)| [x, y]).collect())
+/// `n·D` coordinates chunked into `[f64; D]` points: lengths land on
+/// every residue mod the block width, exercising the tails.
+fn euclid_pts<const D: usize>(max_n: usize) -> impl Strategy<Value = Vec<[f64; D]>> {
+    prop::collection::vec(-100.0f64..100.0, 0..max_n * D).prop_map(|v| {
+        v.chunks_exact(D)
+            .map(|c| {
+                let mut p = [0.0; D];
+                p.copy_from_slice(c);
+                p
+            })
+            .collect()
+    })
+}
+
+fn grid_pts<const D: usize>(max_n: usize) -> impl Strategy<Value = Vec<[u64; D]>> {
+    prop::collection::vec(0u64..1000, 0..max_n * D).prop_map(|v| {
+        v.chunks_exact(D)
+            .map(|c| {
+                let mut p = [0u64; D];
+                p.copy_from_slice(c);
+                p
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -102,69 +122,162 @@ proptest! {
     })]
 
     #[test]
-    fn l2_kernels_agree(pts in euclid_pts(40), qx in -100.0f64..100.0,
-                        qy in -100.0f64..100.0, r in 0.0f64..150.0) {
-        check_kernels(&L2, &[qx, qy], &pts, r)?;
-    }
-
-    #[test]
-    fn linf_kernels_agree(pts in euclid_pts(40), qx in -100.0f64..100.0,
+    fn linf_kernels_agree(pts in euclid_pts::<2>(40), qx in -100.0f64..100.0,
                           qy in -100.0f64..100.0, r in 0.0f64..150.0) {
         check_kernels(&Linf, &[qx, qy], &pts, r)?;
     }
 
     #[test]
-    fn grid_l2_kernels_agree(pts in grid_pts(40), qx in 0u64..1000,
-                             qy in 0u64..1000, r in 0.0f64..800.0) {
-        check_kernels(&GridL2, &[qx, qy], &pts, r)?;
-    }
-
-    #[test]
-    fn grid_linf_kernels_agree(pts in grid_pts(40), qx in 0u64..1000,
+    fn grid_linf_kernels_agree(pts in grid_pts::<2>(40), qx in 0u64..1000,
                                qy in 0u64..1000, r in 0.0f64..800.0) {
         check_kernels(&GridLinf, &[qx, qy], &pts, r)?;
     }
 
     #[test]
-    fn zero_radius_with_duplicates(pts in euclid_pts(20), dup in 0usize..20) {
+    fn zero_radius_with_duplicates(pts in euclid_pts::<2>(20), dup in 0usize..20) {
         // r = 0 must match exactly the duplicates of q, on every metric.
         if pts.is_empty() { return Ok(()); }
         let q = pts[dup % pts.len()];
         let n_dup = pts.iter().filter(|p| **p == q).count();
-        prop_assert_eq!(L2.count_within(&q, &pts, 0.0), n_dup);
-        prop_assert_eq!(Linf.count_within(&q, &pts, 0.0), n_dup);
+        prop_assert_eq!(n_within(&L2, &q, &pts, 0.0), n_dup);
+        prop_assert_eq!(n_within(&Linf, &q, &pts, 0.0), n_dup);
         check_kernels(&L2, &q, &pts, 0.0)?;
         check_kernels(&Linf, &q, &pts, 0.0)?;
     }
+}
 
-    #[test]
-    fn neighbor_indexes_agree(pts in euclid_pts(60), qx in -100.0f64..100.0,
-                              qy in -100.0f64..100.0, r in 0.01f64..40.0) {
-        let mut grid = GridBucketIndex::<2>::new(r);
-        let mut brute = BruteForceIndex::new(L2);
-        for (i, p) in pts.iter().enumerate() {
-            grid.insert(p, i);
-            brute.insert(p, i);
+/// The Euclidean metrics, whose `nearest` and `find_within_weighted`
+/// run in 8-point blocks, at d ∈ {2, 3, 4, 8}.
+macro_rules! euclid_kernels_agree_at_dim {
+    ($l2:ident, $gl2:ident, $d:literal) => {
+        proptest! {
+            #![proptest_config(ProptestConfig {
+                cases: 24,
+                rng_seed: 0xB10C_0000 + $d,
+                ..ProptestConfig::default()
+            })]
+
+            #[test]
+            fn $l2(pts in euclid_pts::<$d>(40), q in euclid_pts::<$d>(2),
+                   r in 0.0f64..250.0) {
+                let q = q.first().copied().unwrap_or([1.25; $d]);
+                check_kernels(&L2, &q, &pts, r)?;
+            }
+
+            #[test]
+            fn $gl2(pts in grid_pts::<$d>(40), q in grid_pts::<$d>(2),
+                    r in 0.0f64..1500.0) {
+                let q = q.first().copied().unwrap_or([7; $d]);
+                check_kernels(&GridL2, &q, &pts, r)?;
+            }
         }
-        let q = [qx, qy];
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        grid.within(&q, r, &mut a);
-        brute.within(&q, r, &mut b);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(&a, &b);
-        // Both also agree with the raw kernel over the point array.
-        let mut c = Vec::new();
-        L2.within_indices(&q, &pts, r, &mut c);
-        prop_assert_eq!(&a, &c);
-        // The absorb test is consistent with the within set.
-        let ga = grid.absorb_candidate(&q, r);
-        let ba = brute.absorb_candidate(&q, r);
-        prop_assert_eq!(ga.is_some(), !a.is_empty());
-        prop_assert_eq!(ba.is_some(), !a.is_empty());
-        if let Some(id) = ga { prop_assert!(a.contains(&id)); }
-        if let Some(id) = ba { prop_assert!(a.contains(&id)); }
+    };
+}
+
+euclid_kernels_agree_at_dim!(l2_kernels_agree_d2, grid_l2_kernels_agree_d2, 2);
+euclid_kernels_agree_at_dim!(l2_kernels_agree_d3, grid_l2_kernels_agree_d3, 3);
+euclid_kernels_agree_at_dim!(l2_kernels_agree_d4, grid_l2_kernels_agree_d4, 4);
+euclid_kernels_agree_at_dim!(l2_kernels_agree_d8, grid_l2_kernels_agree_d8, 8);
+
+/// Every length from 0 to 3·8 + 1, with the only hit (and the only
+/// nearest point) at each position in turn: in a block, at a block's
+/// edges and in the tail.  `far(i)` must move away from `q` as `i` grows
+/// and stay beyond `r`; `near` must lie within `r`.
+fn check_single_hit_at_every_position<P: Copy + std::fmt::Debug, M: MetricSpace<P>>(
+    metric: &M,
+    q: &P,
+    far: impl Fn(usize) -> P,
+    near: P,
+    r: f64,
+) {
+    for n in 0..=25usize {
+        let mut pts: Vec<P> = (0..n).map(&far).collect();
+        check_kernels(metric, q, &pts, r).unwrap();
+        for hit in 0..n {
+            pts[hit] = near;
+            check_kernels(metric, q, &pts, r).unwrap();
+            let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
+            assert_eq!(
+                metric.find_within_weighted(q, &weighted, r),
+                Some(hit),
+                "n = {n}"
+            );
+            assert_eq!(
+                metric.nearest(q, &pts).map(|(i, _)| i),
+                Some(hit),
+                "n = {n}"
+            );
+            pts[hit] = far(hit);
+        }
+    }
+}
+
+#[test]
+fn a_single_hit_is_found_at_every_position_of_every_length() {
+    check_single_hit_at_every_position(
+        &L2,
+        &[0.5, -0.25, 2.0],
+        |i| [100.0 + i as f64, -50.0, 3.0 * i as f64],
+        [0.75, 0.0, 2.0],
+        1.0,
+    );
+    check_single_hit_at_every_position(&GridL2, &[5u64, 5], |i| [100 + i as u64, 3], [6, 4], 2.0);
+}
+
+#[test]
+fn squared_ties_pick_the_smallest_index() {
+    // [4,3] and [3,4] are equidistant from the origin with *exactly*
+    // representable squared distances: the tie must resolve to the
+    // smallest index within one block, across two blocks, and between a
+    // block and the tail.
+    let q = [0.0, 0.0];
+    for (a, b) in [(2, 5), (11, 17), (20, 24)] {
+        let mut pts = vec![[9.0, 9.0]; 25];
+        pts[a] = [4.0, 3.0];
+        pts[b] = [3.0, 4.0];
+        for r in [5.0, 4.999999999999999, 0.0, -1.0, f64::NAN] {
+            check_kernels(&L2, &q, &pts, r).unwrap();
+        }
+        assert_eq!(L2.nearest(&q, &pts), Some((a, 5.0)));
+        let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
+        assert_eq!(L2.find_within_weighted(&q, &weighted, 5.0), Some(a));
+    }
+    let gq = [0u64, 0];
+    let mut gpts = vec![[9u64, 9]; 9];
+    gpts[3] = [4, 3];
+    gpts[8] = [3, 4];
+    check_kernels(&GridL2, &gq, &gpts, 5.0).unwrap();
+    assert_eq!(GridL2.nearest(&gq, &gpts), Some((3, 5.0)));
+}
+
+#[test]
+fn overflowing_radius_falls_back_to_scalar() {
+    // r² overflows: a squared compare would accept every point.  Ten
+    // points put the only finite-distance one past the first block.
+    let q = [0.0, 0.0];
+    let mut pts = vec![[3e200, 0.0]; 10];
+    pts[9] = [1e150, 0.0];
+    let r = 2e200;
+    check_kernels(&L2, &q, &pts, r).unwrap();
+    let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
+    assert_eq!(L2.find_within_weighted(&q, &weighted, r), Some(9));
+    assert_eq!(n_within(&L2, &q, &pts, r), 1);
+}
+
+#[test]
+fn nan_coordinates_are_skipped_like_scalar() {
+    // inf − inf yields a NaN distance: `nearest` must fall through to the
+    // comparable entry, radius tests must not match it — in a block and
+    // in the tail.
+    let q = [f64::INFINITY, 4.0];
+    for n in [2usize, 9, 17] {
+        let mut pts = vec![[f64::INFINITY, 0.0]; n];
+        pts[n - 1] = [5.0, 5.0];
+        check_kernels(&L2, &q, &pts, 100.0).unwrap();
+        check_kernels(&Linf, &q, &pts, 100.0).unwrap();
+        assert_eq!(L2.nearest(&q, &pts).unwrap().0, n - 1);
+        let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
+        assert_eq!(L2.find_within_weighted(&q, &weighted, 1e300), None);
     }
 }
 
@@ -174,30 +287,16 @@ proptest! {
 fn deferred_sqrt_exact_ties() {
     let q = [0.0f64, 0.0];
     let pts = [[3.0, 4.0], [4.0, 3.0], [5.0, 0.0], [3.0, 4.0000001]];
-    assert_eq!(L2.count_within(&q, &pts, 5.0), 3);
     let mut idx = Vec::new();
     L2.within_indices(&q, &pts, 5.0, &mut idx);
     assert_eq!(idx, vec![0, 1, 2]);
-    assert_eq!(Linf.count_within(&q, &pts, 4.0), 2);
+    assert_eq!(n_within(&Linf, &q, &pts, 4.0), 2);
 
     let gq = [0u64, 0];
     let gpts = [[3u64, 4], [5, 0], [4, 4]];
-    assert_eq!(GridL2.count_within(&gq, &gpts, 5.0), 2);
-    assert_eq!(GridLinf.count_within(&gq, &gpts, 4.0), 2);
+    assert_eq!(n_within(&GridL2, &gq, &gpts, 5.0), 2);
+    assert_eq!(n_within(&GridLinf, &gq, &gpts, 4.0), 2);
     // r = 0 with exact duplicates.
-    assert_eq!(GridL2.count_within(&gq, &[[0u64, 0], [1, 0]], 0.0), 1);
+    assert_eq!(n_within(&GridL2, &gq, &[[0u64, 0], [1, 0]], 0.0), 1);
     assert_eq!(L2.find_within(&q, &[[0.0, 0.0]], 0.0), Some(0));
-}
-
-/// The grid index answers exactly at its maximum radius (points exactly
-/// `cell` away live in a neighbouring bucket and must be found).
-#[test]
-fn grid_index_exact_at_cell_boundary() {
-    let mut grid = GridBucketIndex::<2>::new(2.0);
-    grid.insert(&[2.0, 0.0], 0); // exactly r away from the query
-    grid.insert(&[2.0000001, 0.0], 1); // just outside
-    let mut out = Vec::new();
-    grid.within(&[0.0, 0.0], 2.0, &mut out);
-    assert_eq!(out, vec![0]);
-    assert_eq!(grid.absorb_candidate(&[0.0, 0.0], 2.0), Some(0));
 }

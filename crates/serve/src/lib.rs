@@ -11,10 +11,9 @@
 //! Three layers:
 //!
 //! * [`SnapshotView`] — one immutable, epoch-numbered view: the solved
-//!   centers, the certified `(3+8ε′)` bound data, and a
-//!   [`kcz_metric::NeighborIndex`] built over the centers.  All query
-//!   methods route through the batched [`kcz_metric::MetricSpace`]
-//!   kernels.
+//!   centers and the certified `(3+8ε′)` bound data.  Every query method
+//!   is one batched [`kcz_metric::MetricSpace`] kernel scan over the
+//!   centers.
 //! * [`QueryEngine`] — the serving front: holds the engine plus the
 //!   newest published view behind a brief read-lock.  Readers acquire a
 //!   view (`Arc` clone) and query it without ever blocking ingest;

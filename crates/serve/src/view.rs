@@ -5,13 +5,11 @@
 //! every answer it produces is exact with respect to that frozen epoch,
 //! and carries the epoch number plus the certified `3 + 8ε′` bound
 //! factor so callers can quote the guarantee the answer was served
-//! under.  All distance work routes through the batched
-//! [`MetricSpace`] kernels; radius queries against the center set go
-//! through a [`NeighborIndex`] built over the centers at view
-//! construction.
+//! under.  Every query is one batched [`MetricSpace`] kernel scan over
+//! the snapshot's at most `k` centers.
 
 use kcz_engine::{Backend, Snapshot};
-use kcz_metric::{BruteForceIndex, ColumnSet, MetricSpace, NeighborIndex, Precision, Weighted};
+use kcz_metric::{MetricSpace, Weighted};
 use std::sync::Arc;
 
 /// The answer to an [`assign`](SnapshotView::assign) query: which center
@@ -56,55 +54,16 @@ pub struct Classification {
 /// Cheap to share (`Arc`), never blocks or is blocked by ingest, and
 /// answers are mutually consistent by construction — they all read the
 /// same frozen center set.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SnapshotView<P, M: MetricSpace<P>> {
     metric: M,
     snap: Arc<Snapshot<P>>,
-    /// Radius queries over the centers: the metric-agnostic kernel-backed
-    /// index (center counts are `≤ k`, where brute force *is* the right
-    /// index — the scan is one deferred-`sqrt` kernel pass).
-    index: BruteForceIndex<P, M>,
-    /// Columnar (f64) block of the frozen centers: `assign`, `classify`
-    /// and `nearest_centers` serve from the blocked SoA kernels, which
-    /// are bit-identical to the AoS scans per the metric crate's
-    /// equivalence suite.  `None` for metrics without columnar kernels.
-    cols: Option<ColumnSet>,
-}
-
-impl<P: Clone, M: MetricSpace<P> + Clone> Clone for SnapshotView<P, M> {
-    fn clone(&self) -> Self {
-        // Rebuild from the shared snapshot: the view is immutable, so a
-        // reconstruction is indistinguishable from a field-wise copy.
-        SnapshotView::new(self.metric.clone(), Arc::clone(&self.snap))
-    }
 }
 
 impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
-    /// Builds a view over a published snapshot: clones the metric and
-    /// indexes the snapshot's centers (AoS index plus the columnar
-    /// center block).
+    /// Builds a view over a published snapshot.
     pub fn new(metric: M, snap: Arc<Snapshot<P>>) -> Self {
-        let mut index = BruteForceIndex::new(metric.clone());
-        for (i, c) in snap.centers.iter().enumerate() {
-            index.insert(c, i);
-        }
-        let cols = metric.build_columns(&snap.centers, Precision::F64);
-        SnapshotView {
-            metric,
-            snap,
-            index,
-            cols,
-        }
-    }
-
-    /// Nearest center to `p` — the columnar kernel over the center block
-    /// when available, the AoS kernel otherwise (identical bits either
-    /// way: exact distances, smallest index on ties).
-    fn nearest_center(&self, p: &P) -> Option<(usize, f64)> {
-        match &self.cols {
-            Some(cols) => self.metric.col_nearest(cols, p),
-            None => self.metric.nearest(p, &self.snap.centers),
-        }
+        SnapshotView { metric, snap }
     }
 
     /// The epoch this view serves.
@@ -185,11 +144,13 @@ impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
     /// `None` when the view has no centers (nothing ingested yet, or the
     /// whole weight fit the outlier budget).
     pub fn assign(&self, p: &P) -> Option<Assignment> {
-        self.nearest_center(p).map(|(center, dist)| Assignment {
-            center,
-            dist,
-            epoch: self.snap.epoch,
-        })
+        self.metric
+            .nearest(p, &self.snap.centers)
+            .map(|(center, dist)| Assignment {
+                center,
+                dist,
+                epoch: self.snap.epoch,
+            })
     }
 
     /// Covered/outlier verdict for `p` at radius `r`, with the epoch's
@@ -197,8 +158,7 @@ impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
     /// nearest-center distance against `r` (scalar semantics, so callers
     /// re-checking with `dist` reproduce it bit-for-bit).
     pub fn classify(&self, p: &P, r: f64) -> Classification {
-        let near = self.nearest_center(p);
-        let (center, dist) = match near {
+        let (center, dist) = match self.metric.nearest(p, &self.snap.centers) {
             Some((c, d)) => (Some(c), d),
             None => (None, f64::INFINITY),
         };
@@ -217,10 +177,7 @@ impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
     /// Fewer than `j` come back when the view has fewer centers.
     pub fn nearest_centers(&self, p: &P, j: usize) -> Vec<Assignment> {
         let mut dists = Vec::new();
-        match &self.cols {
-            Some(cols) => self.metric.col_dist_many(cols, p, &mut dists),
-            None => self.metric.dist_many(p, &self.snap.centers, &mut dists),
-        }
+        self.metric.dist_many(p, &self.snap.centers, &mut dists);
         let mut order: Vec<usize> = (0..dists.len()).collect();
         order.sort_by(|&a, &b| dists[a].total_cmp(&dists[b]).then(a.cmp(&b)));
         order
@@ -234,19 +191,18 @@ impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
             .collect()
     }
 
-    /// Indices of all centers within distance `r` of `p`, via the
-    /// view's [`NeighborIndex`] (unspecified order; the deferred-`sqrt`
-    /// kernel contract of [`MetricSpace`] applies).
+    /// Ascending indices of all centers within distance `r` of `p` (the
+    /// deferred-`sqrt` kernel contract of [`MetricSpace`] applies).
     pub fn centers_within(&self, p: &P, r: f64, out: &mut Vec<usize>) {
-        self.index.within(p, r, out);
+        self.metric.within_indices(p, &self.snap.centers, r, out);
     }
 
     /// Whether *any* center lies within `r` of `p` — the absorb-style
-    /// early-exit cover test on the index.  Follows the deferred-`sqrt`
-    /// kernel contract; use [`classify`](Self::classify) when the
-    /// boundary must match scalar `dist ≤ r` exactly.
+    /// early-exit cover test.  Follows the deferred-`sqrt` kernel
+    /// contract; use [`classify`](Self::classify) when the boundary must
+    /// match scalar `dist ≤ r` exactly.
     pub fn covered_fast(&self, p: &P, r: f64) -> bool {
-        self.index.absorb_candidate(p, r).is_some()
+        self.metric.find_within(p, &self.snap.centers, r).is_some()
     }
 }
 
@@ -323,10 +279,9 @@ mod tests {
     fn centers_within_agrees_with_scalar_scan() {
         let view = view_over(&two_clusters());
         let q = [50.0, 25.0];
-        let mut via_index = Vec::new();
+        let mut via_kernel = Vec::new();
         for r in [1.0, 60.0, 1000.0] {
-            view.centers_within(&q, r, &mut via_index);
-            via_index.sort_unstable();
+            view.centers_within(&q, r, &mut via_kernel);
             let scalar: Vec<usize> = view
                 .centers()
                 .iter()
@@ -334,7 +289,7 @@ mod tests {
                 .filter(|(_, c)| L2.within(&q, c, r))
                 .map(|(i, _)| i)
                 .collect();
-            assert_eq!(via_index, scalar, "r = {r}");
+            assert_eq!(via_kernel, scalar, "r = {r}");
             assert_eq!(view.covered_fast(&q, r), !scalar.is_empty());
         }
     }

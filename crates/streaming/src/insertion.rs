@@ -16,11 +16,11 @@
 //! literature (see `DESIGN.md`).
 
 use kcz_coreset::{streaming_capacity, update_coreset};
-use kcz_metric::{ColumnSet, MetricSpace, Precision, SpaceUsage, Weighted, F32_EPS_BUDGET};
+use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 
 /// Radius-doubling streaming engine (Algorithm 3 generalized over the
 /// absorb factor `a` and the capacity threshold).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DoublingCoreset<P, M> {
     metric: M,
     k: usize,
@@ -36,47 +36,6 @@ pub struct DoublingCoreset<P, M> {
     /// +1 per recompressing merge (Lemma 5 composition; see
     /// [`Self::merge`]).
     drift_factor: f64,
-    /// Lane precision of the columnar absorb mirror.  [`Precision::F32`]
-    /// trades exactness of the absorb test for vector width; everything
-    /// published (representative points, weights, `r`) stays f64, and
-    /// [`Self::effective_eps`] folds [`F32_EPS_BUDGET`] into the
-    /// guarantee.
-    precision: Precision,
-    /// Whether `metric` supplies columnar kernels at all.
-    col_support: bool,
-    /// Columnar mirror of the representative *points*, kept in sync with
-    /// `reps` (appended on absorb-miss, rebuilt after re-clusters and
-    /// merges) and scanned by the absorb test.  A redundant transposed
-    /// cache of `reps` — deliberately excluded from the word accounting,
-    /// which counts logical summary content.  Its weight lane is a
-    /// build-time snapshot; absorb decisions never read it (weights live
-    /// in `reps`).  `None` when the metric has no columnar kernels or on
-    /// a fresh clone; rebuilt lazily on the next insert.
-    mirror: Option<ColumnSet>,
-}
-
-impl<P: Clone, M: Clone> Clone for DoublingCoreset<P, M> {
-    fn clone(&self) -> Self {
-        // The mirror is a rebuildable cache: cloning without it keeps the
-        // publish path's transient shard clones cheap; a clone that goes
-        // on ingesting rebuilds it on the first insert.
-        DoublingCoreset {
-            metric: self.metric.clone(),
-            k: self.k,
-            z: self.z,
-            absorb: self.absorb,
-            capacity: self.capacity,
-            r: self.r,
-            reps: self.reps.clone(),
-            n_seen: self.n_seen,
-            rebuilds: self.rebuilds,
-            peak_words: self.peak_words,
-            drift_factor: self.drift_factor,
-            precision: self.precision,
-            col_support: self.col_support,
-            mirror: None,
-        }
-    }
 }
 
 impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
@@ -84,20 +43,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
     /// the absorption test; `capacity` is the re-cluster threshold and must
     /// exceed `k + z + 1` so the initial radius can be established.
     pub fn new(metric: M, k: usize, z: u64, absorb: f64, capacity: u64) -> Self {
-        Self::with_precision(metric, k, z, absorb, capacity, Precision::F64)
-    }
-
-    /// [`Self::new`] with an explicit lane precision for the columnar
-    /// absorb mirror (see the `precision` field docs; [`Precision::F32`]
-    /// widens [`Self::effective_eps`] by [`F32_EPS_BUDGET`]).
-    pub fn with_precision(
-        metric: M,
-        k: usize,
-        z: u64,
-        absorb: f64,
-        capacity: u64,
-        precision: Precision,
-    ) -> Self {
         assert!(k >= 1, "k must be at least 1");
         assert!(absorb > 0.0, "absorb factor must be positive");
         assert!(
@@ -105,7 +50,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             "capacity {capacity} must exceed k + z + 1 = {}",
             k as u64 + z + 1
         );
-        let col_support = metric.build_columns_weighted(&[], precision).is_some();
         DoublingCoreset {
             metric,
             k,
@@ -118,19 +62,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             rebuilds: 0,
             peak_words: 0,
             drift_factor: 2.0,
-            precision,
-            col_support,
-            mirror: None,
-        }
-    }
-
-    /// Rebuilds the columnar mirror from the current representatives
-    /// (no-op for metrics without columnar kernels).
-    fn rebuild_mirror(&mut self) {
-        if self.col_support {
-            self.mirror = self
-                .metric
-                .build_columns_weighted(&self.reps, self.precision);
         }
     }
 
@@ -159,9 +90,8 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
                 self.k == other.k
                     && self.z == other.z
                     && self.absorb == other.absorb
-                    && self.capacity == other.capacity
-                    && self.precision == other.precision,
-                "merge requires identical (k, z, absorb, capacity, precision) parameters"
+                    && self.capacity == other.capacity,
+                "merge requires identical (k, z, absorb, capacity) parameters"
             );
             // Metrics of the same type can still disagree on the one
             // observable parameter (doubling dimension, e.g. differently
@@ -208,9 +138,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
             self.rebuilds += 1;
         }
-        // The representative set was restructured wholesale; drop the
-        // columnar mirror and let the next insert rebuild it.
-        self.mirror = None;
         self.peak_words = self.peak_words.max(self.space_words());
     }
 
@@ -226,26 +153,16 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
         // Saturating like the representative weights: a stream that
         // exhausts u64 weight pins the counter instead of overflowing.
         self.n_seen = self.n_seen.saturating_add(w);
-        let threshold = self.absorb * self.r;
-        if self.col_support && self.mirror.is_none() {
-            self.rebuild_mirror();
-        }
         // Line 1–2: absorb into a representative within a·r — one batched
-        // find-first-within kernel over the representative set (the
-        // blocked columnar scan when the metric provides one, the AoS
-        // kernel otherwise; deferred sqrt, early exit on the first hit).
-        // Weights live in `reps`, so the hit only touches the AoS side.
-        let hit = match &self.mirror {
-            Some(cols) => self.metric.col_find_within(cols, &p, threshold),
-            None => self.metric.find_within_weighted(&p, &self.reps, threshold),
-        };
-        if let Some(i) = hit {
+        // find-first-within kernel over the representative set (deferred
+        // sqrt, early exit on the first hit).
+        if let Some(i) = self
+            .metric
+            .find_within_weighted(&p, &self.reps, self.absorb * self.r)
+        {
             self.reps[i].weight = self.reps[i].weight.saturating_add(w);
         } else {
-            // Line 4: new representative — appended to both layouts.
-            if let Some(cols) = self.mirror.as_mut() {
-                self.metric.col_push(cols, &p, w);
-            }
+            // Line 4: new representative.
             self.reps.push(Weighted::new(p, w));
             // Line 5–7: establish the initial radius from the minimum
             // pairwise distance once k+z+1 distinct points are present.
@@ -255,16 +172,10 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
                 }
             }
             // Line 8–10: double r and re-cluster until under capacity.
-            let before = self.rebuilds;
             while self.r > 0.0 && self.reps.len() as u64 >= self.capacity {
                 self.r *= 2.0;
                 self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
                 self.rebuilds += 1;
-            }
-            if self.rebuilds != before {
-                // Re-cluster replaced the representatives; invalidate the
-                // mirror (rebuilt lazily on the next insert).
-                self.mirror = None;
             }
         }
         self.peak_words = self.peak_words.max(self.space_words());
@@ -309,26 +220,13 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
     /// The ε′ this summary currently guarantees: with `r ≤ opt` the
     /// covering drift is ≤ `drift_factor·a·r ≤ (drift_factor·a)·opt`.
     /// For a pure stream with `a = ε/2` this is exactly `ε`; each
-    /// recompressing merge widens it by `a`.  In [`Precision::F32`] mode the
-    /// absorb test itself is approximate — a point at true distance up to
-    /// `(1 + F32_EPS_BUDGET)·a·r` can be absorbed — so the budget is
-    /// folded in multiplicatively here and certified empirically by the
-    /// conformance harness (which re-measures every radius in f64).
+    /// recompressing merge widens it by `a`.
     pub fn effective_eps(&self) -> f64 {
-        match self.precision {
-            Precision::F64 => self.drift_factor * self.absorb,
-            Precision::F32 => self.drift_factor * self.absorb * (1.0 + F32_EPS_BUDGET),
-        }
+        self.drift_factor * self.absorb
     }
 
-    /// Lane precision of the columnar absorb mirror.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Current storage in machine words.  Counts the logical summary
-    /// content (representatives + scalars); the columnar mirror is a
-    /// redundant transposed cache of `reps` and is excluded.
+    /// Current storage in machine words: the representatives plus the
+    /// scalars.
     pub fn space_words(&self) -> usize {
         self.reps.words() + 6
     }
@@ -352,25 +250,13 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> InsertionOnlyCoreset<P, M> {
     /// Creates the structure for a space of doubling dimension
     /// `metric.doubling_dim()`.
     pub fn new(metric: M, k: usize, z: u64, eps: f64) -> Self {
-        Self::with_precision(metric, k, z, eps, Precision::F64)
-    }
-
-    /// [`Self::new`] with an explicit lane precision for the columnar
-    /// absorb mirror ([`Precision::F32`] widens [`Self::effective_eps`]
-    /// by [`F32_EPS_BUDGET`]; published points and radii stay f64).
-    pub fn with_precision(metric: M, k: usize, z: u64, eps: f64, precision: Precision) -> Self {
         assert!(eps > 0.0 && eps <= 1.0, "ε must be in (0, 1]");
         let d = metric.doubling_dim();
         let capacity = streaming_capacity(k, z, eps, d);
         InsertionOnlyCoreset {
-            inner: DoublingCoreset::with_precision(metric, k, z, eps / 2.0, capacity, precision),
+            inner: DoublingCoreset::new(metric, k, z, eps / 2.0, capacity),
             eps,
         }
-    }
-
-    /// Lane precision of the columnar absorb mirror.
-    pub fn precision(&self) -> Precision {
-        self.inner.precision()
     }
 
     /// Handles an arrival.

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 
 use kcz_coreset::streaming_capacity;
-use kcz_metric::{ColumnSet, MetricSpace, Precision, SpaceUsage, Weighted};
+use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 
 /// One mini-ball cluster of a radius guess.
 #[derive(Debug, Clone)]
@@ -37,32 +37,13 @@ struct SwCluster<P> {
 }
 
 /// One radius guess with its clusters.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Guess<P> {
     rho: f64,
     clusters: Vec<SwCluster<P>>,
     /// Queries before this time must not trust the guess (an eviction
     /// removed points that may still be in the window).
     tainted_until: u64,
-    /// Columnar mirror of the cluster *anchors*, in cluster order, scanned
-    /// by the per-arrival absorb sweep.  A rebuildable cache (excluded
-    /// from the word accounting): appended on cluster creation, kept in
-    /// sync through `swap_remove` on eviction, dropped whenever `expire`
-    /// removes a cluster and rebuilt on the next sweep.  `None` for
-    /// metrics without columnar kernels.
-    anchors: Option<ColumnSet>,
-}
-
-impl<P: Clone> Clone for Guess<P> {
-    fn clone(&self) -> Self {
-        Guess {
-            rho: self.rho,
-            clusters: self.clusters.clone(),
-            tainted_until: self.tainted_until,
-            // Rebuildable cache; the clone regenerates it lazily.
-            anchors: None,
-        }
-    }
 }
 
 /// Result of a sliding-window query.
@@ -139,7 +120,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
                 rho,
                 clusters: Vec::new(),
                 tainted_until: 0,
-                anchors: None,
             });
             rho *= 2.0;
         }
@@ -172,9 +152,8 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
         self.evictions
     }
 
-    /// Drops expired points; returns `true` when a whole cluster vanished
-    /// (the caller must then invalidate the anchor mirror).
-    fn expire(cluster_list: &mut Vec<SwCluster<P>>, now: u64, window: u64) -> bool {
+    /// Drops expired points, and every cluster left empty.
+    fn expire(cluster_list: &mut Vec<SwCluster<P>>, now: u64, window: u64) {
         for c in cluster_list.iter_mut() {
             while let Some(&(t, _)) = c.pts.front() {
                 if t + window <= now {
@@ -184,20 +163,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
                 }
             }
         }
-        let before = cluster_list.len();
         cluster_list.retain(|c| !c.pts.is_empty());
-        cluster_list.len() != before
-    }
-
-    /// Rebuilds the columnar anchor mirror of one guess from its cluster
-    /// list (no-op for metrics without columnar kernels).
-    fn rebuild_anchors(metric: &M, g: &mut Guess<P>) {
-        if let Some(mut cols) = metric.build_columns(&[], Precision::F64) {
-            for c in &g.clusters {
-                metric.col_push(&mut cols, &c.anchor, 1);
-            }
-            g.anchors = Some(cols);
-        }
     }
 
     /// Handles one arrival.
@@ -218,25 +184,13 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
         self.time = now;
         let keep = self.z as usize + 1;
         for g in &mut self.guesses {
-            if Self::expire(&mut g.clusters, now, self.window) {
-                g.anchors = None;
-            }
-            if g.anchors.is_none() {
-                Self::rebuild_anchors(&self.metric, g);
-            }
+            Self::expire(&mut g.clusters, now, self.window);
             let absorb = self.eps * g.rho / 4.0;
-            // First anchor within ε·ρ/4 — the blocked columnar scan when
-            // the metric provides one (first match = smallest index, same
-            // as the AoS sweep; array metrics are symmetric, so scanning
-            // d(p, anchor) matches the AoS d(anchor, p) bit-for-bit), the
-            // per-anchor pruned predicate otherwise.
-            let hit = match &g.anchors {
-                Some(cols) => self.metric.col_find_within(cols, &p, absorb),
-                None => g
-                    .clusters
-                    .iter()
-                    .position(|c| self.metric.within(&c.anchor, &p, absorb)),
-            };
+            // First anchor within ε·ρ/4.
+            let hit = g
+                .clusters
+                .iter()
+                .position(|c| self.metric.within(&c.anchor, &p, absorb));
             if let Some(i) = hit {
                 let c = &mut g.clusters[i];
                 c.pts.push_back((now, p.clone()));
@@ -246,9 +200,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
             } else {
                 let mut pts = VecDeque::with_capacity(1);
                 pts.push_back((now, p.clone()));
-                if let Some(cols) = g.anchors.as_mut() {
-                    self.metric.col_push(cols, &p, 1);
-                }
                 g.clusters.push(SwCluster {
                     anchor: p.clone(),
                     pts,
@@ -265,10 +216,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
                         .min_by_key(|&(_, t)| t)
                         .expect("non-empty cluster list");
                     g.clusters.swap_remove(victim);
-                    if let Some(cols) = g.anchors.as_mut() {
-                        // Same swap-remove keeps the mirror in cluster order.
-                        cols.swap_remove(victim);
-                    }
                     // The evicted points all carry stamps ≤ `victim_back`,
                     // so they leave the window at `victim_back + W` — the
                     // guess is provably complete again then.  `now + W`
@@ -297,9 +244,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
         }
         self.time = now;
         for g in &mut self.guesses {
-            if Self::expire(&mut g.clusters, now, self.window) {
-                g.anchors = None;
-            }
+            Self::expire(&mut g.clusters, now, self.window);
         }
     }
 
@@ -320,9 +265,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
         let mut fallback: Option<usize> = None;
         let mut chosen: Option<usize> = None;
         for (i, g) in self.guesses.iter_mut().enumerate() {
-            if Self::expire(&mut g.clusters, now, window) {
-                g.anchors = None;
-            }
+            Self::expire(&mut g.clusters, now, window);
             if g.clusters.is_empty() || chosen.is_some() {
                 continue;
             }

@@ -10,7 +10,7 @@
 //! kcz mpc     --input pts.csv --k 3 --z 10 --eps 0.5 --machines 8 \
 //!             [--algorithm two_round|one_round|rround|baseline] [--rounds 3]
 //! kcz engine  --shards 4 --batch 256 --k 3 --z 10 --eps 0.5 \
-//!             [--precision f64|f32] [--incremental] \
+//!             [--incremental] \
 //!             [--backend insertion|window|decay] [--window W] [--half-life H] \
 //!             [--metrics m.json] [< pts.csv]
 //! kcz query   --input pts.csv --requests req.csv --shards 4 --batch 256 \
@@ -25,18 +25,16 @@
 //! final snapshot — merged coreset size, per-shard peak words, the
 //! merge-composed ε′ and its certified `3 + 8ε′` bound factor.  With
 //! `--incremental` it publishes after every batch (a resident serving
-//! engine's cadence) instead of once at end.  `--precision f32` switches the
-//! shard absorb sweeps to the columnar f32 storage mode (ε′ widened by
-//! the certified `F32_EPS_BUDGET`); the default `f64` is bit-identical
-//! to the scalar kernels.  The solve's probe count goes to stderr.
+//! engine's cadence) instead of once at end.  The solve's probe count
+//! goes to stderr.
 //! `query` ingests the stream the same way, publishes a snapshot, and
 //! answers the request file against it (`assign,x,y` / `classify,x,y,r`
 //! / `nearest,x,y,j` per line) — the read side of the same engine.
 //! `conformance` runs every pipeline over the shared scenario catalog,
 //! checks each radius against its paper ratio bound, re-checks served
 //! query answers against brute force on the published snapshot, and
-//! certifies mid-stream engine publishes (f32 mode, churn backends)
-//! bit-for-bit against from-scratch replays (exit 3 on any violation).
+//! certifies mid-stream churn-backend publishes bit-for-bit against
+//! from-scratch replays (exit 3 on any violation).
 //!
 //! `--help` or `-h`, alone or after any subcommand, prints the usage
 //! text and exits 0.
@@ -72,7 +70,7 @@ const USAGE: &str = "usage:
   kcz mpc     --input <csv> --k <K> --z <Z> --eps <EPS> --machines <M>
               [--algorithm two_round|one_round|rround|baseline] [--rounds <R>]
   kcz engine  --shards <N> --batch <B> --k <K> --z <Z> --eps <EPS>
-              [--precision f64|f32] [--incremental]
+              [--incremental]
               [--backend insertion|window|decay] [--window <W>]
               [--half-life <H>] [--input <csv>] [--metrics <json>]
               (reads stdin when --input is omitted; --incremental
@@ -191,24 +189,13 @@ fn run_conformance_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, Stri
         tq.elapsed()
     );
     // The replay passes are judged too, each tagging its entries into
-    // one `replay_violations` array.  The f32 storage mode: every
-    // scenario is replayed through an f32 engine, its mid-stream
-    // publishes bit-compared against from-scratch f32 engines and its
-    // published radii re-measured in f64 against the budget-widened
-    // bound (`f32/`).
-    let tf = std::time::Instant::now();
-    let mut replay_viols = f32_violations(tier);
-    eprintln!(
-        "f32 conformance: {} scenarios replayed in {:.1?}",
-        report.scenarios.len(),
-        tf.elapsed()
-    );
-    // The churn-capable backends: windowed epochs are certified
-    // bit-for-bit against unexpired-suffix replays (plus
-    // live-membership and a suffix-optimum bound check), and decayed
-    // epochs must drop expired regimes (`churn/`).
+    // one `replay_violations` array.  The churn-capable backends:
+    // windowed epochs are certified bit-for-bit against
+    // unexpired-suffix replays (plus live-membership and a
+    // suffix-optimum bound check), and decayed epochs must drop expired
+    // regimes (`churn/`).
     let tc = std::time::Instant::now();
-    replay_viols.extend(churn_violations(tier));
+    let mut replay_viols = churn_violations(tier);
     eprintln!(
         "churn conformance: {} scenarios replayed in {:.1?}",
         report.scenarios.len(),
@@ -384,16 +371,6 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             // serving engine's cadence); without it the engine
             // snapshots once at end of stream.
             let incremental = flags.contains_key("incremental");
-            // `--precision f32` stores shard representatives in the
-            // columnar f32 lanes (half the bandwidth per absorb sweep)
-            // and folds the certified F32_EPS_BUDGET into ε′; the
-            // default f64 mode is bit-identical to the scalar kernels.
-            let precision: Precision = match flags.get("precision") {
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|e: String| format!("--precision: {e}"))?,
-                None => Precision::F64,
-            };
             // `--backend window --window W` summarizes only the last W
             // arrivals; `--backend decay --half-life H` halves
             // representative weights every H arrivals.  The default
@@ -404,9 +381,7 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             // handle is disabled and every recording site is a no-op.
             let (registry, metrics, metrics_path) = metrics_setup(flags);
             let t0 = std::time::Instant::now();
-            let cfg = EngineConfig::new(shards, k, z, eps)
-                .with_precision(precision)
-                .with_backend(backend);
+            let cfg = EngineConfig::new(shards, k, z, eps).with_backend(backend);
             let engine = Engine::new(metric, cfg).with_metrics(&metrics);
             for chunk in points.chunks(batch) {
                 engine.ingest_weighted(chunk);
@@ -706,7 +681,6 @@ const ENGINE_FLAGS: &[&str] = &[
     "z",
     "eps",
     "incremental",
-    "precision",
     "backend",
     "window",
     "half-life",

@@ -16,9 +16,9 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`obs`] | zero-overhead observability: lock-free counters/gauges/latency histograms behind a [`obs::MetricsHandle`] that no-ops when disabled, span/stage tracing on a pluggable [`obs::Clock`] (deterministic [`obs::TickClock`] for tests), and the versioned `kcz-metrics/v1` JSON export (`--metrics` on `kcz engine` / `query` / `conformance`) |
-//! | [`metric`] | points, metrics ([`metric::L2`], [`metric::Linf`], grids), **batched distance kernels** (`dist_many`, `nearest`, `count_within`, … with deferred-`sqrt` overrides), pruned neighbor queries ([`metric::index::NeighborIndex`]: grid-bucket + brute-force), weighted sets, storage accounting |
+//! | [`metric`] | points, metrics ([`metric::L2`], [`metric::Linf`], grids), **batched distance kernels** (`dist_many`, `nearest`, `find_within`, … with deferred-`sqrt` overrides and 8-point blocks for the Euclidean absorb and nearest scans), weighted sets, storage accounting |
 //! | [`kcenter`] | offline solvers: Charikar-et-al. greedy 3-approximation, Gonzalez, exact ground truth — hot loops on the batched kernels |
-//! | [`coreset`] | mini-ball coverings: `MBCConstruction` (Alg. 1), `UpdateCoreset` (Alg. 4), index-accelerated sweeps, composition lemmas, validators |
+//! | [`coreset`] | mini-ball coverings: `MBCConstruction` (Alg. 1), `UpdateCoreset` (Alg. 4), composition lemmas, validators |
 //! | [`mpc`] | MPC simulator + the 2-round (Alg. 2), randomized 1-round (Alg. 6), R-round (Alg. 7) algorithms and the CPP19 baseline |
 //! | [`streaming`] | insertion-only (Alg. 3), fully dynamic (Alg. 5), sliding-window structures and streaming baselines |
 //! | [`engine`] | shared execution runtime (persistent worker pool) + the resident sharded ingest engine (`kcz engine`): one flat union and recompression of the shard coverings per publish, memoized epoch publication (`publish`/`latest`) and pluggable per-shard backends ([`engine::ShardBackend`]: insertion-only, sliding-window, exponential decay) |
@@ -68,15 +68,15 @@ pub mod prelude {
     };
     pub use kcz_engine::{Backend, Engine, EngineConfig, EngineStats, ShardBackend, Snapshot};
     pub use kcz_harness::{
-        all_pipelines, catalog, churn_violations, f32_violations, obs_violations, query_violations,
+        all_pipelines, catalog, churn_violations, obs_violations, query_violations,
         run_conformance, ConformanceReport, Pipeline, Scenario, Tier, Verdict,
     };
     pub use kcz_kcenter::{
         cost_with_outliers, exact_discrete, farthest_first, greedy, uncovered_weight,
     };
     pub use kcz_metric::{
-        total_weight, unit_weighted, GridL2, GridLinf, Line, Linf, MetricSpace, Precision,
-        SpaceUsage, Weighted, L2,
+        total_weight, unit_weighted, GridL2, GridLinf, Line, Linf, MetricSpace, SpaceUsage,
+        Weighted, L2,
     };
     pub use kcz_mpc::{
         ceccarello_one_round, one_round_randomized, r_round, two_round, MpcCoreset, MpcRunStats,

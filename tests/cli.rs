@@ -848,14 +848,11 @@ fn help_prints_usage_and_exits_0_on_every_subcommand() {
 }
 
 #[test]
-fn engine_precision_f32_golden_and_f64_default_identity() {
-    // `--precision f32` routes shard absorb sweeps through the columnar
-    // f32 lanes and folds F32_EPS_BUDGET into ε′, so its snapshot is
-    // pinned against its own committed golden; `--precision f64` is the
-    // default spelled out, so it must reproduce the f64 golden
-    // byte-for-byte (the same pair the CI `engine-smoke` step diffs).
+fn engine_rejects_the_retired_precision_flag() {
+    // The engine has one storage mode, so `--precision` is a flag it
+    // does not read: a clean usage error naming it, for any value.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.csv");
-    let run = |precision: &str| {
+    for value in ["f32", "f64"] {
         let out = kcz()
             .args([
                 "engine",
@@ -872,73 +869,19 @@ fn engine_precision_f32_golden_and_f64_default_identity() {
                 "--eps",
                 "0.5",
                 "--precision",
-                precision,
+                value,
             ])
             .output()
             .unwrap();
-        assert!(
-            out.status.success(),
-            "--precision {precision}: {}",
-            String::from_utf8_lossy(&out.stderr)
+        assert_eq!(out.status.code(), Some(2), "--precision {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.lines().next().unwrap_or_default(),
+            "kcz: error: unknown flag --precision for engine",
+            "{err}"
         );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let f32_golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/engine_golden_f32.txt"
-    ))
-    .unwrap();
-    assert_eq!(
-        run("f32"),
-        f32_golden,
-        "f32 snapshot drifted from the committed golden \
-         (tests/fixtures/engine_golden_f32.txt); regenerate it with \
-         `kcz engine --shards 4 --batch 256 --k 2 --z 1 --eps 0.5 \
-         --precision f32 < tests/fixtures/golden.csv` if the change is \
-         intentional"
-    );
-    // ε′ carries the folded f32 budget: 1.5ε(1 + 1e-3).
-    assert!(
-        f32_golden.contains("effective_eps: 0.750750"),
-        "{f32_golden}"
-    );
-    let f64_golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/engine_golden.txt"
-    ))
-    .unwrap();
-    assert_eq!(
-        run("f64"),
-        f64_golden,
-        "explicit --precision f64 must match the default-mode golden"
-    );
-    // Unknown precision values: clean exit 2, not a silent f64 run.
-    let out = kcz()
-        .args([
-            "engine",
-            "--input",
-            fixture,
-            "--shards",
-            "4",
-            "--batch",
-            "256",
-            "--k",
-            "2",
-            "--z",
-            "1",
-            "--eps",
-            "0.5",
-            "--precision",
-            "f16",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown precision 'f16'"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+        assert!(out.stdout.is_empty(), "--precision {value}");
+    }
 }
 
 #[test]
