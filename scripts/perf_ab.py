@@ -25,8 +25,7 @@ Verdicts, per metric (medians m, parent quartiles q1..q3):
 
 Usage:
   scripts/perf_ab.py --parent PARENT_BIN --change CHANGE_BIN \\
-      --seeds 1,2,3 --out ab.json [--benchmark BENCHMARK.json] \\
-      [--workloads ingest,serve] [--seconds 22]
+      --seeds 1,2,3 --out ab.json
 
 Both binaries must be built with the same settings, e.g.
   cargo build --release --offline --manifest-path perfbench/Cargo.toml
@@ -40,6 +39,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def quartiles(values):
@@ -169,26 +170,14 @@ def main():
     ap.add_argument("--seeds", required=True,
                     help="comma-separated seeds, one pair per seed")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--benchmark", type=Path,
-                    default=Path(__file__).resolve().parent.parent / "BENCHMARK.json")
-    ap.add_argument("--workloads",
-                    help="comma-separated subset of the benchmark's workloads")
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: the benchmark's run_seconds)")
     args = ap.parse_args()
 
-    bench = json.loads(args.benchmark.read_text())
+    bench = json.loads(BENCHMARK.read_text())
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         ap.error("--seeds needs at least one seed")
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     names = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        wanted = args.workloads.split(",")
-        unknown = [w for w in wanted if w not in names]
-        if unknown:
-            ap.error(f"unknown workloads {unknown}; the benchmark has {names}")
-        names = [w for w in names if w in wanted]
     for binary in (args.parent, args.change):
         if not binary.is_file():
             ap.error(f"{binary} is not a file")
