@@ -1,7 +1,6 @@
 //! Experiment harness: regenerates the measured counterpart of every row
 //! of the paper's Table 1 and of each lower-bound construction (the
-//! paper's "figures").  See `EXPERIMENTS.md` for the index and for the
-//! recorded outputs.
+//! paper's "figures").
 //!
 //! Usage: `cargo run -p kcz-bench --release --bin experiments -- <id|all>
 //! [--json <path>]` where `<id>` is one of: t1_mpc, t1_rround, t1_stream,
@@ -9,8 +8,7 @@
 //! f6_lb_sliding, f8_quality, ablation, ext_dynamic.
 //!
 //! `--json <path>` additionally writes machine-readable per-run metrics
-//! (wall time, rebuilds, peak words, coreset sizes, …) so successive PRs
-//! can track a performance trajectory from committed `BENCH_*.json` files.
+//! (wall time, rebuilds, peak words, coreset sizes, …).
 
 use kcz_bench::Table;
 use kcz_coreset::validate::validate_coreset;
@@ -785,7 +783,9 @@ fn f8_quality(w: &mut String) {
     say!(w, "\nShape check: every row reports cond1 = cond2 = weight = true and a ratio in [1−ε_eff, 1+ε_eff].");
 }
 
-/// Ablations of the design choices called out in DESIGN.md.
+/// Ablations of two design choices: the greedy's candidate radii
+/// (exact pairwise distances against a 1+η geometric grid) and the
+/// streaming capacity.
 fn ablation(w: &mut String) {
     say!(w, "\n## Ablation — design choices\n");
 

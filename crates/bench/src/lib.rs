@@ -1,9 +1,7 @@
-//! Shared helpers for the experiment harness and the Criterion benches.
+//! Shared helpers for the experiment harness.
 //!
 //! The binary `experiments` (in `src/bin/`) regenerates the measured
-//! counterpart of every Table-1 row and every lower-bound figure; the
-//! benches in `benches/` measure throughput of the individual primitives.
-//! See `EXPERIMENTS.md` at the workspace root for the index.
+//! counterpart of every Table-1 row and every lower-bound figure.
 
 #![warn(missing_docs)]
 

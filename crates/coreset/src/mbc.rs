@@ -208,8 +208,9 @@ mod tests {
         let opt_p = exact_discrete(&L2, &pts, k, z, &raw).radius;
         let cand: Vec<[f64; 2]> = mbc.reps.iter().map(|r| r.point).collect();
         let opt_star = exact_discrete(&L2, &mbc.reps, k, z, &cand).radius;
-        // Definition 1(1) with the discrete-center caveat (see DESIGN.md):
-        // the coreset optimum must be close to the original optimum.
+        // Definition 1(1) over discrete centers, which can cost a factor
+        // 2 against free ones: the coreset optimum must be close to the
+        // original optimum.
         assert!(
             opt_star <= (1.0 + eps) * opt_p + 1e-9,
             "opt* {opt_star} vs opt {opt_p}"

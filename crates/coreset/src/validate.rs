@@ -1,6 +1,6 @@
 //! Empirical validation of the (ε,k,z)-coreset conditions (Definition 1).
 //!
-//! Tests and the quality experiments (`EXPERIMENTS.md`, F8) use these
+//! Tests and the quality experiment (`experiments f8_quality`) use these
 //! checkers to confirm that each algorithm's output actually behaves like a
 //! coreset, with optimal radii computed by the exact discrete solver.
 
@@ -29,7 +29,7 @@ pub struct CoresetReport {
 /// `eps_eff` is the *effective* error to test against — callers composing
 /// coverings (Lemma 5) pass the composed value, e.g. `3ε` for the MPC
 /// pipelines.  Candidate centers are the original points, which keeps both
-/// optima in the same discrete formulation (see `DESIGN.md` #6).
+/// optima in the same discrete formulation.
 pub fn validate_coreset<P: Clone + PartialEq, M: MetricSpace<P>>(
     metric: &M,
     original: &[Weighted<P>],

@@ -258,7 +258,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> WindowShard<P, M> {
     fn expire(&mut self) -> bool {
         let mut popped = false;
         while let Some(&(t, _, _)) = self.buf.front() {
-            if t + self.window <= self.now {
+            if t.saturating_add(self.window) <= self.now {
                 self.buf.pop_front();
                 popped = true;
             } else {

@@ -1,13 +1,13 @@
 //! The shared execution runtime: a persistent worker pool.
 //!
 //! Every "round" in this workspace — an MPC machine-local computation, a
-//! shard batch in the resident engine, a conformance grid cell, a bench
-//! case — is the same shape: `n` independent tasks whose results must come
-//! back in input order.  The original simulator spawned a fresh set of OS
-//! threads per round (`std::thread::scope` in `kcz_mpc::exec`), paying
-//! thread start-up and teardown on every round.  [`Pool`] keeps the
-//! workers alive across rounds and feeds them batches through a shared
-//! injector queue.
+//! shard batch in the resident engine, a conformance grid cell, an
+//! experiment — is the same shape: `n` independent tasks whose results
+//! must come back in input order.  The original simulator spawned a
+//! fresh set of OS threads per round (`std::thread::scope` in
+//! `kcz_mpc::exec`), paying thread start-up and teardown on every round.
+//! [`Pool`] keeps the workers alive across rounds and feeds them batches
+//! through a shared injector queue.
 //!
 //! # Execution model
 //!
@@ -339,9 +339,9 @@ fn worker_loop(injector: &Injector) {
 
 /// The process-wide shared pool, sized to the available parallelism
 /// (minus the participating caller), created on first use.  The MPC
-/// simulator, the resident engine, the conformance harness and the bench
-/// drivers all map their rounds through this instance unless handed a
-/// dedicated [`Pool`].
+/// simulator, the resident engine, the conformance harness and the
+/// experiment harness all map their rounds through this instance unless
+/// handed a dedicated [`Pool`].
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(|| {

@@ -1,17 +1,27 @@
-//! Allocation guards for the shard absorb path: a steady-state insert
-//! that lands on an existing representative must not allocate, with or
-//! without instrumentation.  The guard covers the fix that removed the
-//! per-call clone of every representative from the summary's
-//! pairwise-distance scan.
+//! Guards for the metrics layer on the ingest path.  A steady-state
+//! insert that lands on an existing representative must not allocate,
+//! with or without instrumentation; the guard covers the fix that
+//! removed the per-call clone of every representative from the
+//! summary's pairwise-distance scan.  And an instrumented engine must
+//! ingest within 3% of the uninstrumented median.
 //!
 //! The counting allocator below counts per thread, so allocations by
-//! the test harness's other threads cannot fail a test.
+//! the test harness's other threads cannot fail a test.  The overhead
+//! check times optimized code, so it is ignored in a plain `cargo test`;
+//! run it in release, one test at a time:
+//!
+//! ```text
+//! cargo test --release -p kcz-engine --test absorb_alloc -- --ignored --test-threads=1 --nocapture
+//! ```
 
+use kcz_engine::{Engine, EngineConfig};
 use kcz_metric::L2;
 use kcz_obs::{MetricsHandle, Registry};
 use kcz_streaming::InsertionOnlyCoreset;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// The system allocator, counting allocations and reallocations made
 /// by the calling thread.
@@ -149,5 +159,53 @@ fn instrumented_absorb_is_allocation_free() {
     assert_eq!(
         registry.counter_value("bench.absorb.inserts"),
         Some(ABSORBS as u64)
+    );
+}
+
+/// Overhead guard for the metrics layer: a fully instrumented engine
+/// (live registry, monotonic clock, per-batch spans) must ingest 1M
+/// arrivals into 8 shards within 3% of the uninstrumented median.  One
+/// unmeasured warm-up, then 7 interleaved pairs, so drift of the host
+/// hits both sides alike.
+#[test]
+#[ignore = "times optimized code: run in release with --ignored"]
+fn instrumented_ingest_is_within_3_percent_of_uninstrumented() {
+    let stream = arrivals(1_000_000);
+    let run = |metrics: &MetricsHandle| {
+        let t0 = Instant::now();
+        let engine = Engine::new(L2, EngineConfig::new(8, K, Z, EPS)).with_metrics(metrics);
+        for batch in stream.chunks(4096) {
+            engine.ingest(batch);
+        }
+        black_box(engine.snapshot().coreset.len());
+        t0.elapsed().as_secs_f64()
+    };
+    let median = |mut v: Vec<f64>| -> f64 {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    const PAIRS: usize = 7;
+    let registry = Registry::new();
+    let live = MetricsHandle::new(&registry);
+    let off = MetricsHandle::disabled();
+    let (mut base, mut inst) = (Vec::new(), Vec::new());
+    run(&off);
+    for _ in 0..PAIRS {
+        base.push(run(&off));
+        inst.push(run(&live));
+    }
+    let (b, i) = (median(base), median(inst));
+    println!(
+        "ingest: uninstrumented median {:.1} ms, instrumented {:.1} ms ({:+.2}%)",
+        b * 1e3,
+        i * 1e3,
+        (i / b - 1.0) * 100.0
+    );
+    assert!(
+        i <= b * 1.03,
+        "instrumented ingest median {:.3} ms exceeds 3% over the \
+         uninstrumented {:.3} ms",
+        i * 1e3,
+        b * 1e3
     );
 }

@@ -132,7 +132,7 @@ fn expiry_without_new_batches_redirties_the_shard_and_republishes() {
     assert_eq!(second.centers, vec![pb]);
 }
 
-/// Satellite property test (5 seeds): a windowed engine's published
+/// Property test (6 seeds): a windowed engine's published
 /// verdict is bit-identical to a brand-new engine replaying *only the
 /// unexpired suffix* of the arrival stream — no cache, no warm state,
 /// and no expired point ever seen.
@@ -144,6 +144,8 @@ fn windowed_publishes_are_bit_identical_to_unexpired_suffix_replay() {
         (0xC0FFEE_u64, 4, 160),
         (0xD00D_u64, 8, 33),
         (0x5EED_u64, 8, 256),
+        // A window that never expires: the expiry test must saturate.
+        (0xFEED_u64, 8, u64::MAX),
     ] {
         let cfg = EngineConfig::new(shards, 2, 8, 0.5).windowed(window);
         let engine = Engine::new(L2, cfg);

@@ -13,7 +13,7 @@
 //! Candidate radii: for small inputs we binary-search the exact sorted set
 //! of pairwise distances (the classical formulation); for large inputs we
 //! binary-search a geometric grid with resolution `1+η`, degrading the
-//! guarantee to `3(1+η)·opt` (substitution #2 in `DESIGN.md`).
+//! guarantee to `3(1+η)·opt`.
 //!
 //! # Ball queries
 //!

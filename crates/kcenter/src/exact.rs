@@ -6,8 +6,7 @@
 //! validating the `(1±ε)` coreset guarantees (Definition 1).  Restricting
 //! centers to a candidate set `C` is the standard discrete formulation;
 //! with `C = P` the optimum is within a factor 2 of the unrestricted one,
-//! and the coreset inequalities hold verbatim for any fixed `C` (see
-//! `DESIGN.md`, substitution #6).
+//! and the coreset inequalities hold verbatim for any fixed `C`.
 
 use kcz_metric::{MetricSpace, Weighted};
 

@@ -8,8 +8,8 @@
 //! coordinator storage, and (iii) the size of the final coreset — all of
 //! which the simulator in [`exec`] accounts exactly, while actually
 //! executing each round's machine-local computation on the workspace's
-//! shared persistent worker pool (`kcz_engine::runtime`; substitution #1
-//! in `DESIGN.md`).
+//! shared persistent worker pool (`kcz_engine::runtime`): the threads of
+//! one process stand in for the model's machines.
 //!
 //! Algorithms:
 //!

@@ -12,8 +12,9 @@
 //!   a disabled stage never reads the clock.
 //! - **Allocation-free recording.** Registration (naming an
 //!   instrument) may lock and allocate; recording never does.  The
-//!   counting-allocator benches in `kcz-bench` pin this for the
-//!   instrumented absorb and query paths.
+//!   counting-allocator tests of `kcz-engine` (`absorb_alloc.rs`) and
+//!   `kcz-serve` (`query_alloc.rs`) pin this for the instrumented
+//!   absorb and query paths.
 //! - **Deterministic exports on demand.** With a [`TickClock`], a
 //!   fixed single-threaded operation sequence produces a
 //!   byte-identical [`Registry::to_json`] export on every run — the

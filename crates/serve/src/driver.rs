@@ -79,18 +79,6 @@ pub struct DriverReport {
     pub ingest_latency: LatencyHistogram,
 }
 
-impl DriverReport {
-    /// Served queries per second over the whole replay (0 when instant).
-    pub fn queries_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.queries as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// FNV-1a fold of one answer into the digest.
 fn fold(digest: &mut u64, words: [u64; 3]) {
     for w in words {

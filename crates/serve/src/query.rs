@@ -42,7 +42,7 @@ const QUERY_CHUNK: usize = 1024;
 /// Instrument set of one query front.  Batched paths split into
 /// view-acquisition vs kernel time; recording is atomics only, so the
 /// steady-state query path stays allocation-free (pinned by the
-/// counting-allocator bench in `kcz-bench`).
+/// counting-allocator test `tests/query_alloc.rs`).
 struct QueryInstruments {
     view_acquire: Stage,
     kernel: Stage,

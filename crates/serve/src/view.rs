@@ -190,20 +190,6 @@ impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
             })
             .collect()
     }
-
-    /// Ascending indices of all centers within distance `r` of `p` (the
-    /// deferred-`sqrt` kernel contract of [`MetricSpace`] applies).
-    pub fn centers_within(&self, p: &P, r: f64, out: &mut Vec<usize>) {
-        self.metric.within_indices(p, &self.snap.centers, r, out);
-    }
-
-    /// Whether *any* center lies within `r` of `p` — the absorb-style
-    /// early-exit cover test.  Follows the deferred-`sqrt` kernel
-    /// contract; use [`classify`](Self::classify) when the boundary must
-    /// match scalar `dist ≤ r` exactly.
-    pub fn covered_fast(&self, p: &P, r: f64) -> bool {
-        self.metric.find_within(p, &self.snap.centers, r).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -273,25 +259,6 @@ mod tests {
         }
         assert_eq!(near[0].center, view.assign(&q).unwrap().center);
         assert!(view.nearest_centers(&q, 0).is_empty());
-    }
-
-    #[test]
-    fn centers_within_agrees_with_scalar_scan() {
-        let view = view_over(&two_clusters());
-        let q = [50.0, 25.0];
-        let mut via_kernel = Vec::new();
-        for r in [1.0, 60.0, 1000.0] {
-            view.centers_within(&q, r, &mut via_kernel);
-            let scalar: Vec<usize> = view
-                .centers()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| L2.within(&q, c, r))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(via_kernel, scalar, "r = {r}");
-            assert_eq!(view.covered_fast(&q, r), !scalar.is_empty());
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! F₀ (distinct-count) estimation under insertions and deletions
-//! (stand-in for the Kane–Nelson–Woodruff estimator \[32\]; `DESIGN.md` #4).
+//! (stand-in for the Kane–Nelson–Woodruff estimator \[32\]).
 //!
 //! Geometric sampling levels: level `ℓ` sees an id iff its level hash has
 //! at least `ℓ` leading zero bits (probability `2⁻ℓ`).  Every level hashes

@@ -15,8 +15,7 @@
 //!
 //! Both structures are *linear* in the frequency vector: every bucket's
 //! content is a sum of per-update contributions, so deletions cancel
-//! insertions exactly.  See `DESIGN.md` substitutions #3 and #4 for how
-//! these stand in for the cited constructions.
+//! insertions exactly.
 
 #![warn(missing_docs)]
 

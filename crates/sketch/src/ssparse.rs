@@ -1,6 +1,5 @@
 //! s-sparse recovery: recover *all* non-zero ids with exact counts when at
-//! most `s` are non-zero (stand-in for Barkay–Porat–Shalem \[4\]; see
-//! `DESIGN.md` #3).
+//! most `s` are non-zero (stand-in for Barkay–Porat–Shalem \[4\]).
 //!
 //! Layout: `rows ≈ log₂(s/δ)` independent hash rows, each with `2s`
 //! 1-sparse cells.  Decoding *peels*: any cell holding a single id reveals

@@ -15,8 +15,7 @@
 //!   solving on its summary yields an `O(1)`-approximation instead of
 //!   `1+ε` — the quality/space trade-off the quality experiment (F8)
 //!   measures.  (The original stores `O(kz/ε)` points; the weighted
-//!   summary here is the natural coreset-style rendition, see DESIGN.md
-//!   substitution #5.)
+//!   summary here is the natural coreset-style rendition.)
 
 use kcz_coreset::bounds::packing_bound;
 use kcz_metric::{MetricSpace, SpaceUsage};

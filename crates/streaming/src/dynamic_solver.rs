@@ -12,7 +12,7 @@
 //! time is polylogarithmic in `Δ` and whose query time depends only on
 //! the coreset size `O(k/ε^d + z)` — never on the number of live points.
 
-use kcz_kcenter::charikar::{greedy_with, GreedyParams};
+use kcz_kcenter::greedy;
 use kcz_metric::{Weighted, L2};
 
 use crate::dynamic::{DynamicCoreset, DynamicCoresetError};
@@ -37,7 +37,6 @@ pub struct DynamicKCenter<const D: usize> {
     sketch: DynamicCoreset<D>,
     k: usize,
     z: u64,
-    params: GreedyParams,
 }
 
 impl<const D: usize> DynamicKCenter<D> {
@@ -48,17 +47,7 @@ impl<const D: usize> DynamicKCenter<D> {
             sketch: DynamicCoreset::for_params(side_bits, k, z, eps, fail_delta, seed),
             k,
             z,
-            params: GreedyParams::default(),
         }
-    }
-
-    /// Overrides the tuning of the query-time greedy (candidate-set and
-    /// distance-matrix thresholds).  The greedy itself runs entirely on
-    /// the batched distance kernels of `kcz-metric`, so queries stay fast
-    /// even when the coreset approaches its `O(k/ε^d + z)` size bound.
-    pub fn with_params(mut self, params: GreedyParams) -> Self {
-        self.params = params;
-        self
     }
 
     /// Inserts a point.
@@ -75,7 +64,7 @@ impl<const D: usize> DynamicKCenter<D> {
     /// coreset.  Runs in time polynomial in the coreset size only.
     pub fn solve(&self) -> Result<DynamicSolution<D>, DynamicCoresetError> {
         let (coreset, level) = self.sketch.coreset()?;
-        let sol = greedy_with(&L2, &coreset, self.k, self.z, &self.params);
+        let sol = greedy(&L2, &coreset, self.k, self.z);
         Ok(DynamicSolution {
             centers: sol.centers,
             radius: sol.radius,

@@ -13,7 +13,7 @@
 //! [`DoublingCoreset`] exposes the absorb factor and the capacity as
 //! parameters; the baselines in [`crate::baselines`] are the same engine
 //! with different settings, which is exactly how they differ in the
-//! literature (see `DESIGN.md`).
+//! literature.
 
 use kcz_coreset::{streaming_capacity, update_coreset};
 use kcz_metric::{MetricSpace, SpaceUsage, Weighted};

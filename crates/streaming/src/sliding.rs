@@ -156,7 +156,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
     fn expire(cluster_list: &mut Vec<SwCluster<P>>, now: u64, window: u64) {
         for c in cluster_list.iter_mut() {
             while let Some(&(t, _)) = c.pts.front() {
-                if t + window <= now {
+                if t.saturating_add(window) <= now {
                     c.pts.pop_front();
                 } else {
                     break;
@@ -222,7 +222,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> SlidingWindowCoreset<P, M> {
                     // would over-taint by up to `now − victim_back`
                     // arrivals and shunt queries to needlessly coarse
                     // guesses in the meantime.
-                    g.tainted_until = g.tainted_until.max(victim_back + self.window);
+                    g.tainted_until = g.tainted_until.max(victim_back.saturating_add(self.window));
                     self.evictions += 1;
                 }
             }
@@ -469,15 +469,18 @@ mod tests {
         // k=1, eps=1, d=2 → cap = 16 + z. Flood with far-apart points at a
         // tiny guess to force evictions, then verify queries still answer.
         // cap = 16² = 256 clusters; 400 pairwise-far points within one
-        // window overflow the smallest guesses.
-        let mut alg = SlidingWindowCoreset::new(L2, 1, 0, 1.0, 10_000, 0.01, 10_000.0);
-        for i in 0..400u64 {
-            let a = i as f64;
-            alg.insert([a * 97.0, (a * 13.0) % 701.0]);
+        // window overflow the smallest guesses.  A window of `u64::MAX`
+        // never expires, so its taint bound must saturate, not overflow.
+        for window in [10_000, u64::MAX] {
+            let mut alg = SlidingWindowCoreset::new(L2, 1, 0, 1.0, window, 0.01, 10_000.0);
+            for i in 0..400u64 {
+                let a = i as f64;
+                alg.insert([a * 97.0, (a * 13.0) % 701.0]);
+            }
+            assert!(alg.evictions() > 0, "expected cap overflow at tiny guesses");
+            let q = alg.query().expect("window non-empty");
+            assert!(!q.coreset.is_empty());
         }
-        assert!(alg.evictions() > 0, "expected cap overflow at tiny guesses");
-        let q = alg.query().expect("window non-empty");
-        assert!(!q.coreset.is_empty());
     }
 
     #[test]

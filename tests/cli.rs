@@ -1004,6 +1004,49 @@ fn engine_window_golden_output_on_committed_fixture() {
 }
 
 #[test]
+fn engine_window_of_u64_max_matches_a_window_longer_than_the_stream() {
+    // A window past the clock expires nothing, however wide it is: the
+    // expiry test `stamp + W <= clock` must saturate at `u64::MAX`, not
+    // wrap and expire every arrival (or panic in a debug build).
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.csv");
+    let run = |window: &str| {
+        let out = kcz()
+            .args([
+                "engine",
+                "--input",
+                fixture,
+                "--shards",
+                "4",
+                "--batch",
+                "4",
+                "--k",
+                "2",
+                "--z",
+                "1",
+                "--eps",
+                "0.5",
+                "--backend",
+                "window",
+                "--window",
+                window,
+            ])
+            .output()
+            .expect("run kcz engine");
+        assert!(
+            out.status.success(),
+            "--window {window}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout)
+            .expect("utf-8 stdout")
+            .replace(&format!("window={window} "), "window=W ")
+    };
+    let widest = run(&u64::MAX.to_string());
+    assert!(widest.contains("coreset: 11 "), "{widest}");
+    assert_eq!(widest, run("1000000"));
+}
+
+#[test]
 fn engine_rejects_bad_backend_flags() {
     // Unknown backends and orphaned/conflicting time flags: clean exit
     // 2 with the diagnostic on the first stderr line, never a silent
