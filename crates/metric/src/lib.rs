@@ -10,12 +10,12 @@
 //! * metrics: [`L2`], [`Linf`], and their discrete-grid counterparts;
 //! * **batched distance kernels**: every [`MetricSpace`] ships one-to-many
 //!   methods ([`MetricSpace::dist_many`], [`MetricSpace::nearest`],
-//!   [`MetricSpace::find_within`], [`MetricSpace::within_indices`], …)
-//!   over the slice the caller already owns, with auto-vectorizable
-//!   overrides for the Euclidean metrics that defer or skip the `sqrt` —
-//!   the single kernel surface behind every hot loop in the suite
-//!   (mini-ball partitions, streaming absorption, query serving, MPC
-//!   local rounds);
+//!   [`MetricSpace::within_indices`],
+//!   [`MetricSpace::find_within_weighted`], …) over the slice the caller
+//!   already owns, with auto-vectorizable overrides for the Euclidean
+//!   metrics that defer or skip the `sqrt` — the single kernel surface
+//!   behind every hot loop in the suite (mini-ball partitions, streaming
+//!   absorption, query serving, MPC local rounds);
 //! * [`Weighted`] points with positive integer weights (the paper's weighted
 //!   k-center formulation, Section 1);
 //! * utilities used throughout: pairwise-distance extrema, spread
@@ -45,18 +45,18 @@ pub use weighted::{total_weight, unit_weighted, Weighted};
 /// # Batched kernels and the deferred-`sqrt` contract
 ///
 /// Beyond the scalar [`dist`](Self::dist), the trait provides one-to-many
-/// kernels (`dist_many`, `nearest`, `find_within`, `within_indices`, and
-/// the `*_weighted` variants).  The provided defaults are plain scalar
-/// loops; the Euclidean metrics ([`L2`], [`GridL2`]) override them to compute
+/// kernels (`dist_many`, `nearest`, `within_indices`, and the `*_weighted`
+/// variants).  The provided defaults are plain scalar loops; the
+/// Euclidean metrics ([`L2`], [`GridL2`]) override them to compute
 /// *squared* distances in the inner loop and defer the `sqrt`:
 ///
 /// * kernels that return distances (`dist_many`, `nearest`) apply the
 ///   `sqrt` once per output value, after the scan, and return exactly the
 ///   same values as the scalar `dist` (IEEE `sqrt` is correctly rounded,
 ///   so `√(min sᵢ) = min √sᵢ`);
-/// * kernels that only *test* a radius (`within`, `find_within`,
-///   `within_indices`, `find_within_weighted`) skip the `sqrt` entirely
-///   and evaluate `dist²(a,b) ≤ r²`.  This agrees with the scalar
+/// * kernels that only *test* a radius (`within`, `within_indices`,
+///   `find_within_weighted`) skip the `sqrt` entirely and evaluate
+///   `dist²(a,b) ≤ r²`.  This agrees with the scalar
 ///   `dist(a,b) ≤ r` at `r = 0`, at exactly representable ties
 ///   (duplicate points, integer 3-4-5 configurations, …), and everywhere
 ///   except when the two sides are within one floating-point ulp of
@@ -117,12 +117,6 @@ pub trait MetricSpace<P>: Send + Sync {
         best
     }
 
-    /// First index of `pts` within distance `r` of `q` (the streaming
-    /// absorb test), or `None`.  Deferred-`sqrt` contract applies.
-    fn find_within(&self, q: &P, pts: &[P], r: f64) -> Option<usize> {
-        pts.iter().position(|p| self.within(q, p, r))
-    }
-
     /// Writes the ascending indices of all points of `pts` within distance
     /// `r` of `q` into `out` (cleared first).  Deferred-`sqrt` contract
     /// applies.
@@ -135,8 +129,9 @@ pub trait MetricSpace<P>: Send + Sync {
         }
     }
 
-    /// [`find_within`](Self::find_within) over a weighted slice, scanning
-    /// the `point` fields.  Deferred-`sqrt` contract applies.
+    /// First index of `pts` whose `point` lies within distance `r` of `q`
+    /// (the streaming absorb test), or `None`.  Deferred-`sqrt` contract
+    /// applies.
     fn find_within_weighted(&self, q: &P, pts: &[Weighted<P>], r: f64) -> Option<usize> {
         pts.iter().position(|w| self.within(q, &w.point, r))
     }
@@ -281,14 +276,6 @@ macro_rules! euclidean_batch_kernels {
                 }
             }
             best.map(|(i, s)| (i, s.sqrt()))
-        }
-
-        fn find_within(&self, q: &$pt, pts: &[$pt], r: f64) -> Option<usize> {
-            if sq_overflows(r) {
-                return pts.iter().position(|p| self.dist(q, p) <= r);
-            }
-            let r2 = sq_threshold(r);
-            pts.iter().position(|p| $sq(q, p) <= r2)
         }
 
         fn within_indices(&self, q: &$pt, pts: &[$pt], r: f64, out: &mut Vec<usize>) {
@@ -471,7 +458,7 @@ macro_rules! chebyshev_batch_kernels {
             }
         }
 
-        // find_within / within_indices need no override:
+        // within_indices / find_within_weighted need no override:
         // the trait defaults already delegate to the early-exit `within`.
     };
 }
@@ -609,7 +596,10 @@ mod tests {
         let pts = [[3.0, 4.0], [3.0, 4.000001], [0.0, 0.0]];
         assert!(L2.within(&q, &pts[0], 5.0));
         assert!(!L2.within(&q, &pts[1], 5.0));
-        assert_eq!(L2.find_within(&q, &pts, 0.0), Some(2));
+        assert_eq!(
+            L2.find_within_weighted(&q, &unit_weighted(&pts), 0.0),
+            Some(2)
+        );
         let mut idx = Vec::new();
         L2.within_indices(&q, &pts, 5.0, &mut idx);
         assert_eq!(idx, vec![0, 2]);
@@ -618,11 +608,12 @@ mod tests {
     #[test]
     fn negative_and_nan_radii_match_nothing() {
         let q = [0.0, 0.0];
-        let pts = [[0.0, 0.0], [1.0, 0.0]];
-        assert_eq!(L2.find_within(&q, &pts, -1.0), None);
-        assert_eq!(L2.find_within(&q, &pts, f64::NAN), None);
-        assert_eq!(Linf.find_within(&q, &pts, -0.5), None);
-        assert_eq!(GridL2.find_within(&[0u64, 0], &[[0u64, 0]], -1.0), None);
+        let pts = unit_weighted(&[[0.0, 0.0], [1.0, 0.0]]);
+        assert_eq!(L2.find_within_weighted(&q, &pts, -1.0), None);
+        assert_eq!(L2.find_within_weighted(&q, &pts, f64::NAN), None);
+        assert_eq!(Linf.find_within_weighted(&q, &pts, -0.5), None);
+        let grid = unit_weighted(&[[0u64, 0]]);
+        assert_eq!(GridL2.find_within_weighted(&[0u64, 0], &grid, -1.0), None);
     }
 
     #[test]
@@ -639,7 +630,10 @@ mod tests {
         let mut idx = Vec::new();
         L2.within_indices(&q, &[near, far], r, &mut idx);
         assert_eq!(idx, vec![0]);
-        assert_eq!(L2.find_within(&q, &[far, near], r), Some(1));
+        assert_eq!(
+            L2.find_within_weighted(&q, &unit_weighted(&[far, near]), r),
+            Some(1)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `find_within_weighted` on every block/tail split, at squared ties,
 //! at overflowing radii and on NaN coordinates.
 
-use kcz_metric::{GridL2, GridLinf, Linf, MetricSpace, Weighted, L2};
+use kcz_metric::{unit_weighted, GridL2, GridLinf, Linf, MetricSpace, Weighted, L2};
 use proptest::prelude::*;
 
 /// The scalar reference for `nearest`: the first index with the smallest
@@ -51,10 +51,6 @@ fn check_kernels<P: Clone + std::fmt::Debug, M: MetricSpace<P>>(
     for (i, p) in pts.iter().enumerate() {
         prop_assert_eq!(metric.within(q, p, r), expect[i], "point {}", i);
     }
-    prop_assert_eq!(
-        metric.find_within(q, pts, r),
-        expect.iter().position(|&b| b)
-    );
     let mut idx = Vec::new();
     metric.within_indices(q, pts, r, &mut idx);
     let expect_idx: Vec<usize> = (0..pts.len()).filter(|&i| expect[i]).collect();
@@ -305,5 +301,8 @@ fn deferred_sqrt_exact_ties() {
     assert_eq!(n_within(&GridLinf, &gq, &gpts, 4.0), 2);
     // r = 0 with exact duplicates.
     assert_eq!(n_within(&GridL2, &gq, &[[0u64, 0], [1, 0]], 0.0), 1);
-    assert_eq!(L2.find_within(&q, &[[0.0, 0.0]], 0.0), Some(0));
+    assert_eq!(
+        L2.find_within_weighted(&q, &unit_weighted(&[[0.0, 0.0]]), 0.0),
+        Some(0)
+    );
 }
