@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// Length specification accepted by [`vec`]: an exact `usize`, a half-open
+/// Length specification accepted by [`vec()`]: an exact `usize`, a half-open
 /// `Range<usize>`, or an inclusive `RangeInclusive<usize>`.
 #[derive(Clone, Debug)]
 pub struct SizeRange {

@@ -241,11 +241,6 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> WindowShard<P, M> {
         }
     }
 
-    /// Points currently buffered (the shard's share of the live window).
-    pub fn live_len(&self) -> usize {
-        self.buf.len()
-    }
-
     fn buf_words(&self) -> usize {
         self.buf
             .iter()
@@ -691,7 +686,7 @@ mod tests {
         // The stamp-1 point leaves the window at clock 11: dirty.
         ShardBackend::<[f64; 2], L2>::advance_to(&mut s, 11);
         assert!(s.state_version() > v, "expiry must dirty the shard");
-        assert_eq!(s.live_len(), 0);
+        assert_eq!(s.rep_len(), 0);
         assert!(s.summary().coreset().is_empty());
     }
 

@@ -34,7 +34,7 @@ use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 use kcz_obs::{Counter, Gauge, MetricsHandle, Stage};
 use kcz_streaming::InsertionOnlyCoreset;
 use kcz_workloads::{HashPartitioner, ShardKey};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::backend::{AnyShard, Backend, ShardBackend};
@@ -384,8 +384,6 @@ pub struct Engine<P, M: MetricSpace<P>> {
     /// merge or solve leaves it empty and the next publish rebuilds
     /// every leaf.
     leaves: Mutex<Vec<Leaf<P, M>>>,
-    /// Largest merge transient observed over all snapshots.
-    peak_merge_transient: AtomicUsize,
     pool: &'static Pool,
 }
 
@@ -432,7 +430,6 @@ where
             published_fp: AtomicU64::new(0),
             publish_order: Mutex::new(()),
             leaves: Mutex::new(Vec::new()),
-            peak_merge_transient: AtomicUsize::new(0),
             pool: global(),
             cfg,
         }
@@ -734,8 +731,6 @@ where
             .map(|(_, leaf)| leaf.space_words())
             .sum::<usize>()
             + merged.space_words();
-        self.peak_merge_transient
-            .fetch_max(merge_transient_words, Ordering::Relaxed);
         self.obs
             .peak_transient
             .set_max(merge_transient_words as u64);
@@ -849,11 +844,6 @@ where
         self.obs.epoch_gauge.set(epoch);
         t_total.finish();
         (version, snap)
-    }
-
-    /// Largest merge transient observed over all snapshots so far.
-    pub fn peak_merge_transient_words(&self) -> usize {
-        self.peak_merge_transient.load(Ordering::Relaxed)
     }
 
     /// Per-shard resident representative counts right now (diagnostics;
@@ -984,7 +974,7 @@ mod tests {
         let last = engine.snapshot();
         assert_eq!(last.epoch, epochs.len() as u64);
         assert_eq!(total_weight(&last.coreset), 600);
-        assert!(engine.peak_merge_transient_words() > 0);
+        assert!(last.stats.merge_transient_words > 0);
         // One more arrival advances the version and thus the epoch.
         engine.ingest(&[[1.0, 1.0]]);
         let fresh = engine.snapshot();

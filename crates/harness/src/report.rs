@@ -141,12 +141,6 @@ impl ConformanceReport {
         self.to_json_with_violations(&[], &[])
     }
 
-    /// [`to_json`](Self::to_json) with the read side's verdicts folded
-    /// in; see [`to_json_with_violations`](Self::to_json_with_violations).
-    pub fn to_json_with_query_violations(&self, query_violations: &[String]) -> String {
-        self.to_json_with_violations(query_violations, &[])
-    }
-
     /// [`to_json`](Self::to_json) with the out-of-band verdicts folded
     /// in: the query-conformance check ([`crate::query_violations`]) and
     /// the replay passes — churn backends and MPC accounting, tagged

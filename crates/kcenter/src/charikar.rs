@@ -111,7 +111,7 @@ pub struct GreedySolution<P> {
     pub guess: f64,
     /// Uncovered weight of the returned solution (≤ `z`).
     pub uncovered: u64,
-    /// Feasibility probes ([`disk_greedy`] calls) the radius search
+    /// Feasibility probes (`disk_greedy` calls) the radius search
     /// spent — the observable a warm start shrinks (the result itself is
     /// hint-independent).
     pub probes: usize,

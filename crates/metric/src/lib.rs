@@ -18,8 +18,8 @@
 //!   absorption, query serving, MPC local rounds);
 //! * [`Weighted`] points with positive integer weights (the paper's weighted
 //!   k-center formulation, Section 1);
-//! * utilities used throughout: pairwise-distance extrema, spread
-//!   (the ratio σ of Section 6), and bounding boxes;
+//! * utilities used throughout: pairwise-distance extrema and spread
+//!   (the ratio σ of Section 6);
 //! * [`SpaceUsage`], the word-accounting trait backing every storage
 //!   measurement reported by the MPC simulator and the streaming
 //!   algorithms.

@@ -1,8 +1,7 @@
-//! Point-set statistics: distance extrema, spread, bounding boxes.
+//! Point-set statistics: distance extrema and spread.
 //!
 //! The spread ratio σ (largest over smallest pairwise distance) governs the
-//! sliding-window bounds of Section 6; bounding boxes size the discrete
-//! universe `[Δ]^d` of Section 5.
+//! sliding-window bounds of Section 6.
 
 use crate::{MetricSpace, Weighted};
 
@@ -71,20 +70,6 @@ pub fn spread<P, M: MetricSpace<P>>(metric: &M, pts: &[P]) -> Option<f64> {
     Some(max / min)
 }
 
-/// Axis-aligned bounding box of Euclidean points: `(low, high)` per axis.
-pub fn bounding_box<const D: usize>(pts: &[[f64; D]]) -> Option<([f64; D], [f64; D])> {
-    let first = pts.first()?;
-    let mut lo = *first;
-    let mut hi = *first;
-    for p in &pts[1..] {
-        for i in 0..D {
-            lo[i] = lo[i].min(p[i]);
-            hi[i] = hi[i].max(p[i]);
-        }
-    }
-    Some((lo, hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,14 +110,5 @@ mod tests {
         assert_eq!(spread(&L2, &single), None);
         let all_same = vec![[1.0, 1.0]; 4];
         assert_eq!(min_pairwise_distance(&L2, &all_same), None);
-    }
-
-    #[test]
-    fn bbox() {
-        let pts = vec![[0.0, 5.0], [2.0, -1.0], [1.0, 3.0]];
-        let (lo, hi) = bounding_box(&pts).unwrap();
-        assert_eq!(lo, [0.0, -1.0]);
-        assert_eq!(hi, [2.0, 5.0]);
-        assert!(bounding_box::<2>(&[]).is_none());
     }
 }

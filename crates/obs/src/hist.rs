@@ -1,9 +1,8 @@
-//! Power-of-two latency histograms: fixed-size, mergeable, no
-//! allocation after construction.
+//! Power-of-two latency histograms: fixed-size, no allocation after
+//! construction.
 //!
-//! [`LatencyHistogram`] is the single-writer value type (moved here
-//! from `kcz-serve`, which re-exports it for compatibility); the
-//! lock-free multi-writer counterpart lives in
+//! [`LatencyHistogram`] is the single-writer value type; the lock-free
+//! multi-writer counterpart lives in
 //! [`crate::registry::AtomicHistogram`] and snapshots into this type,
 //! so all quantile logic lives in exactly one place.
 
@@ -51,19 +50,6 @@ impl LatencyHistogram {
         self.count += 1;
         self.total_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Folds another histogram into this one: bucket-wise counts add,
-    /// totals add, maxima take the max.  Merging is associative and
-    /// commutative (pinned by proptests), so per-shard histograms can
-    /// be combined in any order.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 
     /// Rebuilds a histogram from raw parts (the atomic snapshot path).
@@ -199,28 +185,5 @@ mod tests {
         h2.record(Duration::from_nanos(1000));
         assert_eq!(h2.quantile_ns(0.5), 15);
         assert_eq!(h2.quantile_ns(1.0), 1000);
-    }
-
-    #[test]
-    fn merge_matches_recording_the_union() {
-        let xs = [0u64, 1, 7, 100, 1_000_000, u64::MAX];
-        let ys = [3u64, 100, 65_536];
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        let mut whole = LatencyHistogram::default();
-        for &x in &xs {
-            a.record_ns(x);
-            whole.record_ns(x);
-        }
-        for &y in &ys {
-            b.record_ns(y);
-            whole.record_ns(y);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-        // Merging an empty histogram is the identity.
-        let before = a.clone();
-        a.merge(&LatencyHistogram::default());
-        assert_eq!(a, before);
     }
 }

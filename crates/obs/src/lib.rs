@@ -19,9 +19,9 @@
 //!   fixed single-threaded operation sequence produces a
 //!   byte-identical [`Registry::to_json`] export on every run — the
 //!   seed-stability contract tests lean on.
-//! - **Mergeable histograms.** [`LatencyHistogram`] (moved here from
-//!   `kcz-serve`) merges associatively, so per-shard or per-run
-//!   histograms combine into one distribution.
+//! - **One quantile implementation.** [`LatencyHistogram`] is the
+//!   single-writer value type, and every [`AtomicHistogram`] snapshots
+//!   into it, so all quantile logic lives in one place.
 
 #![warn(missing_docs)]
 

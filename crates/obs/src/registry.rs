@@ -97,9 +97,9 @@ impl Gauge {
     }
 }
 
-/// Lock-free multi-writer power-of-two histogram.  The mergeable
-/// value-type counterpart ([`LatencyHistogram`]) owns all quantile
-/// logic; this type only accumulates and snapshots.
+/// Lock-free multi-writer power-of-two histogram.  The value-type
+/// counterpart ([`LatencyHistogram`]) owns all quantile logic; this
+/// type only accumulates and snapshots.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; 64],
@@ -128,20 +128,6 @@ impl AtomicHistogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Folds a single-writer histogram in (the shard-merge path: record
-    /// locally without atomics, merge once at the end).
-    pub fn merge_from(&self, h: &LatencyHistogram) {
-        for (cell, &b) in self.buckets.iter().zip(h.buckets().iter()) {
-            if b > 0 {
-                cell.fetch_add(b, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(h.count(), Ordering::Relaxed);
-        self.total_ns
-            .fetch_add(h.total_ns().min(u64::MAX as u128) as u64, Ordering::Relaxed);
-        self.max_ns.fetch_max(h.max_ns(), Ordering::Relaxed);
     }
 
     /// A value snapshot.  Exact once writers have quiesced; a snapshot
@@ -188,13 +174,6 @@ impl HistogramHandle {
     pub fn record(&self, d: Duration) {
         if let Some(h) = &self.hist {
             h.record_ns(d.as_nanos().min(u64::MAX as u128) as u64);
-        }
-    }
-
-    /// Folds a locally-accumulated histogram in (no-op when disabled).
-    pub fn merge_from(&self, h: &LatencyHistogram) {
-        if let Some(dst) = &self.hist {
-            dst.merge_from(h);
         }
     }
 }
@@ -531,10 +510,5 @@ mod tests {
             v.record_ns(ns);
         }
         assert_eq!(a.snapshot(), v);
-        // merge_from folds a local histogram in.
-        let b = AtomicHistogram::default();
-        b.merge_from(&v);
-        assert_eq!(b.snapshot().count(), v.count());
-        assert_eq!(b.snapshot().max_ns(), v.max_ns());
     }
 }

@@ -1,6 +1,6 @@
-//! Property tests for the histogram algebra: merge is associative and
-//! commutative, quantiles are monotone, and the atomic multi-writer
-//! histogram agrees with the single-writer value type.
+//! Property tests for the histograms: quantiles are monotone, and the
+//! atomic multi-writer histogram agrees with the single-writer value
+//! type.
 
 use kcz_obs::{AtomicHistogram, LatencyHistogram};
 use proptest::prelude::*;
@@ -32,43 +32,6 @@ proptest! {
     })]
 
     #[test]
-    fn merge_is_associative_and_commutative(a in arb_obs(40), b in arb_obs(40), c in arb_obs(40)) {
-        let (ha, hb, hc) = (hist_of(&a), hist_of(&b), hist_of(&c));
-        // (a ∪ b) ∪ c
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-        // a ∪ (b ∪ c)
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha.clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right);
-        // b ∪ a == a ∪ b
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &ba);
-        // And all equal recording the concatenated stream directly.
-        let mut union = a.clone();
-        union.extend_from_slice(&b);
-        union.extend_from_slice(&c);
-        prop_assert_eq!(&left, &hist_of(&union));
-    }
-
-    #[test]
-    fn merge_conserves_count_total_and_max(a in arb_obs(50), b in arb_obs(50)) {
-        let (ha, hb) = (hist_of(&a), hist_of(&b));
-        let mut m = ha.clone();
-        m.merge(&hb);
-        prop_assert_eq!(m.count(), ha.count() + hb.count());
-        prop_assert_eq!(m.total_ns(), ha.total_ns() + hb.total_ns());
-        prop_assert_eq!(m.max_ns(), ha.max_ns().max(hb.max_ns()));
-        prop_assert_eq!(m.buckets().iter().sum::<u64>(), m.count());
-    }
-
-    #[test]
     fn quantiles_are_monotone_in_q(obs in arb_obs(60), qs in prop::collection::vec(0.0f64..1.001, 2..8)) {
         let h = hist_of(&obs);
         let mut sorted = qs.clone();
@@ -93,10 +56,5 @@ proptest! {
             atomic.record_ns(ns);
         }
         prop_assert_eq!(atomic.snapshot(), hist_of(&obs));
-        // merge_from then snapshot doubles every statistic except max.
-        atomic.merge_from(&hist_of(&obs));
-        let doubled = atomic.snapshot();
-        prop_assert_eq!(doubled.count(), 2 * obs.len() as u64);
-        prop_assert_eq!(doubled.max_ns(), hist_of(&obs).max_ns());
     }
 }

@@ -8,31 +8,30 @@
 //! those summaries (streaming, MPC, the sharded engine); this crate
 //! finally *answers questions* against them, while ingest keeps running.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`SnapshotView`] — one immutable, epoch-numbered view: the solved
 //!   centers and the certified `(3+8ε′)` bound data.  Every query method
 //!   is one batched [`kcz_metric::MetricSpace`] kernel scan over the
 //!   centers.
-//! * [`QueryEngine`] — the serving front: holds the engine plus the
-//!   newest published view behind a brief read-lock.  Readers acquire a
-//!   view (`Arc` clone) and query it without ever blocking ingest;
-//!   [`QueryEngine::refresh`] republishes when the engine's data version
-//!   advanced (reusing the engine's memoized snapshot path — an
-//!   unchanged version costs neither a merge nor a solve).  Batched
-//!   variants fan the queries over the shared [`kcz_engine::runtime`]
-//!   pool.
-//! * [`LoadDriver`] — a deterministic replayer for mixed read/write
-//!   traces ([`kcz_workloads::TraceOp`]): configurable ingest batching
-//!   and snapshot-refresh cadence, recording throughput, power-of-two
-//!   latency histograms, and a seed-stable digest of every answer.
+//! * [`QueryEngine`] — the serving front: a thin read side over the
+//!   engine's newest published epoch ([`kcz_engine::Engine::latest`]).
+//!   Readers acquire a view (one brief read lock and an `Arc` clone)
+//!   and query it without ever blocking ingest;
+//!   [`QueryEngine::refresh`] asks the engine to publish, which costs
+//!   neither a merge nor a solve when the data version has not moved.
+//!   Batched variants fan the queries over the shared
+//!   [`kcz_engine::runtime`] pool.
 //!
 //! # The epoch / consistency contract
 //!
-//! Readers never see a torn summary: a view is built from one published
+//! Readers never see a torn summary: a view wraps one published
 //! [`kcz_engine::Snapshot`] and is immutable thereafter, so every answer
 //! it produces is exact with respect to *that* epoch — the epoch number
 //! and its certified `bound_factor = 3 + 8ε′` travel with each answer.
+//! [`QueryEngine::view`] is the engine's newest published epoch, so an
+//! epoch published through [`QueryEngine::refresh`] or directly through
+//! [`kcz_engine::Engine::publish`] reaches the next reader at once.
 //! Ingest concurrent with a read affects only *later* epochs; a reader
 //! holding a view keeps getting internally consistent answers until it
 //! re-acquires.  The conformance harness (`kcz conformance`) re-checks
@@ -41,10 +40,8 @@
 
 #![warn(missing_docs)]
 
-pub mod driver;
 pub mod query;
 pub mod view;
 
-pub use driver::{DriverConfig, DriverReport, LatencyHistogram, LoadDriver};
 pub use query::QueryEngine;
 pub use view::{Assignment, Classification, SnapshotView};

@@ -1,39 +1,26 @@
 //! [`QueryEngine`]: the serving front over a shared [`Engine`].
 //!
-//! Holds the engine plus the newest published [`SnapshotView`] behind a
-//! read-write lock.  Readers acquire the current view with one brief
-//! read-lock and an `Arc` clone — they are never blocked by ingest
-//! (which takes neither lock) and block each other not at all; only the
-//! instant of a [`refresh`](QueryEngine::refresh) swap takes the write
-//! lock.  Batched query variants acquire the view **once** and fan the
-//! per-chunk kernel scans over the shared [`kcz_engine::runtime::Pool`],
-//! which is both the throughput path (one view acquisition amortized
-//! over the whole batch, worker-parallel chunks) and the consistency
-//! path (a batch is answered entirely under one epoch).
+//! A thin read side over the engine's newest published epoch.
+//! [`view`](QueryEngine::view) wraps [`Engine::latest`]: one brief read
+//! lock and an `Arc` clone, so readers are never blocked by ingest
+//! (which takes no publish lock) and block each other not at all.
+//! [`refresh`](QueryEngine::refresh) asks the engine to publish, which
+//! returns the cached epoch without a merge or a solve when the data
+//! version has not moved.  Batched query variants acquire the view
+//! **once** and fan the per-chunk kernel scans over the shared
+//! [`kcz_engine::runtime::Pool`], which is both the throughput path (one
+//! view acquisition amortized over the whole batch, worker-parallel
+//! chunks) and the consistency path (a batch is answered entirely under
+//! one epoch).
 
 use kcz_engine::runtime::{global, Pool};
 use kcz_engine::Engine;
 use kcz_metric::{MetricSpace, SpaceUsage};
 use kcz_obs::{Counter, MetricsHandle, Stage};
 use kcz_workloads::ShardKey;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 use crate::view::{Assignment, Classification, SnapshotView};
-
-/// Acquire a read guard, shrugging off poison: the view lock only ever
-/// stores a whole `Arc`, and the swap that installs one is infallible,
-/// so a panic under the lock (a view construction that blew up inside
-/// [`QueryEngine::refresh`]) cannot leave torn state behind.  The last
-/// successfully installed view is still good; serve it.
-fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Write-side twin of [`read_recover`], for refreshers that follow a
-/// panicked refresher.
-fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Queries per pool task in the batched paths: large enough that the
 /// per-task overhead vanishes, small enough to spread across workers.
@@ -65,11 +52,11 @@ impl QueryInstruments {
     }
 }
 
-/// The read-side front of one engine: publishes views, serves queries.
+/// The read-side front of one engine: serves queries from its newest
+/// published epoch.
 pub struct QueryEngine<P, M: MetricSpace<P>> {
     engine: Arc<Engine<P, M>>,
     pool: &'static Pool,
-    view: RwLock<Arc<SnapshotView<P, M>>>,
     obs: QueryInstruments,
 }
 
@@ -78,10 +65,10 @@ where
     P: Clone + PartialEq + SpaceUsage + ShardKey + Send + Sync,
     M: MetricSpace<P> + Clone,
 {
-    /// Wraps an engine and publishes its current epoch as the initial
-    /// view (an empty engine yields a center-less epoch-1 view; every
-    /// query then answers `None`/outlier until data arrives and
-    /// [`refresh`](Self::refresh) republishes).
+    /// Wraps an engine and publishes its current epoch, so there is
+    /// always a view to serve (an empty engine yields a center-less
+    /// epoch-1 view; every query then answers `None`/outlier until data
+    /// arrives and an epoch is published).
     pub fn new(engine: Arc<Engine<P, M>>) -> Self {
         Self::with_metrics(engine, &MetricsHandle::disabled())
     }
@@ -90,11 +77,10 @@ where
     /// (view-acquisition vs kernel spans) and served-query counters
     /// recorded through `metrics`.
     pub fn with_metrics(engine: Arc<Engine<P, M>>, metrics: &MetricsHandle) -> Self {
-        let view = Arc::new(SnapshotView::new(engine.metric().clone(), engine.publish()));
+        engine.publish();
         QueryEngine {
             engine,
             pool: global(),
-            view: RwLock::new(view),
             obs: QueryInstruments::new(metrics),
         }
     }
@@ -104,45 +90,30 @@ where
         &self.engine
     }
 
-    /// The current view: one brief read-lock, one `Arc` clone.  Hold the
-    /// returned view to answer any number of mutually consistent queries
-    /// under its frozen epoch.
-    ///
-    /// A writer that panicked mid-refresh poisons the lock but cannot
-    /// tear the stored `Arc` (the swap itself is infallible), so the
-    /// poison flag is noise: readers recover the guard and keep serving
-    /// the last installed view rather than propagating the panic to
-    /// every subsequent request.
-    pub fn view(&self) -> Arc<SnapshotView<P, M>> {
-        Arc::clone(&read_recover(&self.view))
+    /// The current view: the engine's newest published epoch, whoever
+    /// published it.  One brief read lock, one `Arc` clone and a clone
+    /// of the metric (free for the built-in metrics).  Hold the returned
+    /// view to answer any number of mutually consistent queries under
+    /// its frozen epoch.
+    pub fn view(&self) -> SnapshotView<P, M> {
+        let snap = self
+            .engine
+            .latest()
+            .expect("the query engine published at construction");
+        SnapshotView::new(self.engine.metric().clone(), snap)
     }
 
-    /// Republishes if the engine's data version advanced: asks the
-    /// engine to publish (the memoized fast path returns the cached
-    /// epoch without re-merging when nothing changed), and only when the
-    /// epoch actually moved builds a fresh view and swaps it in.
-    /// Returns the view that is current afterwards.
-    ///
-    /// View construction happens inside the write critical section after
-    /// an epoch double-check, so concurrent refreshers build the view at
-    /// most once per epoch; like [`view`](Self::view), the lock is
-    /// recovered if a previous refresher panicked while holding it.
-    pub fn refresh(&self) -> Arc<SnapshotView<P, M>> {
+    /// Asks the engine to publish and returns the view of the result.
+    /// An unchanged data version returns the cached epoch without a
+    /// merge or a solve; `query.refreshes` counts only the refreshes
+    /// whose epoch moved.
+    pub fn refresh(&self) -> SnapshotView<P, M> {
+        let before = self.engine.epoch();
         let snap = self.engine.publish();
-        let current = self.view();
-        if current.epoch() == snap.epoch {
-            return current;
+        if snap.epoch != before {
+            self.obs.refreshes.incr();
         }
-        let mut guard = write_recover(&self.view);
-        // A racing refresher may have installed this epoch (or newer)
-        // while we waited for the lock.
-        if guard.epoch() >= snap.epoch {
-            return Arc::clone(&guard);
-        }
-        let fresh = Arc::new(SnapshotView::new(self.engine.metric().clone(), snap));
-        *guard = Arc::clone(&fresh);
-        self.obs.refreshes.incr();
-        fresh
+        SnapshotView::new(self.engine.metric().clone(), snap)
     }
 
     /// [`SnapshotView::assign`] against the current view.
@@ -161,13 +132,6 @@ where
     pub fn nearest_centers(&self, p: &P, j: usize) -> Vec<Assignment> {
         self.obs.scalar_queries.incr();
         self.view().nearest_centers(p, j)
-    }
-
-    /// [`SnapshotView::window_span`] of the current view: the live
-    /// arrival-stamp span a windowed engine's answers cover, `None`
-    /// outside window mode.
-    pub fn window_span(&self) -> Option<(u64, u64)> {
-        self.view().window_span()
     }
 
     /// Batched assign: acquires the view once, answers every query under
@@ -260,14 +224,14 @@ mod tests {
         let empty = query.view();
         assert!(empty.centers().is_empty());
         engine.ingest(&stream(120));
-        // The cached view is stale until a refresh republishes.
-        assert!(std::sync::Arc::ptr_eq(&query.view(), &empty));
+        // Ingest alone publishes nothing: readers keep the last epoch.
+        assert!(Arc::ptr_eq(query.view().snapshot(), empty.snapshot()));
         let fresh = query.refresh();
         assert_eq!(fresh.epoch(), empty.epoch() + 1);
         assert!(!fresh.centers().is_empty());
-        // No new data: refresh is the memoized no-op, same view back.
+        // No new data: refresh is the memoized no-op, same snapshot back.
         let again = query.refresh();
-        assert!(std::sync::Arc::ptr_eq(&fresh, &again));
+        assert!(Arc::ptr_eq(fresh.snapshot(), again.snapshot()));
         assert_eq!(engine.solves(), 2, "empty + one data epoch");
     }
 

@@ -51,9 +51,9 @@ pub struct Classification {
 
 /// An immutable query view over one published engine snapshot.
 ///
-/// Cheap to share (`Arc`), never blocks or is blocked by ingest, and
-/// answers are mutually consistent by construction — they all read the
-/// same frozen center set.
+/// Cheap to clone (the snapshot's `Arc` and the metric), never blocks or
+/// is blocked by ingest, and answers are mutually consistent by
+/// construction — they all read the same frozen center set.
 #[derive(Debug, Clone)]
 pub struct SnapshotView<P, M: MetricSpace<P>> {
     metric: M,

@@ -14,10 +14,15 @@
 //! (same frozen epoch), so any torn or cross-epoch state shows up as a
 //! mismatch; epochs observed across the run must never regress below an
 //! epoch the reader already saw.
+//!
+//! Beside it: a windowed engine replayed through the serving front, an
+//! epoch published on the engine reaching readers without a refresh,
+//! and a panicking refresher that must not wedge anyone.
 
 use kcz_engine::{Engine, EngineConfig};
 use kcz_metric::{total_weight, MetricSpace, L2};
-use kcz_serve::QueryEngine;
+use kcz_serve::{QueryEngine, SnapshotView};
+use kcz_workloads::{mixed_trace, phase_shift_stream, TraceOp};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -49,10 +54,8 @@ fn points(n: usize, mut s: u64) -> Vec<[f64; 2]> {
 }
 
 /// An L2 delegate whose `Clone` can be armed to panic.  `refresh`
-/// clones the metric while building the fresh view *inside* the view
-/// write critical section, so arming this mid-run simulates a writer
-/// dying while holding the lock — the poisoned-lock scenario the read
-/// path must recover from.
+/// clones the metric to build the view of the epoch it published, so
+/// arming this mid-run simulates a refresher dying after its publish.
 #[derive(Debug)]
 struct PanickyL2(Arc<AtomicBool>);
 
@@ -90,7 +93,7 @@ fn a_panicking_refresher_does_not_wedge_readers_or_later_refreshers() {
     // New data arrives and the engine publishes the new epoch up front
     // (disarmed), so the refresher below takes the memoized publish fast
     // path — its only metric clone is the one `refresh` performs while
-    // building the fresh view inside the write critical section.
+    // building the view of that epoch.
     engine.ingest(&points(60, 0x1234));
     engine.publish();
     armed.store(true, Ordering::SeqCst);
@@ -104,15 +107,18 @@ fn a_panicking_refresher_does_not_wedge_readers_or_later_refreshers() {
     assert!(crashed.is_err(), "the armed clone must panic the refresher");
     armed.store(false, Ordering::SeqCst);
 
-    // Readers recover the poisoned lock and keep serving the last
-    // successfully installed view instead of propagating the panic.
+    // Readers keep serving the engine's newest published epoch instead
+    // of propagating the panic.
+    let latest = engine.latest().expect("published");
     let view = query.view();
-    assert_eq!(view.epoch(), good.epoch(), "last good view survives");
+    assert!(latest.epoch > good.epoch());
+    assert_eq!(view.epoch(), latest.epoch, "readers serve engine.latest()");
+    let expected = SnapshotView::new(engine.metric().clone(), latest);
     for p in &points(10, 0xEE) {
-        assert_eq!(view.assign(p), good.assign(p));
+        assert_eq!(view.assign(p), expected.assign(p));
     }
 
-    // The next refresher recovers too, and installs the new epoch.
+    // The next refresher is not wedged either, and serves both batches.
     let fresh = query.refresh();
     assert!(
         fresh.epoch() > good.epoch(),
@@ -124,6 +130,91 @@ fn a_panicking_refresher_does_not_wedge_readers_or_later_refreshers() {
         "both batches are in the recovered epoch"
     );
     assert_eq!(query.view().epoch(), fresh.epoch());
+}
+
+#[test]
+fn a_view_serves_an_epoch_published_on_the_engine_without_a_refresh() {
+    let engine = Arc::new(Engine::new(L2, EngineConfig::new(4, K, Z, 0.5)));
+    let query = QueryEngine::new(Arc::clone(&engine));
+    assert!(query.view().centers().is_empty());
+    engine.ingest(&points(60, 0xABCD));
+    let published = engine.publish();
+    let view = query.view();
+    assert_eq!(
+        view.epoch(),
+        published.epoch,
+        "the next view is the new epoch"
+    );
+    assert!(Arc::ptr_eq(view.snapshot(), &published));
+    assert!(!view.centers().is_empty());
+    for p in &points(10, 0xEE) {
+        assert_eq!(query.assign(p), view.assign(p));
+    }
+}
+
+/// One served answer, bit for bit: `(epoch, center, dist bits)`.
+type Served = Option<(u64, usize, u64)>;
+
+/// Replays a three-phase shift (200 arrivals per phase, 5000 apart)
+/// against a W = 200 sliding-window engine through the serving front:
+/// writes flush every 64, the view refreshes every 128 trace ops, and
+/// once more after the final flush.  Returns every served answer and
+/// the final view.
+fn windowed_replay() -> (Vec<Served>, SnapshotView<[f64; 2], L2>) {
+    const FLUSH: usize = 64;
+    const REFRESH: usize = 128;
+    let writes = phase_shift_stream(3, 200, 1.0, 5000.0, 21);
+    let reads: Vec<[f64; 2]> = writes[400..].iter().step_by(10).copied().collect();
+    let trace = mixed_trace(&writes, &reads, 0x51D);
+    let engine = Arc::new(Engine::new(
+        L2,
+        EngineConfig::new(4, 1, 2, 0.5).windowed(200),
+    ));
+    let query = QueryEngine::new(Arc::clone(&engine));
+    let (mut pending, mut served) = (Vec::with_capacity(FLUSH), Vec::new());
+    for (i, op) in trace.iter().enumerate() {
+        match op {
+            TraceOp::Ingest(p) => {
+                pending.push(*p);
+                if pending.len() >= FLUSH {
+                    engine.ingest(&pending);
+                    pending.clear();
+                }
+            }
+            TraceOp::Query(p) => served.push(
+                query
+                    .assign(p)
+                    .map(|a| (a.epoch, a.center, a.dist.to_bits())),
+            ),
+        }
+        if (i + 1) % REFRESH == 0 {
+            query.refresh();
+        }
+    }
+    engine.ingest(&pending);
+    assert_eq!(served.len(), reads.len());
+    assert_eq!(engine.points_ingested(), 600);
+    (served, query.refresh())
+}
+
+#[test]
+fn windowed_engine_replay_forgets_old_phases_and_stays_deterministic() {
+    // By the final refresh the window holds only last-regime arrivals,
+    // so every served center is a last-regime location: the staleness
+    // an insertion-only engine would keep serving forever.
+    let (served, view) = windowed_replay();
+    assert_eq!(view.window_span(), Some((401, 600)));
+    assert!(!view.centers().is_empty());
+    for c in view.centers() {
+        assert!(
+            c[0] > 4000.0 && c[1] > 4000.0,
+            "stale center {c:?} served from an expired phase"
+        );
+    }
+    // Same trace, same schedule, fresh windowed engine: same answers.
+    let (again, again_view) = windowed_replay();
+    assert_eq!(served, again);
+    assert_eq!(view.epoch(), again_view.epoch());
 }
 
 #[test]

@@ -22,7 +22,7 @@
 //! | [`mpc`] | MPC simulator + the 2-round (Alg. 2), randomized 1-round (Alg. 6), R-round (Alg. 7) algorithms and the CPP19 baseline |
 //! | [`streaming`] | insertion-only (Alg. 3), fully dynamic (Alg. 5), sliding-window structures and streaming baselines |
 //! | [`engine`] | shared execution runtime (persistent worker pool) + the resident sharded ingest engine (`kcz engine`): one flat union and recompression of the shard coverings per publish, memoized epoch publication (`publish`/`latest`) and pluggable per-shard backends ([`engine::ShardBackend`]: insertion-only, sliding-window, exponential decay) |
-//! | [`serve`] | the read side: immutable published [`serve::SnapshotView`]s (centers + bound + the epoch's arrival clock and live window span), the [`serve::QueryEngine`] (`assign`/`classify`/`nearest_centers` + pool-batched variants, `kcz query`), and the mixed read/write [`serve::LoadDriver`] |
+//! | [`serve`] | the read side: immutable published [`serve::SnapshotView`]s (centers + bound + the epoch's arrival clock and live window span), and the [`serve::QueryEngine`] that serves the engine's newest published epoch (`assign`/`classify`/`nearest_centers` + pool-batched variants, `kcz query`) |
 //! | [`sketch`] | turnstile substrates: s-sparse recovery, F₀ estimation with deletions |
 //! | [`lowerbounds`] | the paper's lower-bound constructions as adversarial generators |
 //! | [`workloads`] | reproducible synthetic data, partitions, stream schedules, adversarial generators |
@@ -82,10 +82,7 @@ pub mod prelude {
         ceccarello_one_round, one_round_randomized, r_round, two_round, MpcCoreset, MpcRunStats,
     };
     pub use kcz_obs::{MetricsHandle, MonotonicClock, Registry, TickClock};
-    pub use kcz_serve::{
-        Assignment, Classification, DriverConfig, DriverReport, LatencyHistogram, LoadDriver,
-        QueryEngine, SnapshotView,
-    };
+    pub use kcz_serve::{Assignment, Classification, QueryEngine, SnapshotView};
     pub use kcz_streaming::{
         baselines::{ceccarello_stream, mk_doubling},
         DoublingCoreset, DynamicCoreset, InsertionOnlyCoreset, SlidingWindowCoreset,
