@@ -8,6 +8,7 @@
 //! at most `k(12/ε)^d + z` (Lemma 7).
 
 use kcz_kcenter::charikar::{greedy_with, GreedyParams};
+use kcz_metric::pivot::PivotOrder;
 use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 
 /// A mini-ball covering: the output of Algorithm 1.
@@ -91,48 +92,51 @@ pub fn mbc_construction_with<P: Clone, M: MetricSpace<P>>(
 
 /// The greedy partition shared by Algorithms 1 and 4: sweep the points in
 /// input order; every point not yet absorbed becomes a representative and
-/// absorbs all remaining points within `delta` of it.
+/// absorbs all remaining points within `delta` of it.  The first
+/// representative is always `points[0]`.
 ///
-/// `O(n²)` in the worst case, `O(n·|output|)` in general.  Each round is
-/// one batched [`MetricSpace::within_indices`] ball query (deferred
-/// `sqrt`) over the still-live points, which are kept compacted so no
-/// distance to an already-absorbed point is ever computed.
+/// The points are put in one [`PivotOrder`] by their distance to
+/// `points[0]`, and each representative runs one batched
+/// [`MetricSpace::within_indices`] ball query (deferred `sqrt`) over its
+/// own window of that order only.  `O(n²)` distances in the worst case,
+/// a ring around `points[0]`, where every window spans every point.
 pub(crate) fn greedy_partition<P: Clone, M: MetricSpace<P>>(
     metric: &M,
     points: &[Weighted<P>],
     delta: f64,
 ) -> Vec<Weighted<P>> {
-    let mut live_pts: Vec<P> = points.iter().map(|wp| wp.point.clone()).collect();
-    let mut live_w: Vec<u64> = points.iter().map(|wp| wp.weight).collect();
+    let Some(pivot) = points.first() else {
+        return Vec::new();
+    };
+    let mut f = Vec::new();
+    metric.dist_many_weighted(&pivot.point, points, &mut f);
+    let order = PivotOrder::new(&f, |i| points[i].point.clone());
+    let mut absorbed = vec![false; points.len()];
     let mut reps: Vec<Weighted<P>> = Vec::new();
     let mut near: Vec<usize> = Vec::new();
-    while !live_pts.is_empty() {
-        let rep = live_pts[0].clone();
-        metric.within_indices(&rep, &live_pts, delta, &mut near);
-        // `near` is ascending and starts with 0 (the representative itself,
-        // at distance 0); guard against metrics that violate identity.
-        if near.first() != Some(&0) {
-            near.insert(0, 0);
+    for (i, p) in points.iter().enumerate() {
+        if absorbed[i] {
+            continue;
         }
-        let mut weight = 0u64;
+        // The representative counts itself even under a metric that
+        // violates identity.  Weights saturate, so the order of the sum
+        // cannot change it.
+        absorbed[i] = true;
+        let mut weight = p.weight;
+        let win = order.window(f[i], delta);
+        let at = &order.index()[win.clone()];
+        metric.within_indices(&p.point, &order.items()[win], delta, &mut near);
         for &j in &near {
-            weight = weight.saturating_add(live_w[j]);
-        }
-        // Order-preserving compaction dropping the absorbed positions.
-        let mut keep = 0usize;
-        let mut ni = 0usize;
-        for j in 0..live_pts.len() {
-            if ni < near.len() && near[ni] == j {
-                ni += 1;
-                continue;
+            let q = at[j];
+            if !absorbed[q] {
+                absorbed[q] = true;
+                weight = weight.saturating_add(points[q].weight);
             }
-            live_pts.swap(keep, j);
-            live_w.swap(keep, j);
-            keep += 1;
         }
-        live_pts.truncate(keep);
-        live_w.truncate(keep);
-        reps.push(Weighted { point: rep, weight });
+        reps.push(Weighted {
+            point: p.point.clone(),
+            weight,
+        });
     }
     reps
 }
@@ -141,7 +145,7 @@ pub(crate) fn greedy_partition<P: Clone, M: MetricSpace<P>>(
 mod tests {
     use super::*;
     use kcz_kcenter::exact_discrete;
-    use kcz_metric::{total_weight, unit_weighted, L2};
+    use kcz_metric::{total_weight, unit_weighted, GridL2, Line, Linf, L2};
 
     /// k=2 clusters of 25 points each plus z=3 distant outliers.
     fn instance() -> (Vec<[f64; 2]>, usize, u64) {
@@ -244,6 +248,176 @@ mod tests {
     fn rejects_bad_eps() {
         let pts = unit_weighted(&[[0.0, 0.0]]);
         let _ = mbc_construction(&L2, &pts, 1, 0, 0.0);
+    }
+
+    /// The compacting partition the pivot windows replaced: each round
+    /// runs one `within_indices` over every still-live point, and the
+    /// live points are kept compacted in input order.
+    fn reference_partition<P: Clone, M: MetricSpace<P>>(
+        metric: &M,
+        points: &[Weighted<P>],
+        delta: f64,
+    ) -> Vec<Weighted<P>> {
+        let mut live_pts: Vec<P> = points.iter().map(|wp| wp.point.clone()).collect();
+        let mut live_w: Vec<u64> = points.iter().map(|wp| wp.weight).collect();
+        let mut reps = Vec::new();
+        let mut near = Vec::new();
+        while !live_pts.is_empty() {
+            let rep = live_pts[0].clone();
+            metric.within_indices(&rep, &live_pts, delta, &mut near);
+            if near.first() != Some(&0) {
+                near.insert(0, 0);
+            }
+            let mut weight = 0u64;
+            for &j in &near {
+                weight = weight.saturating_add(live_w[j]);
+            }
+            let mut keep = 0usize;
+            let mut ni = 0usize;
+            for j in 0..live_pts.len() {
+                if ni < near.len() && near[ni] == j {
+                    ni += 1;
+                    continue;
+                }
+                live_pts.swap(keep, j);
+                live_w.swap(keep, j);
+                keep += 1;
+            }
+            live_pts.truncate(keep);
+            live_w.truncate(keep);
+            reps.push(Weighted { point: rep, weight });
+        }
+        reps
+    }
+
+    /// Radii of the partition comparisons: zero, lattice ties, a few
+    /// generic values, and past `√f64::MAX`, where `δ²` overflows and the
+    /// radius tests fall back to scalar distances.
+    const DELTAS: [f64; 7] = [0.0, 0.5, 1.0, 3.7, 40.0, 2e154, 2e200];
+
+    /// Asserts that the pivot partition returns the reference's reps,
+    /// with the same point bits, weights and order, at every radius of
+    /// `deltas`.
+    fn assert_partition_matches<P: Clone, M: MetricSpace<P>>(
+        metric: &M,
+        points: &[Weighted<P>],
+        deltas: &[f64],
+        bits: impl Fn(&P) -> Vec<u64>,
+        what: &str,
+    ) -> Vec<Weighted<P>> {
+        let key = |reps: &[Weighted<P>]| -> Vec<(Vec<u64>, u64)> {
+            reps.iter().map(|w| (bits(&w.point), w.weight)).collect()
+        };
+        let mut got = Vec::new();
+        for &delta in deltas {
+            got = greedy_partition(metric, points, delta);
+            let want = reference_partition(metric, points, delta);
+            assert_eq!(key(&got), key(&want), "{what}, delta = {delta}");
+        }
+        got
+    }
+
+    /// Seeded planar instances: a unit lattice (exact ties), duplicates,
+    /// clusters, a ring around `points[0]`, and clusters with a NaN or an
+    /// infinite coordinate, once at the pivot and once inside.
+    fn planar_instances(seed: u64) -> Vec<(&'static str, Vec<Weighted<[f64; 2]>>)> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut u = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let lattice: Vec<_> = (0..100)
+            .map(|i| Weighted::new([(i % 10) as f64, (i / 10) as f64], 1 + i % 3))
+            .collect();
+        let mut duplicates = Vec::new();
+        for site in 0..12 {
+            let at = [(u() * 30.0).round(), (u() * 30.0).round()];
+            for _ in 0..1 + site % 4 {
+                duplicates.push(Weighted::new(at, 1 + (u() * 4.0) as u64));
+            }
+        }
+        let clusters: Vec<_> = (0..150)
+            .map(|i| {
+                let c = (i % 4) as f64 * 25.0;
+                Weighted::new([c + u() * 6.0, c * 0.5 - u() * 6.0], 1 + i % 5)
+            })
+            .collect();
+        let ring: Vec<_> = std::iter::once(Weighted::new([0.0, 0.0], 2))
+            .chain((0..200).map(|i| {
+                let a = std::f64::consts::TAU * (i as f64 + u() * 0.3) / 200.0;
+                Weighted::new([30.0 * a.cos(), 30.0 * a.sin()], 1)
+            }))
+            .collect();
+        let mut instances = vec![
+            ("lattice", lattice),
+            ("duplicates", duplicates),
+            ("clusters", clusters.clone()),
+            ("ring", ring),
+        ];
+        for (name, bad) in [("nan", [f64::NAN, 1.0]), ("inf", [f64::INFINITY, 0.0])] {
+            for at in [0, 37] {
+                let mut pts = clusters.clone();
+                pts[at].point = bad;
+                instances.push((name, pts));
+            }
+        }
+        instances
+    }
+
+    #[test]
+    fn pivot_partition_matches_the_compacting_reference() {
+        let f64_bits = |p: &[f64; 2]| p.map(f64::to_bits).to_vec();
+        for seed in 0..2 {
+            for (name, pts) in planar_instances(seed) {
+                let what = format!("L2 {name} {seed}");
+                assert_partition_matches(&L2, &pts, &DELTAS, f64_bits, &what);
+                let what = format!("Linf {name} {seed}");
+                assert_partition_matches(&Linf, &pts, &DELTAS, f64_bits, &what);
+                let line: Vec<Weighted<f64>> =
+                    pts.iter().map(|w| w.map(|p| p[0] + 0.5 * p[1])).collect();
+                let what = format!("Line {name} {seed}");
+                assert_partition_matches(&Line, &line, &DELTAS, |p| vec![p.to_bits()], &what);
+                if pts.iter().all(|w| w.point.iter().all(|x| x.is_finite())) {
+                    let grid: Vec<Weighted<[u64; 2]>> = pts
+                        .iter()
+                        .map(|w| w.map(|p| p.map(|x| (x * 4.0 + 400.0).round() as u64)))
+                        .collect();
+                    let what = format!("GridL2 {name} {seed}");
+                    assert_partition_matches(&GridL2, &grid, &DELTAS, |p| p.to_vec(), &what);
+                }
+            }
+        }
+        // Coordinates near 1e200: at the radii past √f64::MAX only the
+        // scalar fallback separates the points.
+        let huge: Vec<_> = (0..40)
+            .map(|i| Weighted::unit([(i % 7) as f64 * 1e200, (i % 3) as f64 * 1e199]))
+            .collect();
+        let f64_bits = |p: &[f64; 2]| p.map(f64::to_bits).to_vec();
+        assert_partition_matches(&L2, &huge, &DELTAS, f64_bits, "L2 huge");
+        assert_partition_matches(&Linf, &huge, &DELTAS, f64_bits, "Linf huge");
+    }
+
+    #[test]
+    fn partition_absorbs_the_window_edge_pair() {
+        // p and q pass the radius test at delta = dist(p, q), both lie
+        // farther than delta from the pivot at the origin, and the
+        // computed keys put each outside the other's unwidened window
+        // (see `kcz_metric::pivot`): p must still absorb q.
+        let p = [-567.7666875789329, 251.45202560480666];
+        let q = [-862.8049480031359, 382.1183183577968];
+        let delta = L2.dist(&p, &q);
+        let (fp, fq) = (L2.dist(&[0.0, 0.0], &p), L2.dist(&[0.0, 0.0], &q));
+        assert!(L2.within(&p, &q, delta) && delta < fp);
+        assert!(
+            fp + delta < fq && fq - delta > fp,
+            "precondition: both edges miss"
+        );
+        let pts = unit_weighted(&[[0.0, 0.0], p, q, [5000.0, 0.0]]);
+        let bits = |x: &[f64; 2]| x.map(f64::to_bits).to_vec();
+        let reps = assert_partition_matches(&L2, &pts, &[delta], bits, "edge pair");
+        assert_eq!(reps.iter().map(|w| w.weight).collect::<Vec<_>>(), [1, 2, 1]);
     }
 
     #[test]

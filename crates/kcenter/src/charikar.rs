@@ -21,12 +21,11 @@
 //! lie within `r` of point `p` — and one solve answers them all from a
 //! neighbour cache built once:
 //!
-//! * **Prune.**  Let `f(p) = dist(pts[0], p)`.  By the triangle
-//!   inequality every `q` with `dist(p, q) ≤ R` has `|f(p) − f(q)| ≤ R`,
-//!   so with the points sorted by `f`, the candidates of `p` form one
-//!   contiguous window.  The window is widened by `1e-9·(R + max f)` to
-//!   absorb the rounding of the computed `f` values.  This holds for any
-//!   metric.
+//! * **Prune.**  The points are put in one [`PivotOrder`] by their
+//!   distance to `pts[0]`, so the candidates of every ball form one
+//!   contiguous window of that order.  The window, its widening for
+//!   rounding and why it holds in any metric are documented in
+//!   [`kcz_metric::pivot`].
 //! * **Cache.**  The first probe, at radius `R`, runs `dist_many` of every
 //!   point against its window and keeps each `(index, distance)` with
 //!   `distance ≤ R` in one CSR, each list sorted nearest first.  A probe
@@ -47,8 +46,7 @@
 //! Gains and uncovered weights are summed in `u128`, which is exact for
 //! any `n < 2³²` whatever the weights.
 
-use std::ops::Range;
-
+use kcz_metric::pivot::PivotOrder;
 use kcz_metric::{MetricSpace, Weighted};
 
 use crate::cost::cost_with_outliers;
@@ -347,23 +345,15 @@ fn candidate_radii<P, M: MetricSpace<P>>(
     }
 }
 
-/// The ball queries of one solve (see the module docs): the points sorted
-/// by their distance `f` to `pts[0]`, and the neighbour cache while it
-/// fits the budget.
+/// The ball queries of one solve (see the module docs): the pivot order
+/// of the points, and the neighbour cache while it fits the budget.
 struct Balls<'a, P, M> {
     metric: &'a M,
     pts: &'a [P],
-    /// `pts` in ascending order of `f`.
-    sorted: Vec<P>,
-    /// Index into `pts` of each sorted position.
-    order: Vec<usize>,
-    /// `f` of each sorted position, ascending.
-    keys: Vec<f64>,
-    /// `f` of each point, by index into `pts`.
+    /// `f` of each point, by index into `pts`: its distance to `pts[0]`.
     pivot: Vec<f64>,
-    /// The largest `f`, or `None` when some `f` is not finite and every
-    /// window spans all points.
-    max_key: Option<f64>,
+    /// `pts` by `f`.
+    order: PivotOrder<P>,
     /// Most cache entries a build may allocate.
     budget: usize,
     cache: Option<Cache>,
@@ -386,21 +376,11 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
     /// `pivot` is the `dist_many` row of `pts[0]`; `budget` caps the
     /// cache in entries.
     fn new(metric: &'a M, pts: &'a [P], pivot: Vec<f64>, budget: usize) -> Self {
-        let mut order: Vec<usize> = (0..pts.len()).collect();
-        order.sort_by(|&a, &b| pivot[a].total_cmp(&pivot[b]));
-        let keys: Vec<f64> = order.iter().map(|&i| pivot[i]).collect();
-        let max_key = keys
-            .iter()
-            .all(|f| f.is_finite())
-            .then(|| keys.last().copied().unwrap_or(0.0));
         Balls {
             metric,
             pts,
-            sorted: order.iter().map(|&i| pts[i].clone()).collect(),
-            order,
-            keys,
+            order: PivotOrder::new(&pivot, |i| pts[i].clone()),
             pivot,
-            max_key,
             // The cache stores `u32` indices.
             budget: if u32::try_from(pts.len()).is_ok() {
                 budget
@@ -413,20 +393,6 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
         }
     }
 
-    /// Sorted positions of every point that can lie within `r` of `p`.
-    fn window(&self, p: usize, r: f64) -> Range<usize> {
-        let all = 0..self.keys.len();
-        let Some(max_key) = self.max_key else {
-            return all;
-        };
-        let w = r + 1e-9 * (r + max_key);
-        if !w.is_finite() {
-            return all;
-        }
-        let f = self.pivot[p];
-        self.keys.partition_point(|&x| x < f - w)..self.keys.partition_point(|&x| x <= f + w)
-    }
-
     /// Readies the ball queries of one probe at radius `r`: read the cache
     /// if it was built at `r` or above, else rebuild it at `r` if the
     /// windows fit the budget, else scan the windows on the fly.
@@ -437,7 +403,7 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
         }
         let mut total = 0usize;
         for p in 0..self.pts.len() {
-            total += self.window(p, r).len();
+            total += self.order.window(self.pivot[p], r).len();
             if total > self.budget {
                 self.cached = false;
                 return;
@@ -451,14 +417,14 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
         start.push(0);
         let mut list = Vec::new();
         for p in 0..self.pts.len() {
-            let win = self.window(p, r);
-            let lo = win.start;
+            let win = self.order.window(self.pivot[p], r);
+            let at = &self.order.index()[win.clone()];
             self.metric
-                .dist_many(&self.pts[p], &self.sorted[win], &mut self.row);
+                .dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
             list.clear();
-            for (j, &d) in self.row.iter().enumerate() {
+            for (&d, &q) in self.row.iter().zip(at) {
                 if d <= r {
-                    list.push((d, self.order[lo + j] as u32));
+                    list.push((d, q as u32));
                 }
             }
             // Nearest first, so a ball at r ≤ R is a prefix of the list.
@@ -490,13 +456,13 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
                 }
             }
             _ => {
-                let win = self.window(p, r);
-                let lo = win.start;
+                let win = self.order.window(self.pivot[p], r);
+                let at = &self.order.index()[win.clone()];
                 self.metric
-                    .dist_many(&self.pts[p], &self.sorted[win], &mut self.row);
-                for (j, &d) in self.row.iter().enumerate() {
+                    .dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
+                for (&d, &q) in self.row.iter().zip(at) {
                     if d <= r {
-                        visit(self.order[lo + j]);
+                        visit(q);
                     }
                 }
             }
@@ -844,32 +810,6 @@ mod tests {
                 assert_probes_match(&Line, &line, &format!("Line {name} seed {seed}"));
             }
         }
-    }
-
-    #[test]
-    fn window_edge_pair_is_not_missed() {
-        // Seen from the pivot at 0, p and q sit at computed distance
-        // exactly r from each other, yet q lies above the computed edge
-        // f(p) + r of p's window, and p below the edge f(q) − r of q's:
-        // only the widening keeps each in the other's ball.
-        let (p, q) = (8.867689006035121, 212.70829658103784);
-        let r = Line.dist(&p, &q);
-        assert!(p + r < q && q - r > p, "precondition: both edges miss");
-        let line = vec![
-            Weighted::new(0.0, 1),
-            Weighted::new(p, 1),
-            Weighted::new(q, 5),
-            Weighted::new(1000.0, 1),
-        ];
-        assert_probes_match(&Line, &line, "Line edge pair");
-        // The same pair on an axis of the plane has the same distances.
-        let planar: Vec<Weighted<[f64; 2]>> = line
-            .iter()
-            .map(|w| Weighted::new([w.point, 0.0], w.weight))
-            .collect();
-        assert_eq!(L2.dist(&planar[1].point, &planar[2].point), r);
-        assert_probes_match(&L2, &planar, "L2 edge pair");
-        assert_probes_match(&Linf, &planar, "Linf edge pair");
     }
 
     /// Exhaustive feasibility sweep over the exact candidate set: returns

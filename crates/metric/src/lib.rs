@@ -10,12 +10,14 @@
 //! * metrics: [`L2`], [`Linf`], and their discrete-grid counterparts;
 //! * **batched distance kernels**: every [`MetricSpace`] ships one-to-many
 //!   methods ([`MetricSpace::dist_many`], [`MetricSpace::nearest`],
-//!   [`MetricSpace::within_indices`],
-//!   [`MetricSpace::find_within_weighted`], …) over the slice the caller
+//!   [`MetricSpace::within_indices`], …) over the slice the caller
 //!   already owns, with auto-vectorizable overrides for the Euclidean
 //!   metrics that defer or skip the `sqrt` — the single kernel surface
 //!   behind every hot loop in the suite (mini-ball partitions, streaming
 //!   absorption, query serving, MPC local rounds);
+//! * [`pivot::PivotOrder`], the points sorted by their distance to one
+//!   pivot, whose windows prune the ball queries of the mini-ball
+//!   partitions, the streaming absorb and the Charikar solve;
 //! * [`Weighted`] points with positive integer weights (the paper's weighted
 //!   k-center formulation, Section 1);
 //! * utilities used throughout: pairwise-distance extrema and spread
@@ -26,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+pub mod pivot;
 pub mod space;
 pub mod stats;
 pub mod weighted;
@@ -54,8 +57,8 @@ pub use weighted::{total_weight, unit_weighted, Weighted};
 ///   `sqrt` once per output value, after the scan, and return exactly the
 ///   same values as the scalar `dist` (IEEE `sqrt` is correctly rounded,
 ///   so `√(min sᵢ) = min √sᵢ`);
-/// * kernels that only *test* a radius (`within`, `within_indices`,
-///   `find_within_weighted`) skip the `sqrt` entirely and evaluate
+/// * kernels that only *test* a radius (`within`, `within_indices`) skip
+///   the `sqrt` entirely and evaluate
 ///   `dist²(a,b) ≤ r²`.  This agrees with the scalar
 ///   `dist(a,b) ≤ r` at `r = 0`, at exactly representable ties
 ///   (duplicate points, integer 3-4-5 configurations, …), and everywhere
@@ -127,13 +130,6 @@ pub trait MetricSpace<P>: Send + Sync {
                 out.push(i);
             }
         }
-    }
-
-    /// First index of `pts` whose `point` lies within distance `r` of `q`
-    /// (the streaming absorb test), or `None`.  Deferred-`sqrt` contract
-    /// applies.
-    fn find_within_weighted(&self, q: &P, pts: &[Weighted<P>], r: f64) -> Option<usize> {
-        pts.iter().position(|w| self.within(q, &w.point, r))
     }
 
     /// [`dist_many`](Self::dist_many) over a weighted slice, scanning the
@@ -219,13 +215,12 @@ fn nearer(d: f64, best: Option<(usize, f64)>) -> bool {
     }
 }
 
-/// Points per block of the blocked Euclidean kernels (`nearest`, the
-/// view's assign, and `find_within_weighted`, the shard absorb): each
-/// block's squared distances are computed into an array before any of
-/// them is compared, so no branch sits between the sums.  Every point's
-/// sum keeps its coordinate order and the comparisons run in index
-/// order, so the blocked kernels return exactly what the unblocked loops
-/// do.
+/// Points per block of the blocked Euclidean `nearest` (the view's
+/// assign): each block's squared distances are computed into an array
+/// before any of them is compared, so no branch sits between the sums.
+/// Every point's sum keeps its coordinate order and the comparisons run
+/// in index order, so the blocked kernel returns exactly what the
+/// unblocked loop does.
 const BLOCK: usize = 8;
 
 /// Batched-kernel overrides shared by the Euclidean metrics: squared
@@ -294,31 +289,6 @@ macro_rules! euclidean_batch_kernels {
                     out.push(i);
                 }
             }
-        }
-
-        fn find_within_weighted(&self, q: &$pt, pts: &[Weighted<$pt>], r: f64) -> Option<usize> {
-            if sq_overflows(r) {
-                return pts.iter().position(|w| self.dist(q, &w.point) <= r);
-            }
-            let r2 = sq_threshold(r);
-            let mut blocks = pts.chunks_exact(BLOCK);
-            for (b, block) in blocks.by_ref().enumerate() {
-                let mut s = [0.0; BLOCK];
-                for (v, w) in s.iter_mut().zip(block) {
-                    *v = $sq(q, &w.point);
-                }
-                // One branch per block; the first hit is found only once
-                // the block is known to hold one.
-                if s.iter().fold(false, |hit, &v| hit | (v <= r2)) {
-                    return s.iter().position(|&v| v <= r2).map(|j| b * BLOCK + j);
-                }
-            }
-            let base = pts.len() - blocks.remainder().len();
-            blocks
-                .remainder()
-                .iter()
-                .position(|w| $sq(q, &w.point) <= r2)
-                .map(|i| base + i)
         }
 
         fn nearest_weighted(&self, q: &$pt, pts: &[Weighted<$pt>]) -> Option<(usize, f64)> {
@@ -458,8 +428,8 @@ macro_rules! chebyshev_batch_kernels {
             }
         }
 
-        // within_indices / find_within_weighted need no override:
-        // the trait defaults already delegate to the early-exit `within`.
+        // within_indices needs no override: the trait default already
+        // delegates to the early-exit `within`.
     };
 }
 
@@ -596,11 +566,9 @@ mod tests {
         let pts = [[3.0, 4.0], [3.0, 4.000001], [0.0, 0.0]];
         assert!(L2.within(&q, &pts[0], 5.0));
         assert!(!L2.within(&q, &pts[1], 5.0));
-        assert_eq!(
-            L2.find_within_weighted(&q, &unit_weighted(&pts), 0.0),
-            Some(2)
-        );
         let mut idx = Vec::new();
+        L2.within_indices(&q, &pts, 0.0, &mut idx);
+        assert_eq!(idx, vec![2]);
         L2.within_indices(&q, &pts, 5.0, &mut idx);
         assert_eq!(idx, vec![0, 2]);
     }
@@ -608,12 +576,16 @@ mod tests {
     #[test]
     fn negative_and_nan_radii_match_nothing() {
         let q = [0.0, 0.0];
-        let pts = unit_weighted(&[[0.0, 0.0], [1.0, 0.0]]);
-        assert_eq!(L2.find_within_weighted(&q, &pts, -1.0), None);
-        assert_eq!(L2.find_within_weighted(&q, &pts, f64::NAN), None);
-        assert_eq!(Linf.find_within_weighted(&q, &pts, -0.5), None);
-        let grid = unit_weighted(&[[0u64, 0]]);
-        assert_eq!(GridL2.find_within_weighted(&[0u64, 0], &grid, -1.0), None);
+        let pts = [[0.0, 0.0], [1.0, 0.0]];
+        let mut idx = vec![7];
+        L2.within_indices(&q, &pts, -1.0, &mut idx);
+        assert!(idx.is_empty());
+        L2.within_indices(&q, &pts, f64::NAN, &mut idx);
+        assert!(idx.is_empty());
+        Linf.within_indices(&q, &pts, -0.5, &mut idx);
+        assert!(idx.is_empty());
+        GridL2.within_indices(&[0u64, 0], &[[0u64, 0]], -1.0, &mut idx);
+        assert!(idx.is_empty());
     }
 
     #[test]
@@ -630,10 +602,8 @@ mod tests {
         let mut idx = Vec::new();
         L2.within_indices(&q, &[near, far], r, &mut idx);
         assert_eq!(idx, vec![0]);
-        assert_eq!(
-            L2.find_within_weighted(&q, &unit_weighted(&[far, near]), r),
-            Some(1)
-        );
+        L2.within_indices(&q, &[far, near], r, &mut idx);
+        assert_eq!(idx, vec![1]);
     }
 
     #[test]
@@ -669,8 +639,6 @@ mod tests {
             Weighted::new([1.0, 1.0], 3),
             Weighted::new([0.0, 0.0], 1),
         ];
-        assert_eq!(L2.find_within_weighted(&[0.9, 0.9], &pts, 0.2), Some(1));
-        assert_eq!(L2.find_within_weighted(&[0.9, 0.9], &pts, 0.01), None);
         let (i, d) = L2.nearest_weighted(&[4.0, 4.0], &pts).unwrap();
         assert_eq!(i, 0);
         assert_eq!(d, L2.dist(&[4.0, 4.0], &[5.0, 5.0]));

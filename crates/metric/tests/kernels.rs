@@ -1,11 +1,10 @@
 //! Property tests for the batched distance kernels: on all four metrics
 //! the batched paths must agree with the scalar `dist`, including the
 //! deferred-`sqrt` paths at `r = 0` and at exactly representable ties,
-//! and the 8-point blocks of the Euclidean `nearest` and
-//! `find_within_weighted` on every block/tail split, at squared ties,
-//! at overflowing radii and on NaN coordinates.
+//! and the 8-point blocks of the Euclidean `nearest` on every block/tail
+//! split, at squared ties, at overflowing radii and on NaN coordinates.
 
-use kcz_metric::{unit_weighted, GridL2, GridLinf, Linf, MetricSpace, Weighted, L2};
+use kcz_metric::{GridL2, GridLinf, Linf, MetricSpace, Weighted, L2};
 use proptest::prelude::*;
 
 /// The scalar reference for `nearest`: the first index with the smallest
@@ -62,10 +61,6 @@ fn check_kernels<P: Clone + std::fmt::Debug, M: MetricSpace<P>>(
         .enumerate()
         .map(|(i, p)| Weighted::new(p.clone(), 1 + (i as u64 % 5)))
         .collect();
-    prop_assert_eq!(
-        metric.find_within_weighted(q, &weighted, r),
-        expect.iter().position(|&b| b)
-    );
     prop_assert_eq!(
         metric
             .nearest_weighted(q, &weighted)
@@ -151,8 +146,8 @@ proptest! {
     }
 }
 
-/// The Euclidean metrics, whose `nearest` and `find_within_weighted`
-/// run in 8-point blocks, at d ∈ {2, 3, 4, 8}.
+/// The Euclidean metrics, whose `nearest` runs in 8-point blocks, at
+/// d ∈ {2, 3, 4, 8}.
 macro_rules! euclid_kernels_agree_at_dim {
     ($l2:ident, $gl2:ident, $d:literal) => {
         proptest! {
@@ -199,12 +194,9 @@ fn check_single_hit_at_every_position<P: Copy + std::fmt::Debug, M: MetricSpace<
         for hit in 0..n {
             pts[hit] = near;
             check_kernels(metric, q, &pts, r).unwrap();
-            let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
-            assert_eq!(
-                metric.find_within_weighted(q, &weighted, r),
-                Some(hit),
-                "n = {n}"
-            );
+            let mut idx = Vec::new();
+            metric.within_indices(q, &pts, r, &mut idx);
+            assert_eq!(idx, vec![hit], "n = {n}");
             assert_eq!(
                 metric.nearest(q, &pts).map(|(i, _)| i),
                 Some(hit),
@@ -242,8 +234,9 @@ fn squared_ties_pick_the_smallest_index() {
             check_kernels(&L2, &q, &pts, r).unwrap();
         }
         assert_eq!(L2.nearest(&q, &pts), Some((a, 5.0)));
-        let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
-        assert_eq!(L2.find_within_weighted(&q, &weighted, 5.0), Some(a));
+        let mut idx = Vec::new();
+        L2.within_indices(&q, &pts, 5.0, &mut idx);
+        assert_eq!(idx, vec![a, b]);
     }
     let gq = [0u64, 0];
     let mut gpts = vec![[9u64, 9]; 9];
@@ -262,9 +255,9 @@ fn overflowing_radius_falls_back_to_scalar() {
     pts[9] = [1e150, 0.0];
     let r = 2e200;
     check_kernels(&L2, &q, &pts, r).unwrap();
-    let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
-    assert_eq!(L2.find_within_weighted(&q, &weighted, r), Some(9));
-    assert_eq!(n_within(&L2, &q, &pts, r), 1);
+    let mut idx = Vec::new();
+    L2.within_indices(&q, &pts, r, &mut idx);
+    assert_eq!(idx, vec![9]);
 }
 
 #[test]
@@ -279,8 +272,7 @@ fn nan_coordinates_are_skipped_like_scalar() {
         check_kernels(&L2, &q, &pts, 100.0).unwrap();
         check_kernels(&Linf, &q, &pts, 100.0).unwrap();
         assert_eq!(L2.nearest(&q, &pts).unwrap().0, n - 1);
-        let weighted: Vec<_> = pts.iter().map(|&p| Weighted::unit(p)).collect();
-        assert_eq!(L2.find_within_weighted(&q, &weighted, 1e300), None);
+        assert_eq!(n_within(&L2, &q, &pts, 1e300), 0);
     }
 }
 
@@ -301,8 +293,5 @@ fn deferred_sqrt_exact_ties() {
     assert_eq!(n_within(&GridLinf, &gq, &gpts, 4.0), 2);
     // r = 0 with exact duplicates.
     assert_eq!(n_within(&GridL2, &gq, &[[0u64, 0], [1, 0]], 0.0), 1);
-    assert_eq!(
-        L2.find_within_weighted(&q, &unit_weighted(&[[0.0, 0.0]]), 0.0),
-        Some(0)
-    );
+    assert_eq!(n_within(&L2, &q, &[[0.0, 0.0], [0.0, 1.0]], 0.0), 1);
 }

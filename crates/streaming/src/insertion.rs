@@ -16,6 +16,7 @@
 //! literature.
 
 use kcz_coreset::{streaming_capacity, update_coreset};
+use kcz_metric::pivot::PivotOrder;
 use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 
 /// Radius-doubling streaming engine (Algorithm 3 generalized over the
@@ -29,6 +30,11 @@ pub struct DoublingCoreset<P, M> {
     capacity: u64,
     r: f64,
     reps: Vec<Weighted<P>>,
+    /// The indices of `reps` by distance to `reps[0]`, whose windows
+    /// prune the absorb test.  A re-cluster or a merge rebuilds it.
+    /// Between rebuilds the pivot never moves: an absorb only bumps a
+    /// weight and a new representative is appended.
+    order: PivotOrder<()>,
     n_seen: u64,
     rebuilds: u64,
     peak_words: usize,
@@ -58,6 +64,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             capacity,
             r: 0.0,
             reps: Vec::new(),
+            order: PivotOrder::default(),
             n_seen: 0,
             rebuilds: 0,
             peak_words: 0,
@@ -138,6 +145,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
             self.rebuilds += 1;
         }
+        self.reorder();
         self.peak_words = self.peak_words.max(self.space_words());
     }
 
@@ -153,16 +161,16 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
         // Saturating like the representative weights: a stream that
         // exhausts u64 weight pins the counter instead of overflowing.
         self.n_seen = self.n_seen.saturating_add(w);
-        // Line 1–2: absorb into a representative within a·r — one batched
-        // find-first-within kernel over the representative set (deferred
-        // sqrt, early exit on the first hit).
-        if let Some(i) = self
+        // Line 1–2: absorb into the first representative, in index
+        // order, within a·r (see `first_within`).
+        let f = self
             .metric
-            .find_within_weighted(&p, &self.reps, self.absorb * self.r)
-        {
+            .dist(self.reps.first().map_or(&p, |c| &c.point), &p);
+        if let Some(i) = self.first_within(&p, f, self.absorb * self.r) {
             self.reps[i].weight = self.reps[i].weight.saturating_add(w);
         } else {
             // Line 4: new representative.
+            self.order.push(f, ());
             self.reps.push(Weighted::new(p, w));
             // Line 5–7: establish the initial radius from the minimum
             // pairwise distance once k+z+1 distinct points are present.
@@ -172,13 +180,50 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
                 }
             }
             // Line 8–10: double r and re-cluster until under capacity.
+            let rebuilds = self.rebuilds;
             while self.r > 0.0 && self.reps.len() as u64 >= self.capacity {
                 self.r *= 2.0;
                 self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
                 self.rebuilds += 1;
             }
+            if self.rebuilds > rebuilds {
+                self.reorder();
+            }
         }
         self.peak_words = self.peak_words.max(self.space_words());
+    }
+
+    /// The smallest index of a representative within `r` of `p`, where
+    /// `f` is `p`'s distance to `reps[0]`: the first hit of a scan in
+    /// index order.  Only `p`'s window of the pivot order can hold a hit,
+    /// and its reps are tested in place, with no buffer, so an absorb
+    /// never allocates.  A window of more than half the reps (a ring
+    /// around `reps[0]`) must be tested whole, which costs more than the
+    /// index scan's early exit, so that scan runs instead.
+    fn first_within(&self, p: &P, f: f64, r: f64) -> Option<usize> {
+        let win = self.order.window(f, r);
+        if 2 * win.len() > self.reps.len() {
+            return self
+                .reps
+                .iter()
+                .position(|c| self.metric.within(p, &c.point, r));
+        }
+        let mut first = usize::MAX;
+        for &i in &self.order.index()[win] {
+            if i < first && self.metric.within(p, &self.reps[i].point, r) {
+                first = i;
+            }
+        }
+        (first < usize::MAX).then_some(first)
+    }
+
+    /// Rebuilds the pivot order over `reps`, pivot `reps[0]`.
+    fn reorder(&mut self) {
+        let mut f = Vec::new();
+        if let Some(c) = self.reps.first() {
+            self.metric.dist_many_weighted(&c.point, &self.reps, &mut f);
+        }
+        self.order = PivotOrder::new(&f, |_| ());
     }
 
     /// Smallest positive pairwise distance among the representatives,
@@ -340,7 +385,7 @@ mod tests {
     use super::*;
     use kcz_coreset::streaming_capacity;
     use kcz_kcenter::exact_discrete;
-    use kcz_metric::{total_weight, L2};
+    use kcz_metric::{total_weight, Linf, L2};
 
     /// Deterministic pseudo-random stream: two clusters + outliers.
     fn stream(n: usize) -> Vec<[f64; 2]> {
@@ -633,6 +678,205 @@ mod tests {
             assert_eq!(a.point, b.point);
             assert_eq!(a.weight, b.weight);
         }
+    }
+
+    /// The absorb loop before the pivot order, kept as the reference the
+    /// windowed absorb must reproduce bit for bit: a linear first-hit
+    /// scan over the representatives, then `update_coreset` on every
+    /// doubling.
+    struct Reference<P> {
+        k: usize,
+        z: u64,
+        absorb: f64,
+        capacity: u64,
+        r: f64,
+        reps: Vec<Weighted<P>>,
+    }
+
+    impl<P: Clone> Reference<P> {
+        /// A reference that continues from `alg`'s current state.
+        fn of<M>(alg: &DoublingCoreset<P, M>) -> Self {
+            Reference {
+                k: alg.k,
+                z: alg.z,
+                absorb: alg.absorb,
+                capacity: alg.capacity,
+                r: alg.r,
+                reps: alg.reps.clone(),
+            }
+        }
+
+        fn insert<M: MetricSpace<P>>(&mut self, metric: &M, p: P, w: u64) {
+            let r = self.absorb * self.r;
+            if let Some(i) = self
+                .reps
+                .iter()
+                .position(|c| metric.within(&p, &c.point, r))
+            {
+                self.reps[i].weight = self.reps[i].weight.saturating_add(w);
+                return;
+            }
+            self.reps.push(Weighted::new(p, w));
+            if self.r == 0.0 && self.reps.len() as u64 > self.k as u64 + self.z {
+                if let Some(min) =
+                    kcz_metric::stats::min_pairwise_distance_weighted(metric, &self.reps)
+                {
+                    self.r = min / 2.0;
+                }
+            }
+            while self.r > 0.0 && self.reps.len() as u64 >= self.capacity {
+                self.r *= 2.0;
+                self.reps = update_coreset(metric, &self.reps, self.absorb * self.r);
+            }
+        }
+    }
+
+    /// What a replay exercised: arrivals right after a doubling
+    /// re-cluster, and arrivals whose window held at most half the reps
+    /// (scanned) or more (the index scan instead).
+    #[derive(Debug, Default)]
+    struct Replay {
+        after_rebuild: usize,
+        windowed: usize,
+        index_scan: usize,
+    }
+
+    /// Replays `arrivals` through `alg` and through a [`Reference`] that
+    /// starts from `alg`'s state, asserting bit-identical coresets and
+    /// radii after every insert.
+    fn assert_replay_matches<M: MetricSpace<[f64; 2]>>(
+        alg: &mut DoublingCoreset<[f64; 2], M>,
+        arrivals: &[([f64; 2], u64)],
+        what: &str,
+    ) -> Replay {
+        let key = |reps: &[Weighted<[f64; 2]>]| -> Vec<([u64; 2], u64)> {
+            reps.iter()
+                .map(|c| (c.point.map(f64::to_bits), c.weight))
+                .collect()
+        };
+        let mut reference = Reference::of(alg);
+        let mut seen = Replay::default();
+        let mut rebuilds = alg.rebuilds();
+        for (t, &(p, w)) in arrivals.iter().enumerate() {
+            seen.after_rebuild += usize::from(alg.rebuilds() > rebuilds);
+            rebuilds = alg.rebuilds();
+            if let Some(c) = alg.reps.first() {
+                let f = alg.metric.dist(&c.point, &p);
+                if 2 * alg.order.window(f, alg.absorb * alg.r).len() > alg.reps.len() {
+                    seen.index_scan += 1;
+                } else {
+                    seen.windowed += 1;
+                }
+            }
+            alg.insert_weighted(p, w);
+            reference.insert(&alg.metric, p, w);
+            assert_eq!(
+                key(alg.coreset()),
+                key(&reference.reps),
+                "{what}: arrival {t}"
+            );
+            assert_eq!(
+                alg.r.to_bits(),
+                reference.r.to_bits(),
+                "{what}: arrival {t}"
+            );
+        }
+        seen
+    }
+
+    /// [`stream`] with weights, repeats of earlier arrivals, and one NaN
+    /// and one infinite coordinate.
+    fn weighted_stream(n: usize) -> Vec<([f64; 2], u64)> {
+        let pts = stream(n);
+        let mut out: Vec<([f64; 2], u64)> = Vec::with_capacity(n + n / 7);
+        for (i, &p) in pts.iter().enumerate() {
+            out.push((p, 1 + (i % 3) as u64));
+            if i % 7 == 6 {
+                out.push((pts[i / 2], 2));
+            }
+        }
+        out[n / 3].0 = [f64::NAN, 1.0];
+        out[n / 2].0 = [f64::INFINITY, 0.0];
+        out
+    }
+
+    #[test]
+    fn windowed_absorb_matches_the_first_hit_scan() {
+        let arrivals = weighted_stream(1500);
+        let mut l2 = DoublingCoreset::new(L2, 2, 8, 0.25, 40);
+        let seen = assert_replay_matches(&mut l2, &arrivals, "L2");
+        assert!(
+            seen.after_rebuild >= 3 && seen.windowed > 100 && seen.index_scan > 100,
+            "{seen:?}"
+        );
+        let mut linf = DoublingCoreset::new(Linf, 2, 8, 0.25, 40);
+        let seen = assert_replay_matches(&mut linf, &arrivals, "Linf");
+        assert!(
+            seen.after_rebuild >= 3 && seen.windowed > 100 && seen.index_scan > 100,
+            "{seen:?}"
+        );
+    }
+
+    #[test]
+    fn windowed_absorb_matches_on_a_ring_around_the_pivot() {
+        // Every rep but the first sits at one distance from reps[0], so
+        // every window spans the ring; each arrival hits exactly one rep.
+        let ring = |i: usize, jitter: f64| {
+            let a = std::f64::consts::TAU * i as f64 / 200.0;
+            [(1000.0 + jitter) * a.cos(), (1000.0 + jitter) * a.sin()]
+        };
+        let mut alg = DoublingCoreset::new(L2, 2, 8, 0.25, 1000);
+        let mut arrivals = vec![([0.0, 0.0], 1)];
+        arrivals.extend((0..200).map(|i| (ring(i, 0.0), 1)));
+        arrivals.extend((0..600).map(|i| (ring(i * 67 % 200, (i % 5) as f64 * 0.5), 1)));
+        let seen = assert_replay_matches(&mut alg, &arrivals, "ring");
+        assert_eq!(alg.coreset().len(), 201);
+        // Once the ring holds reps, every window spans more than half.
+        assert!(seen.index_scan >= 600, "{seen:?}");
+    }
+
+    #[test]
+    fn windowed_absorb_matches_after_a_merge() {
+        let arrivals = weighted_stream(900);
+        let mk = || DoublingCoreset::<[f64; 2], _>::new(L2, 2, 8, 0.25, 60);
+        let (mut a, mut b) = (mk(), mk());
+        for &(p, w) in &arrivals[..300] {
+            a.insert_weighted(p, w);
+        }
+        for &(p, w) in &arrivals[300..600] {
+            b.insert_weighted(p, w);
+        }
+        a.merge([&b]);
+        assert_replay_matches(&mut a, &arrivals[600..], "after a merge");
+        // A merge before any radius is set only merges duplicates.
+        let (mut c, mut d) = (mk(), mk());
+        c.insert([1.0, 1.0]);
+        d.insert([5.0, 5.0]);
+        d.insert([1.0, 1.0]);
+        c.merge([&d]);
+        assert_replay_matches(&mut c, &arrivals[..200], "after a pre-radius merge");
+    }
+
+    #[test]
+    fn an_arrival_at_exactly_a_r_from_two_reps_joins_the_lower_index() {
+        // k + z + 1 = 2 distinct points set r = 20 / 2, so a·r = 5.  Reps
+        // 2 and 3 lie at exactly 5 from [100, 0] (3-4-5 triangles, exact
+        // in squared arithmetic), and rep 3 comes first in the pivot
+        // order: the absorb must still pick rep 2, like the index scan.
+        let mut alg = DoublingCoreset::<[f64; 2], _>::new(L2, 1, 0, 0.5, 100);
+        let reps = [[0.0, 0.0], [20.0, 0.0], [103.0, 4.0], [97.0, -4.0]];
+        let arrivals: Vec<_> = reps
+            .iter()
+            .chain(&[[100.0, 0.0], [100.0, 0.0]])
+            .map(|&p| (p, 1))
+            .collect();
+        let seen = assert_replay_matches(&mut alg, &arrivals, "ties");
+        assert_eq!(seen.windowed, 5, "{seen:?}");
+        assert_eq!(alg.radius_bound() * 0.5, 5.0);
+        let weights: Vec<u64> = alg.coreset().iter().map(|c| c.weight).collect();
+        assert_eq!(weights, [1, 1, 3, 1]);
+        let f = |i: usize| L2.dist(&reps[0], &reps[i]);
+        assert!(f(3) < f(2), "rep 3 comes first in the pivot order");
     }
 
     #[test]

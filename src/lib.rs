@@ -16,7 +16,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`obs`] | zero-overhead observability: lock-free counters/gauges/latency histograms behind a [`obs::MetricsHandle`] that no-ops when disabled, span/stage tracing on a pluggable [`obs::Clock`] (deterministic [`obs::TickClock`] for tests), and the versioned `kcz-metrics/v1` JSON export (`--metrics` on `kcz engine` / `query` / `conformance`) |
-//! | [`metric`] | points, metrics ([`metric::L2`], [`metric::Linf`], grids), **batched distance kernels** (`dist_many`, `nearest`, `find_within_weighted`, … with deferred-`sqrt` overrides and 8-point blocks for the Euclidean absorb and nearest scans), weighted sets, storage accounting |
+//! | [`metric`] | points, metrics ([`metric::L2`], [`metric::Linf`], grids), **batched distance kernels** (`dist_many`, `nearest`, `within_indices`, … with deferred-`sqrt` overrides and 8-point blocks for the Euclidean nearest scan), the pivot order whose windows prune every ball query ([`metric::pivot::PivotOrder`]), weighted sets, storage accounting |
 //! | [`kcenter`] | offline solvers: Charikar-et-al. greedy 3-approximation, Gonzalez, exact ground truth — hot loops on the batched kernels |
 //! | [`coreset`] | mini-ball coverings: `MBCConstruction` (Alg. 1), `UpdateCoreset` (Alg. 4), composition lemmas, validators |
 //! | [`mpc`] | MPC simulator + the 2-round (Alg. 2), randomized 1-round (Alg. 6), R-round (Alg. 7) algorithms and the CPP19 baseline |
