@@ -104,12 +104,15 @@ pub struct EngineStats {
     /// Batches accepted so far.
     pub batches: u64,
     /// Largest peak storage of any single shard, in words (the paper's
-    /// per-machine measure: shards are machines).
+    /// per-machine measure: shards are machines).  It counts the
+    /// summary only: the absorb's pivot order, two more words per
+    /// representative, is left out (see `DoublingCoreset::space_words`).
     pub shard_peak_words: usize,
     /// Extra words held by this snapshot's merge: the cached shard
     /// leaves (resident between publishes) plus the merged root.  The
     /// root is counted on top of its leaves because the union exists
-    /// before its recompression shrinks it.
+    /// before its recompression shrinks it.  The leaves' pivot orders
+    /// are left out, as in `shard_peak_words`.
     pub merge_transient_words: usize,
     /// Words of the merged summary the snapshot solved on.
     pub summary_words: usize,
