@@ -33,18 +33,32 @@
 //!   probe above `R` rebuilds the cache at `r`.  On the engine's warm
 //!   path the first probe is the hint's candidate, so one build serves
 //!   the whole search.
-//! * **Budget.**  Before building, the windows' total length — two
-//!   `partition_point`s per point, no distances — is compared with a fixed
-//!   budget of 1.5 M entries (18 MB, the size of a 1500×1500 `f64`
-//!   distance matrix).  Over the budget, each ball query scans its own
-//!   window on the fly instead, in `O(n)` memory.
+//! * **Cursors.**  Each point keeps the end of its prefix and the weight
+//!   of that prefix.  A probe moves every cursor from the last probe's
+//!   radius to its own, adding or subtracting the weights of the entries
+//!   it crosses, so it pays only for the entries between the two radii.
+//!   The prefix is also the ball a covered point's weight leaves, with no
+//!   distance read.  A rebuild resets the cursors.
+//! * **Key sort.**  A build writes every window candidate and advances
+//!   the kept count by `distance ≤ R`, with no branch.  Each list is
+//!   sorted as `u64` keys: the distance's bits, whose order is the order
+//!   of non-negative floats, with the low bits replaced by the entry's
+//!   position in its window.  One insertion pass then orders the runs of
+//!   entries whose distances differ only in those low bits.
+//! * **Budget.**  A build stops once its kept entries pass a fixed budget
+//!   of 1.5 M entries (18 MB, the size of a 1500×1500 `f64` distance
+//!   matrix), and the solve remembers that radius.  A probe at or above
+//!   it scans, answering each ball query from its own window on the fly
+//!   in `O(n)` memory, so a radius gets at most one attempted build.  A
+//!   ball sum in that mode scans its window too.
 //!
 //! Every radius test, in both modes, compares an exact `dist` value
 //! (`dist_many` returns the scalar distances bit for bit) against the
 //! radius with `<=`: the predicate of a full distance matrix.  A probe's
 //! picks and verdict therefore do not depend on the mode or the budget.
 //! Gains and uncovered weights are summed in `u128`, which is exact for
-//! any `n < 2³²` whatever the weights.
+//! any `n < 2³²` whatever the weights, so a cursor's running sum equals
+//! the sum of its prefix.
 
 use kcz_metric::pivot::PivotOrder;
 use kcz_metric::{MetricSpace, Weighted};
@@ -54,6 +68,13 @@ use crate::cost::cost_with_outliers;
 /// Entry budget of the neighbour cache: 1.5 M entries of a `u32` index
 /// and an `f64` distance, 18 MB.
 const CACHE_BUDGET: usize = 1_500_000;
+
+/// Low bits of a build's sort key that hold an entry's position in its
+/// window.  They cover any window of a point set the cache can hold: a
+/// set of more than `CACHE_BUDGET` points cannot hold even its
+/// self-entries, so it is never cached.
+const POS_BITS: u32 = usize::BITS - CACHE_BUDGET.leading_zeros();
+const POS_MASK: u64 = (1 << POS_BITS) - 1;
 
 /// Tuning knobs for [`greedy_with`].  They choose the candidate radii
 /// and where the search starts.  How the probes answer their ball
@@ -156,14 +177,14 @@ pub fn greedy_with<P: Clone, M: MetricSpace<P>>(
     metric.dist_many(&pts[0], &pts, &mut pivot);
     let candidates = candidate_radii(metric, &pts, &pivot, params);
     debug_assert!(!candidates.is_empty());
-    let mut balls = Balls::new(metric, &pts, pivot, CACHE_BUDGET);
+    let mut balls = Balls::new(metric, &pts, &weights, pivot, CACHE_BUDGET);
 
     // Feasibility is monotone in r for the guarantee's purposes: the
     // largest candidate (≥ diameter) always succeeds with one center.
     let mut probes = 0usize;
     let mut probe = |i: usize| {
         probes += 1;
-        disk_greedy(&mut balls, &weights, k, z, candidates[i]).verdict(z)
+        disk_greedy(&mut balls, k, z, candidates[i]).verdict(z)
     };
     let best = match params.warm_guess {
         Some(g) => warm_search(&candidates, g, &mut probe),
@@ -172,7 +193,7 @@ pub fn greedy_with<P: Clone, M: MetricSpace<P>>(
     let (idx, center_idx) = best.unwrap_or_else(|| {
         // The diameter guess must succeed; recompute defensively.
         let last = candidates.len() - 1;
-        let c = disk_greedy(&mut balls, &weights, k, z, candidates[last])
+        let c = disk_greedy(&mut balls, k, z, candidates[last])
             .verdict(z)
             .expect("diameter-radius guess must be feasible");
         (last, c)
@@ -297,7 +318,7 @@ fn warm_search(
 
 /// Candidate radii for the binary search, ascending, first element `0`.
 /// `pivot` is the `dist_many` row of `pts[0]`.
-fn candidate_radii<P, M: MetricSpace<P>>(
+fn candidate_radii<P: Clone, M: MetricSpace<P>>(
     metric: &M,
     pts: &[P],
     pivot: &[f64],
@@ -319,13 +340,20 @@ fn candidate_radii<P, M: MetricSpace<P>>(
         // Upper bound on the diameter: 2 × the eccentricity of point 0.
         let ecc = pivot.iter().fold(0.0f64, |m, &d| m.max(d));
         let hi = (2.0 * ecc).max(f64::MIN_POSITIVE);
-        // Lower bound: smallest positive distance within a sample.
+        // Lower bound: smallest positive distance within a sample.  A
+        // pair farther apart than the minimum so far cannot lower it, so
+        // each point scans only its window at that minimum in the
+        // sample's pivot order (every point while it is infinite).  Of
+        // each window it takes the pairs `(i, j)` with `j > i`, the
+        // ordered pairs a full scan compares, so the minimum is the same.
         let sample = 512.min(n);
+        let order = PivotOrder::new(&pivot[..sample], |i| pts[i].clone());
         let mut lo = f64::INFINITY;
         for i in 0..sample {
-            metric.dist_many(&pts[i], &pts[i + 1..sample], &mut row);
-            for &d in &row {
-                if d > 0.0 && d < lo {
+            let win = order.window(pivot[i], lo);
+            metric.dist_many(&pts[i], &order.items()[win.clone()], &mut row);
+            for (&d, &j) in row.iter().zip(&order.index()[win]) {
+                if j > i && d > 0.0 && d < lo {
                     lo = d;
                 }
             }
@@ -350,121 +378,200 @@ fn candidate_radii<P, M: MetricSpace<P>>(
 struct Balls<'a, P, M> {
     metric: &'a M,
     pts: &'a [P],
+    weights: &'a [u64],
     /// `f` of each point, by index into `pts`: its distance to `pts[0]`.
     pivot: Vec<f64>,
     /// `pts` by `f`.
     order: PivotOrder<P>,
-    /// Most cache entries a build may allocate.
+    /// Most cache entries a build may keep.
     budget: usize,
-    cache: Option<Cache>,
+    /// Smallest radius whose build passed the budget: a probe at or
+    /// above it scans.
+    over: f64,
+    cache: Cache,
     /// Whether the current probe reads `cache` rather than scanning.
     cached: bool,
     row: Vec<f64>,
+    keys: Vec<u64>,
 }
 
 /// Neighbour lists at radius `r` in CSR form: the entries of point `p`
 /// (an index into `pts`) are `start[p]..start[p + 1]` of `nbr` and `dist`,
-/// nearest first.
+/// nearest first.  The cursor `end[p]` ends the prefix of `p`'s list that
+/// lies within the last probe's radius, and `sum[p]` is the weight of that
+/// prefix.
+#[derive(Default)]
 struct Cache {
+    /// The radius of the lists; `-∞` while no build is complete.
     r: f64,
     start: Vec<usize>,
     nbr: Vec<u32>,
     dist: Vec<f64>,
+    end: Vec<usize>,
+    sum: Vec<u128>,
 }
 
 impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
     /// `pivot` is the `dist_many` row of `pts[0]`; `budget` caps the
     /// cache in entries.
-    fn new(metric: &'a M, pts: &'a [P], pivot: Vec<f64>, budget: usize) -> Self {
+    fn new(
+        metric: &'a M,
+        pts: &'a [P],
+        weights: &'a [u64],
+        pivot: Vec<f64>,
+        budget: usize,
+    ) -> Self {
         Balls {
             metric,
             pts,
+            weights,
             order: PivotOrder::new(&pivot, |i| pts[i].clone()),
             pivot,
-            // The cache stores `u32` indices.
-            budget: if u32::try_from(pts.len()).is_ok() {
-                budget
+            budget,
+            // Window positions fit the sort keys' low bits, and indices a
+            // `u32`, only for a point set the budget can cache.
+            over: if pts.len() <= CACHE_BUDGET {
+                f64::INFINITY
             } else {
-                0
+                f64::NEG_INFINITY
             },
-            cache: None,
+            cache: Cache {
+                r: f64::NEG_INFINITY,
+                ..Cache::default()
+            },
             cached: false,
             row: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
     /// Readies the ball queries of one probe at radius `r`: read the cache
-    /// if it was built at `r` or above, else rebuild it at `r` if the
-    /// windows fit the budget, else scan the windows on the fly.
+    /// if it was built at `r` or above, else rebuild it at `r` below the
+    /// radius of the last overflowing build, else scan the windows on the
+    /// fly.  Reading the cache moves every cursor to `r`.
     fn prepare(&mut self, r: f64) {
-        if self.cache.as_ref().is_some_and(|c| r <= c.r) {
-            self.cached = true;
-            return;
+        self.cached = r <= self.cache.r || (r < self.over && self.build(r));
+        if self.cached {
+            self.cache.seek(r, self.weights);
         }
-        let mut total = 0usize;
-        for p in 0..self.pts.len() {
-            total += self.order.window(self.pivot[p], r).len();
-            if total > self.budget {
-                self.cached = false;
-                return;
-            }
-        }
-        // Free the old cache before allocating its replacement, once.
-        self.cache = None;
-        let mut start = Vec::with_capacity(self.pts.len() + 1);
-        let mut nbr = Vec::with_capacity(total);
-        let mut dist = Vec::with_capacity(total);
-        start.push(0);
-        let mut list = Vec::new();
+    }
+
+    /// Builds the cache at radius `r`, with every cursor at the start of
+    /// its list.  Stops, remembering `r`, and returns `false` once the
+    /// kept entries pass the budget.
+    fn build(&mut self, r: f64) -> bool {
+        let c = &mut self.cache;
+        c.r = f64::NEG_INFINITY;
+        c.start.clear();
+        c.nbr.clear();
+        c.dist.clear();
+        c.start.push(0);
         for p in 0..self.pts.len() {
             let win = self.order.window(self.pivot[p], r);
             let at = &self.order.index()[win.clone()];
             self.metric
                 .dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
-            list.clear();
-            for (&d, &q) in self.row.iter().zip(at) {
-                if d <= r {
-                    list.push((d, q as u32));
-                }
+            let row = &self.row;
+            if self.keys.len() < row.len() {
+                self.keys.resize(row.len(), 0);
             }
-            // Nearest first, so a ball at r ≤ R is a prefix of the list.
-            list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            dist.extend(list.iter().map(|e| e.0));
-            nbr.extend(list.iter().map(|e| e.1));
-            start.push(nbr.len());
+            // Key every candidate by its distance's bits (`+ 0.0` turns
+            // −0.0 into +0.0) with its window position in the low bits,
+            // and count it kept when it lies within `r`.
+            let mut kept = 0;
+            for (pos, &d) in row.iter().enumerate() {
+                self.keys[kept] = (d + 0.0).to_bits() & !POS_MASK | pos as u64;
+                kept += usize::from(d <= r);
+            }
+            let keys = &mut self.keys[..kept];
+            keys.sort_unstable();
+            // The keys order the distances up to their dropped low bits;
+            // order each run of equal truncated keys by distance.
+            let at_pos = |key: u64| (key & POS_MASK) as usize;
+            for i in 1..keys.len() {
+                let key = keys[i];
+                let d = row[at_pos(key)];
+                let mut j = i;
+                while j > 0
+                    && keys[j - 1] & !POS_MASK == key & !POS_MASK
+                    && row[at_pos(keys[j - 1])] > d
+                {
+                    keys[j] = keys[j - 1];
+                    j -= 1;
+                }
+                keys[j] = key;
+            }
+            c.nbr.extend(keys.iter().map(|&key| at[at_pos(key)] as u32));
+            c.dist.extend(keys.iter().map(|&key| row[at_pos(key)]));
+            c.start.push(c.nbr.len());
+            if c.nbr.len() > self.budget {
+                self.over = r;
+                return false;
+            }
         }
-        self.cache = Some(Cache {
-            r,
-            start,
-            nbr,
-            dist,
-        });
-        self.cached = true;
+        c.end.clear();
+        c.end.extend_from_slice(&c.start[..self.pts.len()]);
+        c.sum.clear();
+        c.sum.resize(self.pts.len(), 0);
+        c.r = r;
+        true
+    }
+
+    /// The weight of the points within `r` of `p`, where `r` is the
+    /// radius of the last [`Balls::prepare`].
+    fn ball_weight(&mut self, p: usize, r: f64) -> u128 {
+        if self.cached {
+            return self.cache.sum[p];
+        }
+        let mut sum = 0;
+        let weights = self.weights;
+        self.for_each_within(p, r, |q| sum += u128::from(weights[q]));
+        sum
     }
 
     /// Calls `visit(q)` for every `q` with `dist(p, q) ≤ r`, where `r`
     /// is the radius of the last [`Balls::prepare`].
     fn for_each_within(&mut self, p: usize, r: f64, mut visit: impl FnMut(usize)) {
-        match &self.cache {
-            Some(c) if self.cached => {
-                let span = c.start[p]..c.start[p + 1];
-                for (&q, &d) in c.nbr[span.clone()].iter().zip(&c.dist[span]) {
-                    if d > r {
-                        break;
-                    }
-                    visit(q as usize);
-                }
+        if self.cached {
+            let c = &self.cache;
+            let ball = c.start[p]..c.end[p];
+            debug_assert!(
+                c.dist[ball.clone()].last().is_none_or(|&d| d <= r)
+                    && c.dist[ball.end..c.start[p + 1]]
+                        .first()
+                        .is_none_or(|&d| d > r),
+                "the cursor of {p} is not at radius {r}"
+            );
+            for &q in &c.nbr[ball] {
+                visit(q as usize);
             }
-            _ => {
-                let win = self.order.window(self.pivot[p], r);
-                let at = &self.order.index()[win.clone()];
-                self.metric
-                    .dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
-                for (&d, &q) in self.row.iter().zip(at) {
-                    if d <= r {
-                        visit(q);
-                    }
-                }
+            return;
+        }
+        let win = self.order.window(self.pivot[p], r);
+        let at = &self.order.index()[win.clone()];
+        self.metric
+            .dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
+        for (&d, &q) in self.row.iter().zip(at) {
+            if d <= r {
+                visit(q);
+            }
+        }
+    }
+}
+
+impl Cache {
+    /// Moves every cursor to radius `r`, adding or subtracting the weight
+    /// of each entry it crosses.
+    fn seek(&mut self, r: f64, weights: &[u64]) {
+        let cursors = self.end.iter_mut().zip(&mut self.sum);
+        for ((end, sum), list) in cursors.zip(self.start.windows(2)) {
+            while *end < list[1] && self.dist[*end] <= r {
+                *sum += u128::from(weights[self.nbr[*end] as usize]);
+                *end += 1;
+            }
+            while *end > list[0] && self.dist[*end - 1] > r {
+                *end -= 1;
+                *sum -= u128::from(weights[self.nbr[*end] as usize]);
             }
         }
     }
@@ -490,23 +597,22 @@ impl Probe {
 /// greedily pick up to `k` disk centers, stopping early once the
 /// uncovered weight is at most `z` or no `r`-ball covers any of it.
 ///
-/// Gains start as ball sums and are maintained incrementally as points
-/// get covered: `O(Σ|ball|)` from the neighbour cache, plus one
-/// `dist_many` row over all points per pick for its `3r` ball.
+/// Gains start as ball weights (the cursors' sums when cached) and drop
+/// as points get covered: `O(Σ|ball|)` over the covered points from the
+/// neighbour cache, plus one `dist_many` row over all points per pick for
+/// its `3r` ball.  Once no pick can follow, the gains are left as they
+/// are.
 fn disk_greedy<P: Clone, M: MetricSpace<P>>(
     balls: &mut Balls<'_, P, M>,
-    weights: &[u64],
     k: usize,
     z: u64,
     r: f64,
 ) -> Probe {
+    let weights = balls.weights;
     let n = weights.len();
     balls.prepare(r);
     // gain[p] = uncovered weight within distance r of p.
-    let mut gain = vec![0u128; n];
-    for (p, g) in gain.iter_mut().enumerate() {
-        balls.for_each_within(p, r, |q| *g += u128::from(weights[q]));
-    }
+    let mut gain: Vec<u128> = (0..n).map(|p| balls.ball_weight(p, r)).collect();
     let mut uncovered: u128 = weights.iter().map(|&w| u128::from(w)).sum();
     let mut covered = vec![false; n];
     let mut picks = Vec::with_capacity(k);
@@ -534,8 +640,11 @@ fn disk_greedy<P: Clone, M: MetricSpace<P>>(
                 covered[q] = true;
                 let w = u128::from(weights[q]);
                 uncovered -= w;
-                // q leaves every gain it contributed to.
-                balls.for_each_within(q, r, |p| gain[p] -= w);
+                // q leaves every gain it contributed to, unless no pick
+                // follows to read the gains.
+                if picks.len() < k && uncovered > u128::from(z) {
+                    balls.for_each_within(q, r, |p| gain[p] -= w);
+                }
             }
         }
     }
@@ -732,9 +841,9 @@ mod tests {
                     .map(|&r| reference_probe(metric, &pts, &weights, k, z, r))
                     .collect();
                 for budget in [usize::MAX, n * n / 3, 0] {
-                    let mut balls = Balls::new(metric, &pts, pivot.clone(), budget);
+                    let mut balls = Balls::new(metric, &pts, &weights, pivot.clone(), budget);
                     for &i in &order {
-                        let got = disk_greedy(&mut balls, &weights, k, z, candidates[i]);
+                        let got = disk_greedy(&mut balls, k, z, candidates[i]);
                         assert_eq!(
                             got, expect[i],
                             "{what}: k={k} z={z} budget={budget} r={}",
@@ -790,10 +899,21 @@ mod tests {
         for _ in 0..3 {
             gaussian.push(Weighted::new([u() * 900.0 - 450.0, 300.0 + u() * 100.0], 1));
         }
+        // A 10×10 lattice with about a third of its sites repeated: lists
+        // of up to all its 130-odd points, which the key sort does not
+        // take on its small-slice path and the cursors cross far both ways.
+        let mut dense = Vec::new();
+        for i in 0..100 {
+            let site = [(i % 10) as f64, (i / 10) as f64];
+            for _ in 0..1 + usize::from(u() < 0.3) {
+                dense.push(Weighted::new(site, weight(&mut u)));
+            }
+        }
         vec![
             ("lattice", lattice),
             ("duplicates", duplicates),
             ("gaussian", gaussian),
+            ("dense lattice", dense),
         ]
     }
 
@@ -812,6 +932,58 @@ mod tests {
         }
     }
 
+    #[test]
+    fn distances_equal_in_the_key_bits_stay_nearest_first() {
+        // Seen from 10, the point three ulps below 9 lies 24 ulps of 1.0
+        // farther than 11: a gap in the sort key's dropped low bits.  It
+        // also comes first in the pivot order, so only the insertion pass
+        // puts 11 first in the list of 10.
+        let x = 9.0f64.next_down().next_down().next_down();
+        let (near, far) = (Line.dist(&10.0, &11.0), Line.dist(&10.0, &x));
+        assert!(near < far && (near.to_bits() ^ far.to_bits()) <= POS_MASK);
+        let pts = unit_weighted(&[0.0, 10.0, x, 11.0, 30.0]);
+        assert_probes_match(&Line, &pts, "low-bit ties");
+    }
+
+    #[test]
+    fn a_ring_around_the_pivot_is_cached_while_its_kept_entries_fit() {
+        // Each ring point's window spans the whole ring: 1601 candidates
+        // in all, past the budget of 400.  At the ring's side a ring
+        // point's ball holds it and its two neighbours (121 entries in
+        // all), at twice the side four neighbours (201), and at 10 at
+        // least 12 (over 520).
+        let tau = std::f64::consts::TAU;
+        let points: Vec<Weighted<[f64; 2]>> = std::iter::once(Weighted::new([0.0, 0.0], 3))
+            .chain((0..40).map(|i| {
+                let a = i as f64 * tau / 40.0;
+                Weighted::new([10.0 * a.cos(), 10.0 * a.sin()], 1 + i % 3)
+            }))
+            .collect();
+        let weights: Vec<u64> = points.iter().map(|p| p.weight).collect();
+        let pts: Vec<[f64; 2]> = points.iter().map(|p| p.point).collect();
+        let mut pivot = Vec::new();
+        L2.dist_many(&pts[0], &pts, &mut pivot);
+        let side = L2.dist(&pts[1], &pts[2]);
+        let mut balls = Balls::new(&L2, &pts, &weights, pivot, 400);
+        // After the build at 10 overflows, 12 scans with no build; a
+        // radius below 10 builds again.
+        for (r, cached) in [
+            (side, true),
+            (2.0 * side, true),
+            (side, true),
+            (10.0, false),
+            (12.0, false),
+            (side, true),
+        ] {
+            for (k, z) in [(1usize, 0u64), (3, 2), (8, 5)] {
+                let got = disk_greedy(&mut balls, k, z, r);
+                assert_eq!(balls.cached, cached, "r={r} k={k} z={z}");
+                assert_eq!(got, reference_probe(&L2, &pts, &weights, k, z, r));
+            }
+        }
+        assert_eq!(balls.over, 10.0);
+    }
+
     /// Exhaustive feasibility sweep over the exact candidate set: returns
     /// `Some(boundary)` when feasibility is genuinely monotone (a prefix
     /// of infeasible candidates followed by a feasible suffix), `None`
@@ -824,14 +996,10 @@ mod tests {
         let mut pivot = Vec::new();
         L2.dist_many(&raw[0], &raw, &mut pivot);
         let candidates = candidate_radii(&L2, &raw, &pivot, &GreedyParams::default());
-        let mut balls = Balls::new(&L2, &raw, pivot, CACHE_BUDGET);
+        let mut balls = Balls::new(&L2, &raw, &weights, pivot, CACHE_BUDGET);
         let feas: Vec<bool> = candidates
             .iter()
-            .map(|&r| {
-                disk_greedy(&mut balls, &weights, k, z, r)
-                    .verdict(z)
-                    .is_some()
-            })
+            .map(|&r| disk_greedy(&mut balls, k, z, r).verdict(z).is_some())
             .collect();
         let boundary = feas.iter().position(|&f| f)?;
         feas[boundary..].iter().all(|&f| f).then_some(boundary)
