@@ -460,13 +460,23 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
     /// its list.  Stops, remembering `r`, and returns `false` once the
     /// kept entries pass the budget.
     fn build(&mut self, r: f64) -> bool {
+        let n = self.pts.len();
+        let candidates: usize = (0..n)
+            .map(|p| self.order.window(self.pivot[p], r).len())
+            .sum();
         let c = &mut self.cache;
         c.r = f64::NEG_INFINITY;
         c.start.clear();
-        c.nbr.clear();
-        c.dist.clear();
         c.start.push(0);
-        for p in 0..self.pts.len() {
+        // Free the old lists, then make room for every window candidate,
+        // up to the budget and one more list, so that no list is copied
+        // as the arrays grow; only the entries written are touched.
+        c.nbr = Vec::new();
+        c.dist = Vec::new();
+        let most = candidates.min(self.budget.saturating_add(n));
+        c.nbr.reserve_exact(most);
+        c.dist.reserve_exact(most);
+        for p in 0..n {
             let win = self.order.window(self.pivot[p], r);
             let at = &self.order.index()[win.clone()];
             self.metric
@@ -510,9 +520,9 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
             }
         }
         c.end.clear();
-        c.end.extend_from_slice(&c.start[..self.pts.len()]);
+        c.end.extend_from_slice(&c.start[..n]);
         c.sum.clear();
-        c.sum.resize(self.pts.len(), 0);
+        c.sum.resize(n, 0);
         c.r = r;
         true
     }
