@@ -1,7 +1,8 @@
 //! Engine instrumentation contracts: exact counters under
 //! barrier-scheduled multi-writer ingest with a concurrent
 //! snapshotter, uniform solve/elision accounting across `Engine`
-//! accessors / `Snapshot.stats` / the registry, publish-stage spans
+//! accessors / `Snapshot.stats` / the registry, a solve-state reuse
+//! counted per publish whose merged points stayed, publish-stage spans
 //! that sum to within the measured publish total, and byte-identical
 //! metric exports under the deterministic tick clock.
 
@@ -107,6 +108,19 @@ fn multi_writer_ingest_with_snapshotter_loses_no_updates() {
     assert_eq!(
         registry.gauge_value("engine.snapshot.coreset_size"),
         Some(snap.coreset.len() as u64)
+    );
+
+    // An exact repeat of an ingested site moves only a weight, so the
+    // next solve starts from the state the last one kept.
+    let reuses = registry
+        .counter_value("engine.solve.cache_reuses")
+        .expect("registered");
+    assert!(reuses < engine.solves(), "the first solve cannot reuse");
+    engine.ingest(&[site(0, 0, 0)]);
+    engine.publish();
+    assert_eq!(
+        registry.counter_value("engine.solve.cache_reuses"),
+        Some(reuses + 1)
     );
 }
 

@@ -6,12 +6,16 @@
 //!    from-scratch engine fed the same prefix publishes — the clean-leaf
 //!    cache and the warm-started solve never leak publish history into
 //!    the answer.
-//! 2. **Failure atomicity**: a publish that panics mid-merge burns no
-//!    epoch number and poisons nothing a later publish needs — the next
-//!    publish rebuilds every leaf and succeeds.
+//!    The same holds when the merged points stay put and every solve
+//!    after the first reuses the kept solve state.
+//! 2. **Failure atomicity**: a publish that panics mid-merge or mid-solve
+//!    burns no epoch number and poisons nothing a later publish needs —
+//!    the next publish rebuilds every leaf and the solve state and
+//!    succeeds.
 
 use kcz_engine::{Engine, EngineConfig, Snapshot};
 use kcz_metric::{MetricSpace, L2};
+use kcz_obs::{MetricsHandle, Registry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -54,6 +58,7 @@ struct Fingerprint {
     effective_eps: u64,
     coreset: Vec<(u64, u64, u64)>,
     summary_words: usize,
+    solve_probes: usize,
 }
 
 fn fingerprint(snap: &Snapshot<[f64; 2]>) -> Fingerprint {
@@ -73,7 +78,17 @@ fn fingerprint(snap: &Snapshot<[f64; 2]>) -> Fingerprint {
             .map(|w| (w.point[0].to_bits(), w.point[1].to_bits(), w.weight))
             .collect(),
         summary_words: snap.stats.summary_words,
+        solve_probes: snap.stats.solve_probes,
     }
+}
+
+/// A from-scratch engine fed `prefix`, publishing once.
+fn scratch_fingerprint(cfg: EngineConfig, prefix: &[Vec<[f64; 2]>]) -> Fingerprint {
+    let scratch = Engine::new(L2, cfg);
+    for b in prefix {
+        scratch.ingest(b);
+    }
+    fingerprint(&scratch.snapshot())
 }
 
 #[test]
@@ -120,18 +135,56 @@ fn random_schedules_are_bit_identical_to_from_scratch_publishes() {
             // The oracle: a brand-new engine fed the same prefix,
             // publishing exactly once — no cached leaves, no solver
             // state, no publish history at all.
-            let scratch = Engine::new(L2, cfg);
-            for b in &prefix {
-                scratch.ingest(b);
-            }
             assert_eq!(
                 fingerprint(&snap),
-                fingerprint(&scratch.snapshot()),
+                scratch_fingerprint(cfg, &prefix),
                 "seed {seed:#x} shards {shards} epoch {epochs}: publish diverged \
                  from a from-scratch engine"
             );
         }
         assert!(publishes >= 10, "schedule exercised too few publishes");
+    }
+}
+
+#[test]
+fn repeated_sites_reuse_the_solve_state_and_publish_from_scratch_bits() {
+    // The grid workloads' shape: a few dozen sites, every arrival an
+    // exact repeat of one, so once each site has arrived the merged
+    // points stay put and only their weights grow.
+    let mut gen = Gen(0x517E5);
+    let sites: Vec<[f64; 2]> = (0..36)
+        .map(|i| {
+            let [x, y] = gen.point();
+            [x + (i % 6) as f64 * 40.0, y + (i / 6) as f64 * 40.0]
+        })
+        .collect();
+    for shards in [1usize, 4] {
+        let cfg = EngineConfig::new(shards, 3, 6, 0.5);
+        let registry = Registry::new();
+        let engine = Engine::new(L2, cfg).with_metrics(&MetricsHandle::new(&registry));
+        let mut prefix = vec![sites.clone()];
+        engine.ingest(&sites);
+        for publish in 0..12u64 {
+            if publish > 0 {
+                let batch: Vec<[f64; 2]> = (0..40)
+                    .map(|_| sites[gen.next_u64() as usize % sites.len()])
+                    .collect();
+                engine.ingest(&batch);
+                prefix.push(batch);
+            }
+            let snap = engine.publish();
+            assert_eq!(
+                fingerprint(&snap),
+                scratch_fingerprint(cfg, &prefix),
+                "shards {shards} publish {publish}: diverged from a from-scratch engine"
+            );
+            assert_eq!(
+                registry.counter_value("engine.solve.cache_reuses"),
+                Some(publish),
+                "shards {shards}: every publish after the first reuses"
+            );
+        }
+        assert_eq!(engine.solves(), 12);
     }
 }
 
@@ -163,7 +216,7 @@ fn panicking_publish_burns_no_epoch_and_recovers() {
     let metric = FlakyL2 {
         armed: Arc::clone(&armed),
     };
-    let engine = Engine::new(metric, EngineConfig::new(4, 2, 6, 0.5));
+    let engine = Engine::new(metric.clone(), EngineConfig::new(4, 2, 6, 0.5));
     let mut gen = Gen(0xBAD5EED);
     engine.ingest(&(0..200).map(|_| gen.point()).collect::<Vec<_>>());
 
@@ -184,4 +237,38 @@ fn panicking_publish_burns_no_epoch_and_recovers() {
     let again = engine.publish();
     assert_eq!(again.epoch, 1, "cached republish after recovery");
     assert!(engine.latest().is_some());
+
+    // A publish that dies inside a solve reading the kept state.  One
+    // shard: its leaf is adopted with no recompression, so the first
+    // distance the publish computes is the solve's.
+    let registry = Registry::new();
+    let cfg = EngineConfig::new(1, 2, 6, 0.5);
+    let engine = Engine::new(metric, cfg).with_metrics(&MetricsHandle::new(&registry));
+    let first: Vec<[f64; 2]> = (0..200).map(|_| gen.point()).collect();
+    engine.ingest(&first);
+    assert_eq!(engine.publish().epoch, 1, "a good publish keeps a state");
+    // Repeats leave the merged points as they are, so the armed
+    // publish starts from the kept state and dies in its first pick.
+    let repeats = first[..50].to_vec();
+    engine.ingest(&repeats);
+    armed.store(true, Ordering::Relaxed);
+    let died = catch_unwind(AssertUnwindSafe(|| engine.publish()));
+    armed.store(false, Ordering::Relaxed);
+    assert!(died.is_err(), "armed publish must propagate the panic");
+    assert_eq!(engine.epoch(), 1, "failed publish must not burn an epoch");
+    let reuses = registry.counter_value("engine.solve.cache_reuses");
+    assert_eq!(
+        reuses,
+        Some(1),
+        "the armed solve started from the kept state"
+    );
+    // The panic left no state: the recovered publish solves afresh and
+    // equals a from-scratch engine's.
+    let snap = engine.publish();
+    assert_eq!(snap.epoch, 2);
+    assert_eq!(registry.counter_value("engine.solve.cache_reuses"), reuses);
+    assert_eq!(
+        fingerprint(&snap),
+        scratch_fingerprint(cfg, &[first, repeats])
+    );
 }

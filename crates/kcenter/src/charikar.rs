@@ -32,7 +32,10 @@
 //!   at `r ≤ R` reads the prefix of each list with `distance ≤ r`; a
 //!   probe above `R` rebuilds the cache at `r`.  On the engine's warm
 //!   path the first probe is the hint's candidate, so one build serves
-//!   the whole search.
+//!   the whole search.  The lists are a pure function of the points and
+//!   `R`, so a [`BallCache`] keeps them, with the pivot order and the
+//!   candidate ladder, for the next solve on the same points, which then
+//!   pays only for its probes.
 //! * **Cursors.**  Each point keeps the end of its prefix and the weight
 //!   of that prefix.  A probe moves every cursor from the last probe's
 //!   radius to its own, adding or subtracting the weights of the entries
@@ -87,13 +90,16 @@ pub struct GreedyParams {
     pub exact_candidates_max_n: usize,
     /// Resolution `1+η` of the geometric candidate grid.
     pub geometric_step: f64,
-    /// Warm-start hint: a previous solve's feasible guess `r̂` on nearby
-    /// data.  The radius search starts at this value and brackets
-    /// outwards instead of bisecting the whole candidate range — under
-    /// the same monotone-feasibility assumption the cold bisection makes,
-    /// the result is the identical minimal feasible candidate, found in
-    /// ~2 feasibility probes when the hint is still (nearly) right.
-    /// `None` bisects cold.
+    /// Warm-start hint: a radius near the feasible guess `r̂`.  The radius
+    /// search starts at this value and brackets outwards instead of
+    /// bisecting the whole candidate range — under the same
+    /// monotone-feasibility assumption the cold bisection makes, the
+    /// result is the identical minimal feasible candidate.  It costs 2
+    /// probes only when the hint is exact and about `2·log₂(gap)` probes
+    /// for a hint `gap` ladder steps off.  The engine's hint, the Gonzalez
+    /// `(k+z)` radius, sits about 1.46× above the settled guess on its
+    /// merged coresets, about 38 steps of the 1.01 ladder, so a warm
+    /// engine solve spends 10–12 probes.  `None` bisects cold.
     pub warm_guess: Option<f64>,
 }
 
@@ -157,6 +163,117 @@ pub fn greedy_with<P: Clone, M: MetricSpace<P>>(
     z: u64,
     params: &GreedyParams,
 ) -> GreedySolution<P> {
+    solve_from(&mut Kept::new(CACHE_BUDGET), metric, points, k, z, params)
+}
+
+/// The part of a [`greedy_with`] solve that depends only on the points,
+/// kept for the next solve on the same points.
+///
+/// From the points alone a solve derives the pivot row and its
+/// [`PivotOrder`], the candidate ladder (for the two [`GreedyParams`]
+/// fields it reads, `exact_candidates_max_n` and `geometric_step`), the
+/// smallest radius whose cache build passed the budget, and the
+/// neighbour lists with their radius (see the module docs).  A
+/// `BallCache` keeps all of it, keyed by the points themselves, in
+/// order.  [`BallCache::load`] compares the next points with the kept
+/// ones: on a match, the next [`BallCache::solve`] rewinds the cursors
+/// and reads the kept lists, ladder and order, so it pays only for its
+/// probes; on a miss, the load drops everything and the solve derives
+/// it anew.  A probe above the kept lists' radius rebuilds them, as in
+/// any solve.  Weights are not part of the key.
+///
+/// Every solve equals [`greedy_with`] on the loaded points, bit for bit:
+/// the lists at radius `R` are a pure function of the points and `R`,
+/// a probe's picks and verdict depend neither on the `R ≥ r` its lists
+/// were built at nor on whether it reads them or scans, and the ladder,
+/// the order and the overflow radius are pure functions of the points.
+/// That makes `==` a sound key under one condition: points that compare
+/// equal give distances with the same bits.  The `kcz-metric` metrics
+/// meet it, since they compute distances from coordinate differences,
+/// where `-0.0` and `0.0` give the same bits.  A point that is not equal
+/// to itself, such as one with a NaN coordinate, never matches, so its
+/// solves never reuse.
+///
+/// The state owns its metric, so lists built under one metric are never
+/// read under another.  It is solver memory, outside every words count:
+/// the lists are capped at 1.5 M entries (18 MB) of 12 bytes each, and
+/// a build that passes the cap frees its lists at once.  Everything is
+/// dropped on the first load of other points.
+pub struct BallCache<P, M> {
+    /// The metric every kept list was built under.
+    metric: M,
+    /// The points of the last load, in order, with its weights: the key
+    /// of `kept`.
+    points: Vec<Weighted<P>>,
+    kept: Kept<P>,
+}
+
+impl<P: Clone + PartialEq, M: MetricSpace<P>> BallCache<P, M> {
+    /// An empty state over `metric`.
+    pub fn new(metric: M) -> Self {
+        BallCache {
+            metric,
+            points: Vec::new(),
+            kept: Kept::new(CACHE_BUDGET),
+        }
+    }
+
+    /// Loads the points the next [`BallCache::solve`] solves.  Returns
+    /// whether that solve starts from kept state: the points equal the
+    /// kept ones under `==`, in order, and a solve derived state from
+    /// them.  On any other points every kept list, the ladder and the
+    /// order are dropped first, so the state never holds two sets of
+    /// lists.
+    pub fn load(&mut self, points: &[Weighted<P>]) -> bool {
+        let same = self.points.len() == points.len()
+            && self
+                .points
+                .iter()
+                .zip(points)
+                .all(|(a, b)| a.point == b.point);
+        if !same {
+            self.kept = Kept::new(self.kept.balls.budget);
+        }
+        self.points.clear();
+        self.points.extend_from_slice(points);
+        same && !self.kept.balls.pts.is_empty()
+    }
+
+    /// [`greedy_with`] on the loaded points, from the kept state.
+    pub fn solve(&mut self, k: usize, z: u64, params: &GreedyParams) -> GreedySolution<P> {
+        solve_from(&mut self.kept, &self.metric, &self.points, k, z, params)
+    }
+}
+
+/// What one solve derives from its points (see [`BallCache`]): nothing
+/// until a solve derives it.
+struct Kept<P> {
+    /// The candidate ladder, with the `exact_candidates_max_n` and the
+    /// bits of the `geometric_step` it was built for.
+    ladder: Option<((usize, u64), Vec<f64>)>,
+    balls: Balls<P>,
+}
+
+impl<P> Kept<P> {
+    fn new(budget: usize) -> Self {
+        Kept {
+            ladder: None,
+            balls: Balls::new(budget),
+        }
+    }
+}
+
+/// The one solve path: [`greedy_with`] on a fresh `kept`, or
+/// [`BallCache::solve`] on its kept one, which must have been derived
+/// from `points` if it is not empty.
+fn solve_from<P: Clone, M: MetricSpace<P>>(
+    kept: &mut Kept<P>,
+    metric: &M,
+    points: &[Weighted<P>],
+    k: usize,
+    z: u64,
+    params: &GreedyParams,
+) -> GreedySolution<P> {
     let n = points.len();
     let total: u128 = points.iter().map(|p| u128::from(p.weight)).sum();
     if n == 0 || total <= u128::from(z) {
@@ -172,28 +289,37 @@ pub fn greedy_with<P: Clone, M: MetricSpace<P>>(
     assert!(k > 0, "k must be positive when weight must be covered");
 
     let weights: Vec<u64> = points.iter().map(|p| p.weight).collect();
-    let pts: Vec<P> = points.iter().map(|p| p.point.clone()).collect();
-    let mut pivot = Vec::new();
-    metric.dist_many(&pts[0], &pts, &mut pivot);
-    let candidates = candidate_radii(metric, &pts, &pivot, params);
+    let Kept { ladder, balls } = kept;
+    balls.derive(metric, points);
+    let key = (
+        params.exact_candidates_max_n,
+        params.geometric_step.to_bits(),
+    );
+    if ladder.as_ref().is_none_or(|(held, _)| *held != key) {
+        *ladder = None;
+        *ladder = Some((
+            key,
+            candidate_radii(metric, &balls.pts, &balls.pivot, params),
+        ));
+    }
+    let candidates = &ladder.as_ref().expect("the ladder was built above").1;
     debug_assert!(!candidates.is_empty());
-    let mut balls = Balls::new(metric, &pts, &weights, pivot, CACHE_BUDGET);
 
     // Feasibility is monotone in r for the guarantee's purposes: the
     // largest candidate (≥ diameter) always succeeds with one center.
     let mut probes = 0usize;
     let mut probe = |i: usize| {
         probes += 1;
-        disk_greedy(&mut balls, k, z, candidates[i]).verdict(z)
+        disk_greedy(balls, metric, &weights, k, z, candidates[i]).verdict(z)
     };
     let best = match params.warm_guess {
-        Some(g) => warm_search(&candidates, g, &mut probe),
+        Some(g) => warm_search(candidates, g, &mut probe),
         None => lowest_feasible(0, candidates.len() - 1, &mut probe),
     };
     let (idx, center_idx) = best.unwrap_or_else(|| {
         // The diameter guess must succeed; recompute defensively.
         let last = candidates.len() - 1;
-        let c = disk_greedy(&mut balls, k, z, candidates[last])
+        let c = disk_greedy(balls, metric, &weights, k, z, candidates[last])
             .verdict(z)
             .expect("diameter-radius guess must be feasible");
         (last, c)
@@ -247,9 +373,12 @@ fn lowest_feasible(
 
 /// The warm-started radius search: start at the candidate nearest the
 /// hint and bracket outwards.  Under the monotone-feasibility assumption
-/// this finds the same minimal feasible index as the cold bisection —
-/// but when the hint is still right (the common republish-after-small-
-/// change case) it costs 2 probes instead of `log₂ |candidates|`.
+/// this finds the same minimal feasible index as the cold bisection.
+/// An exact hint costs 2 probes; a hint `gap` candidates off costs
+/// about `2·log₂(gap)`.  The engine's hint is about 38 steps of the 1.01
+/// ladder above the settled guess, so its warm solves spend 10–12
+/// probes, and a solve that reads kept lists spends most of its time on
+/// them.
 fn warm_search(
     candidates: &[f64],
     guess: f64,
@@ -373,12 +502,12 @@ fn candidate_radii<P: Clone, M: MetricSpace<P>>(
     }
 }
 
-/// The ball queries of one solve (see the module docs): the pivot order
-/// of the points, and the neighbour cache while it fits the budget.
-struct Balls<'a, P, M> {
-    metric: &'a M,
-    pts: &'a [P],
-    weights: &'a [u64],
+/// The ball queries of a solve (see the module docs): the points, their
+/// pivot order, and the neighbour cache while it fits the budget.  Only
+/// the cursors depend on the weights, and [`Balls::derive`] rewinds them.
+struct Balls<P> {
+    /// The points, by index; empty until [`Balls::derive`].
+    pts: Vec<P>,
     /// `f` of each point, by index into `pts`: its distance to `pts[0]`.
     pivot: Vec<f64>,
     /// `pts` by `f`.
@@ -399,8 +528,7 @@ struct Balls<'a, P, M> {
 /// (an index into `pts`) are `start[p]..start[p + 1]` of `nbr` and `dist`,
 /// nearest first.  The cursor `end[p]` ends the prefix of `p`'s list that
 /// lies within the last probe's radius, and `sum[p]` is the weight of that
-/// prefix.
-#[derive(Default)]
+/// prefix.  Every array is empty while no build is complete.
 struct Cache {
     /// The radius of the lists; `-∞` while no build is complete.
     r: f64,
@@ -411,76 +539,92 @@ struct Cache {
     sum: Vec<u128>,
 }
 
-impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
-    /// `pivot` is the `dist_many` row of `pts[0]`; `budget` caps the
-    /// cache in entries.
-    fn new(
-        metric: &'a M,
-        pts: &'a [P],
-        weights: &'a [u64],
-        pivot: Vec<f64>,
-        budget: usize,
-    ) -> Self {
+impl Default for Cache {
+    fn default() -> Self {
+        Cache {
+            r: f64::NEG_INFINITY,
+            start: Vec::new(),
+            nbr: Vec::new(),
+            dist: Vec::new(),
+            end: Vec::new(),
+            sum: Vec::new(),
+        }
+    }
+}
+
+impl<P> Balls<P> {
+    /// Nothing derived yet; `budget` caps the cache in entries.
+    fn new(budget: usize) -> Self {
         Balls {
-            metric,
-            pts,
-            weights,
-            order: PivotOrder::new(&pivot, |i| pts[i].clone()),
-            pivot,
+            pts: Vec::new(),
+            pivot: Vec::new(),
+            order: PivotOrder::default(),
             budget,
-            // Window positions fit the sort keys' low bits, and indices a
-            // `u32`, only for a point set the budget can cache.
-            over: if pts.len() <= CACHE_BUDGET {
-                f64::INFINITY
-            } else {
-                f64::NEG_INFINITY
-            },
-            cache: Cache {
-                r: f64::NEG_INFINITY,
-                ..Cache::default()
-            },
+            over: f64::INFINITY,
+            cache: Cache::default(),
             cached: false,
             row: Vec::new(),
             keys: Vec::new(),
         }
+    }
+}
+
+impl<P: Clone> Balls<P> {
+    /// Derives the pivot row and order of `points`, which must not be
+    /// empty, unless an earlier solve on the same points left them, and
+    /// rewinds every cursor: their sums hold that solve's weights.
+    fn derive<M: MetricSpace<P>>(&mut self, metric: &M, points: &[Weighted<P>]) {
+        if self.pts.is_empty() {
+            self.pts = points.iter().map(|p| p.point.clone()).collect();
+            metric.dist_many(&self.pts[0], &self.pts, &mut self.pivot);
+            self.order = PivotOrder::new(&self.pivot, |i| self.pts[i].clone());
+            // Window positions fit the sort keys' low bits, and indices a
+            // `u32`, only for a point set the budget can cache.
+            self.over = if self.pts.len() <= CACHE_BUDGET {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            };
+        }
+        debug_assert_eq!(self.pts.len(), points.len());
+        let c = &mut self.cache;
+        let n = c.end.len();
+        c.end.copy_from_slice(&c.start[..n]);
+        c.sum.fill(0);
     }
 
     /// Readies the ball queries of one probe at radius `r`: read the cache
     /// if it was built at `r` or above, else rebuild it at `r` below the
     /// radius of the last overflowing build, else scan the windows on the
     /// fly.  Reading the cache moves every cursor to `r`.
-    fn prepare(&mut self, r: f64) {
-        self.cached = r <= self.cache.r || (r < self.over && self.build(r));
+    fn prepare<M: MetricSpace<P>>(&mut self, metric: &M, weights: &[u64], r: f64) {
+        self.cached = r <= self.cache.r || (r < self.over && self.build(metric, r));
         if self.cached {
-            self.cache.seek(r, self.weights);
+            self.cache.seek(r, weights);
         }
     }
 
     /// Builds the cache at radius `r`, with every cursor at the start of
-    /// its list.  Stops, remembering `r`, and returns `false` once the
-    /// kept entries pass the budget.
-    fn build(&mut self, r: f64) -> bool {
+    /// its list.  Once the kept entries pass the budget it stops, frees
+    /// the partial lists, remembers `r` and returns `false`.
+    fn build<M: MetricSpace<P>>(&mut self, metric: &M, r: f64) -> bool {
         let n = self.pts.len();
         let candidates: usize = (0..n)
             .map(|p| self.order.window(self.pivot[p], r).len())
             .sum();
-        let c = &mut self.cache;
-        c.r = f64::NEG_INFINITY;
-        c.start.clear();
-        c.start.push(0);
         // Free the old lists, then make room for every window candidate,
         // up to the budget and one more list, so that no list is copied
         // as the arrays grow; only the entries written are touched.
-        c.nbr = Vec::new();
-        c.dist = Vec::new();
+        self.cache = Cache::default();
+        let c = &mut self.cache;
+        c.start.push(0);
         let most = candidates.min(self.budget.saturating_add(n));
         c.nbr.reserve_exact(most);
         c.dist.reserve_exact(most);
         for p in 0..n {
             let win = self.order.window(self.pivot[p], r);
             let at = &self.order.index()[win.clone()];
-            self.metric
-                .dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
+            metric.dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
             let row = &self.row;
             if self.keys.len() < row.len() {
                 self.keys.resize(row.len(), 0);
@@ -516,12 +660,11 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
             c.start.push(c.nbr.len());
             if c.nbr.len() > self.budget {
                 self.over = r;
+                *c = Cache::default();
                 return false;
             }
         }
-        c.end.clear();
         c.end.extend_from_slice(&c.start[..n]);
-        c.sum.clear();
         c.sum.resize(n, 0);
         c.r = r;
         true
@@ -529,19 +672,30 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
 
     /// The weight of the points within `r` of `p`, where `r` is the
     /// radius of the last [`Balls::prepare`].
-    fn ball_weight(&mut self, p: usize, r: f64) -> u128 {
+    fn ball_weight<M: MetricSpace<P>>(
+        &mut self,
+        metric: &M,
+        weights: &[u64],
+        p: usize,
+        r: f64,
+    ) -> u128 {
         if self.cached {
             return self.cache.sum[p];
         }
         let mut sum = 0;
-        let weights = self.weights;
-        self.for_each_within(p, r, |q| sum += u128::from(weights[q]));
+        self.for_each_within(metric, p, r, |q| sum += u128::from(weights[q]));
         sum
     }
 
     /// Calls `visit(q)` for every `q` with `dist(p, q) ≤ r`, where `r`
     /// is the radius of the last [`Balls::prepare`].
-    fn for_each_within(&mut self, p: usize, r: f64, mut visit: impl FnMut(usize)) {
+    fn for_each_within<M: MetricSpace<P>>(
+        &mut self,
+        metric: &M,
+        p: usize,
+        r: f64,
+        mut visit: impl FnMut(usize),
+    ) {
         if self.cached {
             let c = &self.cache;
             let ball = c.start[p]..c.end[p];
@@ -559,8 +713,7 @@ impl<'a, P: Clone, M: MetricSpace<P>> Balls<'a, P, M> {
         }
         let win = self.order.window(self.pivot[p], r);
         let at = &self.order.index()[win.clone()];
-        self.metric
-            .dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
+        metric.dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
         for (&d, &q) in self.row.iter().zip(at) {
             if d <= r {
                 visit(q);
@@ -613,16 +766,19 @@ impl Probe {
 /// its `3r` ball.  Once no pick can follow, the gains are left as they
 /// are.
 fn disk_greedy<P: Clone, M: MetricSpace<P>>(
-    balls: &mut Balls<'_, P, M>,
+    balls: &mut Balls<P>,
+    metric: &M,
+    weights: &[u64],
     k: usize,
     z: u64,
     r: f64,
 ) -> Probe {
-    let weights = balls.weights;
     let n = weights.len();
-    balls.prepare(r);
+    balls.prepare(metric, weights, r);
     // gain[p] = uncovered weight within distance r of p.
-    let mut gain: Vec<u128> = (0..n).map(|p| balls.ball_weight(p, r)).collect();
+    let mut gain: Vec<u128> = (0..n)
+        .map(|p| balls.ball_weight(metric, weights, p, r))
+        .collect();
     let mut uncovered: u128 = weights.iter().map(|&w| u128::from(w)).sum();
     let mut covered = vec![false; n];
     let mut picks = Vec::with_capacity(k);
@@ -642,9 +798,7 @@ fn disk_greedy<P: Clone, M: MetricSpace<P>>(
             break;
         }
         picks.push(best);
-        balls
-            .metric
-            .dist_many(&balls.pts[best], balls.pts, &mut ball);
+        metric.dist_many(&balls.pts[best], &balls.pts, &mut ball);
         for (q, &d) in ball.iter().enumerate() {
             if d <= 3.0 * r && !covered[q] {
                 covered[q] = true;
@@ -653,7 +807,7 @@ fn disk_greedy<P: Clone, M: MetricSpace<P>>(
                 // q leaves every gain it contributed to, unless no pick
                 // follows to read the gains.
                 if picks.len() < k && uncovered > u128::from(z) {
-                    balls.for_each_within(q, r, |p| gain[p] -= w);
+                    balls.for_each_within(metric, q, r, |p| gain[p] -= w);
                 }
             }
         }
@@ -851,9 +1005,10 @@ mod tests {
                     .map(|&r| reference_probe(metric, &pts, &weights, k, z, r))
                     .collect();
                 for budget in [usize::MAX, n * n / 3, 0] {
-                    let mut balls = Balls::new(metric, &pts, &weights, pivot.clone(), budget);
+                    let mut balls = Balls::new(budget);
+                    balls.derive(metric, points);
                     for &i in &order {
-                        let got = disk_greedy(&mut balls, k, z, candidates[i]);
+                        let got = disk_greedy(&mut balls, metric, &weights, k, z, candidates[i]);
                         assert_eq!(
                             got, expect[i],
                             "{what}: k={k} z={z} budget={budget} r={}",
@@ -971,10 +1126,9 @@ mod tests {
             .collect();
         let weights: Vec<u64> = points.iter().map(|p| p.weight).collect();
         let pts: Vec<[f64; 2]> = points.iter().map(|p| p.point).collect();
-        let mut pivot = Vec::new();
-        L2.dist_many(&pts[0], &pts, &mut pivot);
         let side = L2.dist(&pts[1], &pts[2]);
-        let mut balls = Balls::new(&L2, &pts, &weights, pivot, 400);
+        let mut balls = Balls::new(400);
+        balls.derive(&L2, &points);
         // After the build at 10 overflows, 12 scans with no build; a
         // radius below 10 builds again.
         for (r, cached) in [
@@ -986,12 +1140,140 @@ mod tests {
             (side, true),
         ] {
             for (k, z) in [(1usize, 0u64), (3, 2), (8, 5)] {
-                let got = disk_greedy(&mut balls, k, z, r);
+                let got = disk_greedy(&mut balls, &L2, &weights, k, z, r);
                 assert_eq!(balls.cached, cached, "r={r} k={k} z={z}");
+                // An overflowing build frees its partial lists at once.
+                assert_eq!(balls.cache.nbr.capacity() == 0, !cached);
                 assert_eq!(got, reference_probe(&L2, &pts, &weights, k, z, r));
             }
         }
         assert_eq!(balls.over, 10.0);
+    }
+
+    /// The bits a solve publishes: centers, radius, guess, uncovered
+    /// weight and probes.
+    fn solution_bits(sol: &GreedySolution<[f64; 2]>) -> (Vec<[u64; 2]>, u64, u64, u64, usize) {
+        let centers = sol.centers.iter().map(|c| c.map(f64::to_bits)).collect();
+        (
+            centers,
+            sol.radius.to_bits(),
+            sol.guess.to_bits(),
+            sol.uncovered,
+            sol.probes,
+        )
+    }
+
+    /// One solve of [`assert_kept_solves_match`]: what changed, the
+    /// points, the params and whether the solve should reuse.
+    type Step<'a> = (&'a str, &'a [Weighted<[f64; 2]>], &'a GreedyParams, bool);
+
+    /// Drives one [`BallCache`] through `steps`, checking each solve
+    /// against a fresh [`greedy_with`] bit for bit.
+    fn assert_kept_solves_match<M: MetricSpace<[f64; 2]> + Clone>(
+        cache: &mut BallCache<[f64; 2], M>,
+        steps: &[Step<'_>],
+        what: &str,
+    ) {
+        for &(step, points, params, reused) in steps {
+            assert_eq!(cache.load(points), reused, "{what}: {step} reuse");
+            for (k, z) in [(2usize, 2u64), (3, 1)] {
+                let kept = cache.solve(k, z, params);
+                let fresh = greedy_with(&cache.metric, points, k, z, params);
+                assert_eq!(
+                    solution_bits(&kept),
+                    solution_bits(&fresh),
+                    "{what}: {step} k={k} z={z}"
+                );
+            }
+        }
+    }
+
+    /// The sequence of [`assert_kept_solves_match`] on [`instance`], warm
+    /// and cold, under `metric`.
+    fn kept_state_sequence<M: MetricSpace<[f64; 2]> + Clone>(metric: M, what: &str) {
+        let base = instance();
+        let mut reweighted = base.clone();
+        for (i, p) in reweighted.iter_mut().enumerate() {
+            p.weight = 1 + (i % 4) as u64;
+        }
+        let mut moved = reweighted.clone();
+        moved[3].point[0] += 0.05;
+        let mut appended = moved.clone();
+        appended.push(Weighted::new([50.0, 1.0], 3));
+        let mut removed = reweighted.clone();
+        removed.remove(7);
+        let mut swapped = reweighted.clone();
+        swapped.swap(2, 11);
+        // Every coordinate 0.0 becomes −0.0: equal under `==`, so the
+        // solve reuses, and its centers must carry the new bits.
+        let mut signed = swapped.clone();
+        for p in &mut signed {
+            p.point = p.point.map(|x| if x == 0.0 { -0.0 } else { x });
+        }
+        let mut unit = swapped.clone();
+        for p in &mut unit {
+            p.weight = 1;
+        }
+        for exact in [GreedyParams::default(), GreedyParams::warm(2.0)] {
+            let geometric = GreedyParams {
+                exact_candidates_max_n: 0,
+                ..exact.clone()
+            };
+            let what = format!("{what} warm={:?}", exact.warm_guess);
+            let mut cache = BallCache::new(metric.clone());
+            assert_kept_solves_match(
+                &mut cache,
+                &[
+                    ("base", &base, &exact, false),
+                    ("weights change", &reweighted, &exact, true),
+                    ("a point moves", &moved, &exact, false),
+                    ("a point is appended", &appended, &exact, false),
+                    ("a point is removed", &removed, &exact, false),
+                    ("two points swap", &swapped, &exact, false),
+                    ("the ladder params change", &swapped, &geometric, true),
+                    ("0.0 becomes -0.0", &signed, &geometric, true),
+                    ("the ladder params change back", &signed, &exact, true),
+                ],
+                &what,
+            );
+            // A budget below the clusters' balls: builds overflow, free
+            // their lists and leave the overflow radius to the next solve.
+            let mut small = BallCache::new(metric.clone());
+            small.kept.balls.budget = 40;
+            assert_kept_solves_match(
+                &mut small,
+                &[
+                    ("base", &base, &exact, false),
+                    ("weights change", &reweighted, &exact, true),
+                    ("two points swap", &swapped, &geometric, false),
+                    ("weights change again", &unit, &geometric, true),
+                ],
+                &format!("{what} budget 40"),
+            );
+            assert!(
+                small.kept.balls.over.is_finite(),
+                "{what}: no build overflowed"
+            );
+        }
+    }
+
+    #[test]
+    fn a_kept_state_solves_bit_identically_to_a_fresh_one() {
+        kept_state_sequence(L2, "L2");
+        kept_state_sequence(Linf, "Linf");
+    }
+
+    #[test]
+    fn a_nan_point_never_reuses() {
+        // `Linf` takes the larger coordinate gap with `f64::max`, which
+        // drops a NaN gap, so the solve runs; the key still never matches.
+        let mut pts = instance();
+        pts[4].point[1] = f64::NAN;
+        let mut cache = BallCache::new(Linf);
+        assert!(!cache.load(&pts));
+        let sol = cache.solve(2, 3, &GreedyParams::default());
+        assert!(sol.uncovered <= 3 && !cache.kept.balls.pts.is_empty());
+        assert!(!cache.load(&pts), "NaN != NaN, so the key never matches");
     }
 
     /// Exhaustive feasibility sweep over the exact candidate set: returns
@@ -1006,10 +1288,15 @@ mod tests {
         let mut pivot = Vec::new();
         L2.dist_many(&raw[0], &raw, &mut pivot);
         let candidates = candidate_radii(&L2, &raw, &pivot, &GreedyParams::default());
-        let mut balls = Balls::new(&L2, &raw, &weights, pivot, CACHE_BUDGET);
+        let mut balls = Balls::new(CACHE_BUDGET);
+        balls.derive(&L2, pts);
         let feas: Vec<bool> = candidates
             .iter()
-            .map(|&r| disk_greedy(&mut balls, k, z, r).verdict(z).is_some())
+            .map(|&r| {
+                disk_greedy(&mut balls, &L2, &weights, k, z, r)
+                    .verdict(z)
+                    .is_some()
+            })
             .collect();
         let boundary = feas.iter().position(|&f| f)?;
         feas[boundary..].iter().all(|&f| f).then_some(boundary)

@@ -6,7 +6,9 @@
 //!   and Narasimhan (SODA 2001) for k-center with outliers, in its weighted
 //!   form.  Every mini-ball covering construction (Algorithm 1 of the
 //!   paper) starts by calling it, and Lemma 8 relies on `opt ≤ r ≤ 3·opt`
-//!   for the radius `r` it reports.
+//!   for the radius `r` it reports.  [`charikar::BallCache`] keeps what a
+//!   solve derives from the points alone for the next solve on the same
+//!   points.
 //! * [`gonzalez::farthest_first`] — the classic 2-approximation for plain
 //!   k-center, used by the Ceccarello-et-al.-style baseline.
 //! * [`exact::exact_discrete`] — exhaustive optimal solver over a candidate
@@ -21,7 +23,7 @@ pub mod cost;
 pub mod exact;
 pub mod gonzalez;
 
-pub use charikar::{greedy, greedy_with, GreedyParams, GreedySolution};
+pub use charikar::{greedy, greedy_with, BallCache, GreedyParams, GreedySolution};
 pub use cost::{cost_with_outliers, uncovered_weight};
 pub use exact::exact_discrete;
 pub use gonzalez::farthest_first;

@@ -21,7 +21,11 @@ use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 
 /// Radius-doubling streaming engine (Algorithm 3 generalized over the
 /// absorb factor `a` and the capacity threshold).
-#[derive(Debug, Clone)]
+///
+/// A clone leaves the absorb's pivot order empty: the shard leaves and
+/// the merged root a publish clones are never inserted into, and the
+/// next arrival into a clone rebuilds the order.
+#[derive(Debug)]
 pub struct DoublingCoreset<P, M> {
     metric: M,
     k: usize,
@@ -32,9 +36,9 @@ pub struct DoublingCoreset<P, M> {
     reps: Vec<Weighted<P>>,
     /// The indices of `reps` by distance to `reps[0]`, whose windows
     /// prune the absorb test.  A new representative is pushed into it; a
-    /// re-cluster or a merge empties it, and the next arrival rebuilds
-    /// it.  Between rebuilds the pivot never moves: an absorb only bumps
-    /// a weight and a new representative is appended.
+    /// re-cluster, a merge or a clone empties it, and the next arrival
+    /// rebuilds it.  Between rebuilds the pivot never moves: an absorb
+    /// only bumps a weight and a new representative is appended.
     order: PivotOrder<()>,
     n_seen: u64,
     rebuilds: u64,
@@ -43,6 +47,25 @@ pub struct DoublingCoreset<P, M> {
     /// +1 per recompressing merge (Lemma 5 composition; see
     /// [`Self::merge`]).
     drift_factor: f64,
+}
+
+impl<P: Clone, M: Clone> Clone for DoublingCoreset<P, M> {
+    fn clone(&self) -> Self {
+        DoublingCoreset {
+            metric: self.metric.clone(),
+            k: self.k,
+            z: self.z,
+            absorb: self.absorb,
+            capacity: self.capacity,
+            r: self.r,
+            reps: self.reps.clone(),
+            order: PivotOrder::default(),
+            n_seen: self.n_seen,
+            rebuilds: self.rebuilds,
+            peak_words: self.peak_words,
+            drift_factor: self.drift_factor,
+        }
+    }
 }
 
 impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
@@ -810,6 +833,35 @@ mod tests {
         let mut linf = DoublingCoreset::new(Linf, 2, 8, 0.25, 40);
         let seen = assert_replay_matches(&mut linf, &arrivals, "Linf");
         assert!(seen.after_rebuild >= 3 && seen.pruned > 400, "{seen:?}");
+    }
+
+    #[test]
+    fn a_clone_mid_stream_stays_bit_identical_to_its_original() {
+        let arrivals = weighted_stream(1500);
+        let (head, tail) = arrivals.split_at(700);
+        let mut alg = DoublingCoreset::new(L2, 2, 8, 0.25, 40);
+        for &(p, w) in head {
+            alg.insert_weighted(p, w);
+        }
+        assert!(!alg.order.index().is_empty(), "the original holds an order");
+        let mut copy = alg.clone();
+        assert!(copy.order.index().is_empty(), "a clone starts without one");
+        let key = |a: &DoublingCoreset<[f64; 2], L2>| {
+            let reps: Vec<([u64; 2], u64)> = a
+                .coreset()
+                .iter()
+                .map(|c| (c.point.map(f64::to_bits), c.weight))
+                .collect();
+            (reps, a.r.to_bits(), a.n_seen, a.rebuilds, a.peak_words)
+        };
+        for (t, &(p, w)) in tail.iter().enumerate() {
+            alg.insert_weighted(p, w);
+            copy.insert_weighted(p, w);
+            assert_eq!(key(&copy), key(&alg), "arrival {t} after the clone");
+        }
+        // The clone rebuilt its order at its first arrival and kept it.
+        assert!(!copy.order.index().is_empty());
+        assert_eq!(copy.order.index(), alg.order.index());
     }
 
     #[test]
