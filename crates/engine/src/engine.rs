@@ -37,7 +37,7 @@ use kcz_workloads::{HashPartitioner, ShardKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::backend::{AnyShard, Backend, ShardBackend};
+use crate::backend::{Backend, Shard};
 use crate::runtime::{global, Pool};
 
 /// Construction parameters of an [`Engine`].
@@ -55,10 +55,9 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Which per-shard backend the engine runs (see
     /// [`crate::backend`]): insertion-only (the default — summaries
-    /// cover everything ever ingested), a sliding window over the last
-    /// `W` global arrivals, or exponentially decayed weights.  The
-    /// window and decay stages widen the published ε′ by one extra ε
-    /// ([`Backend::extra_eps`]).
+    /// cover everything ever ingested) or a sliding window over the
+    /// last `W` global arrivals.  The window stage widens the published
+    /// ε′ by one extra ε ([`Backend::extra_eps`]).
     pub backend: Backend,
 }
 
@@ -85,12 +84,6 @@ impl EngineConfig {
     /// Sliding-window backend over the last `window` global arrivals.
     pub fn windowed(self, window: u64) -> Self {
         self.with_backend(Backend::Window(window))
-    }
-
-    /// Decayed backend: representative weights halve every `half_life`
-    /// arrivals since last touch.
-    pub fn decayed(self, half_life: f64) -> Self {
-        self.with_backend(Backend::Decay(half_life))
     }
 }
 
@@ -151,7 +144,7 @@ pub struct Snapshot<P> {
     pub guess: f64,
     /// The ε′ the merged summary certifies: `ε` while at most one shard
     /// holds data, `1.5ε` once two or more do (one recompression of
-    /// their union), plus the backend's extra ε for window and decay.
+    /// their union), plus the window backend's extra ε.
     pub effective_eps: f64,
     /// The end-to-end certified ratio factor, `3 + 8ε′` (one shared
     /// derivation: [`kcz_coreset::end_to_end_factor`]).
@@ -368,7 +361,7 @@ pub struct Engine<P, M: MetricSpace<P>> {
     cfg: EngineConfig,
     metric: M,
     router: HashPartitioner,
-    shards: Vec<Mutex<AnyShard<P, M>>>,
+    shards: Vec<Mutex<Shard<P, M>>>,
     obs: EngineInstruments,
     epoch: AtomicU64,
     /// Data version: bumped once per accepted batch, *after* the batch
@@ -377,8 +370,7 @@ pub struct Engine<P, M: MetricSpace<P>> {
     /// unchanged version proves the cached snapshot is still current.
     /// Time is arrival-driven (the clock advances only when points
     /// land), so an unchanged version also certifies that no window
-    /// expiry or decay tick happened — the fast path is exact in every
-    /// backend mode.
+    /// expiry happened — the fast path is exact in every backend mode.
     version: AtomicU64,
     /// Global arrival clock: the number of points that have *started*
     /// ingest (stamps are drawn from it before routing).  Backends see
@@ -427,18 +419,9 @@ where
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.eps > 0.0 && cfg.eps <= 1.0, "ε must be in (0, 1]");
         assert!(cfg.k >= 1, "k must be at least 1");
-        if let Backend::Window(w) = cfg.backend {
-            assert!(w >= 1, "window must be at least 1");
-        }
-        if let Backend::Decay(h) = cfg.backend {
-            assert!(
-                h.is_finite() && h > 0.0,
-                "half-life must be positive and finite"
-            );
-        }
         let shards = (0..cfg.shards)
             .map(|_| {
-                Mutex::new(AnyShard::new(
+                Mutex::new(Shard::new(
                     cfg.backend,
                     metric.clone(),
                     cfg.k,
@@ -719,12 +702,12 @@ where
 
         // Phase 1: leaves.  Every shard is visited under its brief lock:
         // first `advance_to` delivers the publish-time clock (window
-        // expiry / decay ticks — *time-driven* mutation that bumps the
-        // backend's state version exactly when the summary could have
-        // changed), then the stamp decides dirtiness.  Dirty shards
-        // build a fresh leaf under the same lock; clean shards keep the
-        // cached one.  Insertion-only backends ignore time and their
-        // leaves are plain clones.
+        // expiry — *time-driven* mutation that bumps the shard's state
+        // version exactly when the summary could have changed), then
+        // the stamp decides dirtiness.  Dirty shards build a fresh leaf
+        // under the same lock; clean shards keep the cached one.
+        // Insertion-only shards ignore time and their leaves are plain
+        // clones.
         let t_clone = self.obs.stage_clone.start();
         let mut leaves: Vec<Leaf<P, M>> = Vec::with_capacity(self.shards.len());
         let mut shard_peak_words = 0usize;
@@ -732,7 +715,7 @@ where
             let mut guard = shard.lock().expect("shard lock");
             guard.advance_to(now);
             let stamp = guard.state_version();
-            shard_peak_words = shard_peak_words.max(ShardBackend::<P, M>::peak_words(&*guard));
+            shard_peak_words = shard_peak_words.max(guard.peak_words());
             leaves.push(match cached.next() {
                 Some(leaf) if leaf.0 == stamp => leaf,
                 _ => (stamp, guard.summary()),
@@ -823,8 +806,8 @@ where
         t_solve.finish();
         self.obs.probes.add(sol.probes as u64);
         // ε′ composition: the merged root accounts the leaf ε and the
-        // one recompression's widening; the window / decay stage sits in
-        // front of the leaves and adds its own ε (zero for insertion —
+        // one recompression's widening; the window stage sits in front
+        // of the leaves and adds its own ε (zero for insertion —
         // `x + 0.0` is exact).
         let effective_eps = merged.effective_eps() + self.cfg.backend.extra_eps(self.cfg.eps);
         // The epoch number is drawn only now, on success: a panicking
@@ -886,8 +869,7 @@ where
 
     /// Per-shard resident representative counts right now (diagnostics;
     /// takes each lock briefly).  Insertion shards report their coreset
-    /// size, window shards their live buffer length, decay shards their
-    /// live representative count.
+    /// size, window shards their live buffer length.
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards
             .iter()

@@ -9,13 +9,12 @@
 //!   conformance harness's full-tier runs, the experiments driver and
 //!   the engine itself all share one process-wide instance
 //!   ([`runtime::global`]).
-//! * [`engine`] — [`engine::Engine`]: `N` shards of a pluggable
-//!   [`backend::ShardBackend`] (insertion-only, sliding-window or
-//!   exponentially decayed — see [`backend::Backend`]) behind per-shard
-//!   locks, batched hash-routed ingest stamped by a global arrival
-//!   clock, and epoch-numbered snapshots that merge all shard summaries
-//!   at once (one Lemma 4 union + one Lemma 5 recompression) without
-//!   stalling ingest.
+//! * [`engine`] — [`engine::Engine`]: `N` shards of one per-shard
+//!   backend (insertion-only or sliding-window — see
+//!   [`backend::Backend`]) behind per-shard locks, batched hash-routed
+//!   ingest stamped by a global arrival clock, and epoch-numbered
+//!   snapshots that merge all shard summaries at once (one Lemma 4
+//!   union + one Lemma 5 recompression) without stalling ingest.
 //!
 //! The composed-ε arithmetic lives in `kcz-coreset`
 //! ([`kcz_coreset::end_to_end_factor`]); the engine only *reports* the
@@ -28,9 +27,6 @@ pub mod backend;
 pub mod engine;
 pub mod runtime;
 
-pub use backend::{
-    AnyShard, Backend, DecayShard, InsertionShard, ShardBackend, WindowShard, WINDOW_RHO_MAX,
-    WINDOW_RHO_MIN,
-};
+pub use backend::{Backend, WINDOW_RHO_MAX, WINDOW_RHO_MIN};
 pub use engine::{Engine, EngineConfig, EngineStats, Snapshot};
 pub use runtime::{global, Pool};

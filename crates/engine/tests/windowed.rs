@@ -2,8 +2,8 @@
 //!
 //! 1. **Time-driven dirtiness** (the staleness regression): a shard no
 //!    batch touched since the last publish must still be re-merged when
-//!    expiry mutated it — the bug class the `ShardBackend` state
-//!    versions exist to close.
+//!    expiry mutated it — the bug class the shard state versions exist
+//!    to close.
 //! 2. **Suffix purity** (the windowed property test): every published
 //!    verdict of a windowed engine is bit-identical to a from-scratch
 //!    engine replaying only the unexpired suffix of the arrival stream,

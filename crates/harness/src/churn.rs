@@ -1,19 +1,14 @@
-//! Churn conformance: the engine's sliding-window and decayed backends,
-//! judged by from-scratch oracles.
+//! Churn conformance: the engine's sliding-window backend, judged by
+//! from-scratch oracles.
 //!
-//! Two judgments per tier:
-//!
-//! * **Window / suffix replay** — every scenario is replayed through a
-//!   windowed engine with mid-stream publishes; each checked epoch must
-//!   be bit-identical to a brand-new windowed engine fed *only the
-//!   unexpired suffix* of the arrival stream (no cache, no warm state,
-//!   no expired point ever seen), every published representative and
-//!   center must be a live-suffix location, and the final epoch's
-//!   certified `(3 + 8ε′)` bound is re-measured against the exact
-//!   discrete optimum *of the suffix* (oracle scenarios).
-//! * **Decay / expiry** — a fixed two-phase stream: once the arrival
-//!   clock has moved many half-lives past phase 1, no phase-1 location
-//!   may survive into the published summary or centers.
+//! Every scenario is replayed through a windowed engine with mid-stream
+//! publishes; each checked epoch must be bit-identical to a brand-new
+//! windowed engine fed *only the unexpired suffix* of the arrival stream
+//! (no cache, no warm state, no expired point ever seen), every
+//! published representative and center must be a live-suffix location,
+//! and the final epoch's certified `(3 + 8ε′)` bound is re-measured
+//! against the exact discrete optimum *of the suffix* (oracle
+//! scenarios).
 //!
 //! Violations are strings ready for the conformance judge; they carry
 //! the `churn/` tag and ride the `replay_violations` array in the JSON
@@ -35,18 +30,15 @@ const TOL: f64 = 1e-6;
 /// At most this many epochs are certified per scenario.
 const MAX_EPOCHS: usize = 8;
 
-/// Runs the churn checks over the tier's catalog plus the fixed decay
-/// expiry stream.  Scenarios are mapped over the shared worker pool; the
-/// returned violations are in catalog order.  Empty means every churn
-/// epoch is certified.
+/// Runs the churn checks over the tier's catalog.  Scenarios are mapped
+/// over the shared worker pool; the returned violations are in catalog
+/// order.  Empty means every churn epoch is certified.
 pub fn churn_violations(tier: Tier) -> Vec<String> {
-    let mut out: Vec<String> = kcz_engine::runtime::global()
+    kcz_engine::runtime::global()
         .scoped_map(catalog(tier), |_, sc| window_violations(&sc))
         .into_iter()
         .flatten()
-        .collect();
-    out.extend(decay_expiry_violations());
-    out
+        .collect()
 }
 
 /// The bit-identity surface two published epochs are compared on.
@@ -178,54 +170,6 @@ fn window_violations(sc: &Scenario) -> Vec<String> {
     out
 }
 
-/// The fixed two-phase expiry stream: phase 1 clusters near the origin,
-/// then the stream moves far away for many half-lives of arrivals.  The
-/// final published epoch must contain no phase-1 location — decayed
-/// weight below ½ must actually be dropped, not just down-weighted.
-fn decay_expiry_violations() -> Vec<String> {
-    let mut out = Vec::new();
-    let tag = |what: &str| format!("decay_expiry / churn/decay/{what}");
-    let half_life = 32.0;
-    let cfg = EngineConfig::new(4, 2, 4, 0.5).decayed(half_life);
-    let engine = Engine::new(L2, cfg);
-    let phase1: Vec<[f64; 2]> = (0..64).map(|i| [(i % 8) as f64, (i / 8) as f64]).collect();
-    engine.ingest(&phase1);
-    let early = engine.publish();
-    if !early.centers.iter().any(|c| c[0] < 100.0) {
-        out.push(format!(
-            "{}: phase-1 publish has no near center: {:?}",
-            tag("phase1"),
-            early.centers
-        ));
-    }
-    // Phase 2: 64 rounds of 64 far arrivals — 4096 stamps, 128
-    // half-lives; every phase-1 weight decays to ~2⁻¹²⁸.
-    let phase2: Vec<[f64; 2]> = (0..64)
-        .map(|i| [5000.0 + (i % 8) as f64, 5000.0 + (i / 8) as f64])
-        .collect();
-    for _ in 0..64 {
-        engine.ingest(&phase2);
-    }
-    let late = engine.publish();
-    for p in late
-        .coreset
-        .iter()
-        .map(|w| &w.point)
-        .chain(late.centers.iter())
-    {
-        if p[0] < 1000.0 {
-            out.push(format!(
-                "{}: phase-1 location {p:?} survived {} arrivals (~128 \
-                 half-lives) into the published epoch",
-                tag("survivor"),
-                64 * 64
-            ));
-            break;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,10 +178,5 @@ mod tests {
     fn smoke_tier_churn_epochs_are_certified() {
         let violations = churn_violations(Tier::Smoke);
         assert!(violations.is_empty(), "{violations:#?}");
-    }
-
-    #[test]
-    fn the_decay_expiry_stream_is_clean() {
-        assert!(decay_expiry_violations().is_empty());
     }
 }

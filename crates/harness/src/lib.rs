@@ -17,11 +17,10 @@
 //! resident engine per scenario, publishes a snapshot, and re-checks
 //! every answer the query layer serves (exact nearest-center agreement,
 //! classify coherence, the epoch's certified bound) — see [`query`].
-//! The churn-capable backends are judged by from-scratch oracles:
+//! The window backend is judged by from-scratch oracles:
 //! [`churn_violations`] certifies windowed epochs bit-for-bit against
 //! unexpired-suffix replays (plus live-membership and a suffix-optimum
-//! bound check) and checks that decayed epochs drop expired regimes —
-//! see [`churn`].
+//! bound check) — see [`churn`].
 //! The metrics layer's MPC communication accounting is certified too:
 //! [`obs_violations`] re-runs the four MPC algorithms per scenario and
 //! checks that each run's per-round word counts are complete (they sum

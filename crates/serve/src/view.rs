@@ -128,8 +128,7 @@ impl<P: Clone, M: MetricSpace<P> + Clone> SnapshotView<P, M> {
     /// live arrival stamps this epoch summarizes.  `Some` only for the
     /// window backend after the first arrival — every answer the view
     /// serves then clusters exactly the last `W` arrivals; `None` means
-    /// the epoch summarizes the whole stream (insertion) or its decayed
-    /// entirety (decay).
+    /// the epoch summarizes the whole stream (insertion).
     pub fn window_span(&self) -> Option<(u64, u64)> {
         self.snap.window_span()
     }

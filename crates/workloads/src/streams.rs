@@ -139,14 +139,14 @@ pub fn drifting_stream(
     out
 }
 
-/// A phase-shift stream for the churn-capable engine backends: `phases`
+/// A phase-shift stream for the engine's window backend: `phases`
 /// successive regimes of `per_phase` arrivals each, every regime a
 /// Gaussian cluster whose center jumps `gap` away from the previous one
 /// (alternating axis directions so consecutive phases never overlap).
-/// Once the arrival clock moves a window (or many half-lives) past a
-/// phase boundary, a sliding-window or decayed backend must forget the
-/// old regime entirely — an insertion-only summary keeps paying for it
-/// forever.  Returns the arrivals in phase order.
+/// Once the arrival clock moves a window past a phase boundary, a
+/// sliding-window backend must forget the old regime entirely — an
+/// insertion-only summary keeps paying for it forever.  Returns the
+/// arrivals in phase order.
 pub fn phase_shift_stream(
     phases: usize,
     per_phase: usize,

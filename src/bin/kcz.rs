@@ -11,7 +11,7 @@
 //!             [--algorithm two_round|one_round|rround|baseline] [--rounds 3]
 //! kcz engine  --shards 4 --batch 256 --k 3 --z 10 --eps 0.5 \
 //!             [--incremental] \
-//!             [--backend insertion|window|decay] [--window W] [--half-life H] \
+//!             [--backend insertion|window] [--window W] \
 //!             [--metrics m.json] [< pts.csv]
 //! kcz query   --input pts.csv --requests req.csv --shards 4 --batch 256 \
 //!             --k 3 --z 10 --eps 0.5 [--metrics m.json]
@@ -33,7 +33,7 @@
 //! `conformance` runs every pipeline over the shared scenario catalog,
 //! checks each radius against its paper ratio bound, re-checks served
 //! query answers against brute force on the published snapshot, and
-//! certifies mid-stream churn-backend publishes bit-for-bit against
+//! certifies mid-stream window-backend publishes bit-for-bit against
 //! from-scratch replays (exit 3 on any violation).
 //!
 //! `--help` or `-h`, alone or after any subcommand, prints the usage
@@ -71,12 +71,11 @@ const USAGE: &str = "usage:
               [--algorithm two_round|one_round|rround|baseline] [--rounds <R>]
   kcz engine  --shards <N> --batch <B> --k <K> --z <Z> --eps <EPS>
               [--incremental]
-              [--backend insertion|window|decay] [--window <W>]
-              [--half-life <H>] [--input <csv>] [--metrics <json>]
+              [--backend insertion|window] [--window <W>]
+              [--input <csv>] [--metrics <json>]
               (reads stdin when --input is omitted; --incremental
                publishes after every batch instead of once at end;
-               --backend window requires --window, --backend decay
-               requires --half-life)
+               --backend window requires --window)
   kcz query   --input <csv> --requests <file> --shards <N> --batch <B>
               --k <K> --z <Z> --eps <EPS> [--metrics <json>]
   kcz conformance [--tier smoke|full] [--json <path>] [--metrics <path>]
@@ -189,11 +188,9 @@ fn run_conformance_cmd(flags: &HashMap<String, String>) -> Result<ExitCode, Stri
         tq.elapsed()
     );
     // The replay passes are judged too, each tagging its entries into
-    // one `replay_violations` array.  The churn-capable backends:
-    // windowed epochs are certified bit-for-bit against
-    // unexpired-suffix replays (plus live-membership and a
-    // suffix-optimum bound check), and decayed epochs must drop expired
-    // regimes (`churn/`).
+    // one `replay_violations` array.  Windowed epochs are certified
+    // bit-for-bit against unexpired-suffix replays, plus live-membership
+    // and a suffix-optimum bound check (`churn/`).
     let tc = std::time::Instant::now();
     let mut replay_viols = churn_violations(tier);
     eprintln!(
@@ -372,10 +369,8 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             // snapshots once at end of stream.
             let incremental = flags.contains_key("incremental");
             // `--backend window --window W` summarizes only the last W
-            // arrivals; `--backend decay --half-life H` halves
-            // representative weights every H arrivals.  The default
-            // insertion backend prints byte-identical output to before
-            // backends existed.
+            // arrivals.  The default insertion backend prints
+            // byte-identical output to before backends existed.
             let backend = parse_backend(flags)?;
             // `--metrics` attaches a live registry; without it the
             // handle is disabled and every recording site is a no-op.
@@ -394,22 +389,16 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
                 "engine: shards={shards}  batch={batch}  points={}  batches={}  epoch={}",
                 snap.stats.points, snap.stats.batches, snap.epoch
             );
-            // Non-default backends report their time state; the default
+            // The window backend reports its time state; the default
             // insertion mode prints nothing extra (byte-stable output).
-            match backend {
-                Backend::Insertion => {}
-                Backend::Window(w) => {
-                    let span = snap
-                        .window_span()
-                        .map_or_else(|| "empty".to_string(), |(lo, hi)| format!("{lo}..{hi}"));
-                    println!(
-                        "backend: window  window={w}  clock={}  live_span={span}",
-                        snap.clock
-                    );
-                }
-                Backend::Decay(h) => {
-                    println!("backend: decay  half_life={h}  clock={}", snap.clock);
-                }
+            if let Backend::Window(w) = backend {
+                let span = snap
+                    .window_span()
+                    .map_or_else(|| "empty".to_string(), |(lo, hi)| format!("{lo}..{hi}"));
+                println!(
+                    "backend: window  window={w}  clock={}  live_span={span}",
+                    snap.clock
+                );
             }
             println!(
                 "coreset: {}  shard_peak_words: {}  merge_words: {}  effective_eps: {:.6}",
@@ -597,8 +586,7 @@ fn parse_requests(path: &str, body: &str) -> Result<Vec<Request>, String> {
 
 /// Parses the `kcz engine` backend choice and validates its flag
 /// combinations: `--window` belongs to `--backend window` (which
-/// requires it) and `--half-life` to `--backend decay` (likewise);
-/// anything else is a usage error (exit 2).
+/// requires it); anything else is a usage error (exit 2).
 fn parse_backend(flags: &HashMap<String, String>) -> Result<Backend, String> {
     let name = flags
         .get("backend")
@@ -609,33 +597,17 @@ fn parse_backend(flags: &HashMap<String, String>) -> Result<Backend, String> {
             if flags.contains_key("window") {
                 return Err("--window requires --backend window".into());
             }
-            if flags.contains_key("half-life") {
-                return Err("--half-life requires --backend decay".into());
-            }
             Ok(Backend::Insertion)
         }
         "window" => {
-            if flags.contains_key("half-life") {
-                return Err("--half-life requires --backend decay".into());
-            }
             let w: u64 = parse(flags, "window")?;
             if w == 0 {
                 return Err("--window must be at least 1".into());
             }
             Ok(Backend::Window(w))
         }
-        "decay" => {
-            if flags.contains_key("window") {
-                return Err("--window requires --backend window".into());
-            }
-            let h: f64 = parse(flags, "half-life")?;
-            if !(h.is_finite() && h > 0.0) {
-                return Err(format!("--half-life must be positive and finite, got {h}"));
-            }
-            Ok(Backend::Decay(h))
-        }
         other => Err(format!(
-            "--backend must be insertion, window or decay, got `{other}`"
+            "--backend must be insertion or window, got `{other}`"
         )),
     }
 }
@@ -683,7 +655,6 @@ const ENGINE_FLAGS: &[&str] = &[
     "incremental",
     "backend",
     "window",
-    "half-life",
     "metrics",
 ];
 

@@ -21,12 +21,12 @@
 //! | [`coreset`] | mini-ball coverings: `MBCConstruction` (Alg. 1), `UpdateCoreset` (Alg. 4), composition lemmas, validators |
 //! | [`mpc`] | MPC simulator + the 2-round (Alg. 2), randomized 1-round (Alg. 6), R-round (Alg. 7) algorithms and the CPP19 baseline |
 //! | [`streaming`] | insertion-only (Alg. 3), fully dynamic (Alg. 5), sliding-window structures and streaming baselines |
-//! | [`engine`] | shared execution runtime (persistent worker pool) + the resident sharded ingest engine (`kcz engine`): one flat union and recompression of the shard coverings per publish, memoized epoch publication (`publish`/`latest`) and pluggable per-shard backends ([`engine::ShardBackend`]: insertion-only, sliding-window, exponential decay) |
+//! | [`engine`] | shared execution runtime (persistent worker pool) + the resident sharded ingest engine (`kcz engine`): one flat union and recompression of the shard coverings per publish, memoized epoch publication (`publish`/`latest`) and two per-shard backends ([`engine::Backend`]: insertion-only, sliding-window) |
 //! | [`serve`] | the read side: immutable published [`serve::SnapshotView`]s (centers + bound + the epoch's arrival clock and live window span), and the [`serve::QueryEngine`] that serves the engine's newest published epoch (`assign`/`classify`/`nearest_centers` + pool-batched variants, `kcz query`) |
 //! | [`sketch`] | turnstile substrates: s-sparse recovery, F₀ estimation with deletions |
 //! | [`lowerbounds`] | the paper's lower-bound constructions as adversarial generators |
 //! | [`workloads`] | reproducible synthetic data, partitions, stream schedules, adversarial generators |
-//! | [`harness`] | cross-model conformance: scenario catalog, `Pipeline` adapters for all ten pipelines, oracle-checked ratio bounds, served-answer query conformance, churn-backend certification (`kcz conformance`) |
+//! | [`harness`] | cross-model conformance: scenario catalog, `Pipeline` adapters for all ten pipelines, oracle-checked ratio bounds, served-answer query conformance, window-backend certification (`kcz conformance`) |
 //!
 //! ## Quickstart
 //!
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use kcz_coreset::{
         end_to_end_factor, mbc_construction, streaming_capacity, update_coreset, MiniBallCovering,
     };
-    pub use kcz_engine::{Backend, Engine, EngineConfig, EngineStats, ShardBackend, Snapshot};
+    pub use kcz_engine::{Backend, Engine, EngineConfig, EngineStats, Snapshot};
     pub use kcz_harness::{
         all_pipelines, catalog, churn_violations, obs_violations, query_violations,
         run_conformance, ConformanceReport, Pipeline, Scenario, Tier, Verdict,

@@ -972,35 +972,6 @@ fn engine_window_golden_output_on_committed_fixture() {
         insertion_golden,
         "explicit --backend insertion must match the default-mode golden"
     );
-    // Decay mode runs end to end and reports its backend line.
-    let decay = kcz()
-        .args([
-            "engine",
-            "--input",
-            fixture,
-            "--shards",
-            "4",
-            "--batch",
-            "4",
-            "--k",
-            "2",
-            "--z",
-            "1",
-            "--eps",
-            "0.5",
-            "--backend",
-            "decay",
-            "--half-life",
-            "32",
-        ])
-        .output()
-        .unwrap();
-    assert!(decay.status.success());
-    let decay_out = String::from_utf8_lossy(&decay.stdout);
-    assert!(
-        decay_out.contains("backend: decay  half_life=32  clock=11"),
-        "{decay_out}"
-    );
 }
 
 #[test]
@@ -1048,9 +1019,9 @@ fn engine_window_of_u64_max_matches_a_window_longer_than_the_stream() {
 
 #[test]
 fn engine_rejects_bad_backend_flags() {
-    // Unknown backends and orphaned/conflicting time flags: clean exit
-    // 2 with the diagnostic on the first stderr line, never a silent
-    // insertion-mode run.
+    // Unknown backends (a deleted one among them), a retired backend
+    // flag and an orphaned `--window`: clean exit 2 with the diagnostic
+    // on the first stderr line, never a silent insertion-mode run.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.csv");
     let base = [
         "engine", "--shards", "2", "--batch", "4", "--k", "1", "--z", "0", "--eps", "0.5",
@@ -1058,25 +1029,20 @@ fn engine_rejects_bad_backend_flags() {
     for (extra, needle) in [
         (
             vec!["--backend", "bogus"],
-            "--backend must be insertion, window or decay",
+            "--backend must be insertion or window",
         ),
-        (vec!["--backend", "window"], "missing --window"),
-        (vec!["--backend", "decay"], "missing --half-life"),
-        (vec!["--window", "8"], "--window requires --backend window"),
+        (
+            vec!["--backend", "decay"],
+            "--backend must be insertion or window",
+        ),
         (
             vec!["--half-life", "32"],
-            "--half-life requires --backend decay",
+            "unknown flag --half-life for engine",
         ),
+        (vec!["--backend", "window"], "missing --window"),
+        (vec!["--window", "8"], "--window requires --backend window"),
         (
             vec!["--backend", "insertion", "--window", "8"],
-            "--window requires --backend window",
-        ),
-        (
-            vec!["--backend", "window", "--window", "8", "--half-life", "32"],
-            "--half-life requires --backend decay",
-        ),
-        (
-            vec!["--backend", "decay", "--half-life", "32", "--window", "8"],
             "--window requires --backend window",
         ),
         (
@@ -1086,14 +1052,6 @@ fn engine_rejects_bad_backend_flags() {
         (
             vec!["--backend", "window", "--window", "oops"],
             "invalid value `oops` for --window",
-        ),
-        (
-            vec!["--backend", "decay", "--half-life", "0"],
-            "--half-life must be positive and finite",
-        ),
-        (
-            vec!["--backend", "decay", "--half-life", "inf"],
-            "--half-life must be positive and finite",
         ),
     ] {
         let mut cmd = kcz();
