@@ -381,11 +381,19 @@ fn t1_stream(w: &mut String) {
     w.push_str(&t.render());
     say!(
         w,
-        "\nShape check: ours grows like k/ε^d + z; CPP19 like (k+z)/ε^d (watch the"
+        "\nShape check: ours grows like k/ε^d + z.  At z ≥ 64 CPP19's capacity"
     );
     say!(
         w,
-        "z sweep at fixed ε); MK stays O(k+z) small but pays in quality: an O(1)"
+        "(k+z)(16/ε)^d nears or passes the 20k-point stream, so its peak there is close"
+    );
+    say!(
+        w,
+        "to the whole stream (60k words) at either ε: this sweep cannot show its 1/ε^d"
+    );
+    say!(
+        w,
+        "factor.  MK stays O(k+z) small but pays in quality: an O(1)"
     );
     say!(
         w,
@@ -494,12 +502,13 @@ fn t1_sliding(w: &mut String) {
     w.push_str(&t.render());
     say!(
         w,
-        "\nShape check: peak grows with z (the z+1 points per mini-ball) and with"
+        "\nShape check: peak grows with z (the z+1 points per mini-ball).  Every row"
     );
     say!(
         w,
-        "the number of guesses (log σ), matching O((kz/ε^d) log σ)."
+        "runs the same guesses (one σ), so the log σ factor of O((kz/ε^d) log σ) is"
     );
+    say!(w, "not swept here.");
 }
 
 /// F1: mini-ball covering sizes vs the Lemma 7 bound (paper Figure 1).
@@ -544,7 +553,7 @@ fn f1_mbc(w: &mut String) {
     w.push_str(&t.render());
     say!(
         w,
-        "\nShape check: |MBC| well under the bound, halving ε roughly 4x-es the size (d = 2)."
+        "\nShape check: |MBC| well under the bound; halving ε grows the size by less than the bound's 4× (d = 2)."
     );
 }
 

@@ -15,7 +15,9 @@
 //!   mini-ball partition at granularity `ε·r/3`; size ≤ `k(12/ε)^d + z`
 //!   (Lemma 7);
 //! * [`update::update_coreset`] — Algorithm 4: re-clustering of an existing
-//!   covering at a coarser granularity (used by the streaming algorithm);
+//!   covering at a coarser granularity (used by the streaming algorithm),
+//!   and [`update::update_coreset_with_owners`], which also records each
+//!   point's representative (the engine's root merge keeps it);
 //! * [`compose`] — the union (Lemma 4) and transitive (Lemma 5) operations
 //!   that let MPC machines and streaming passes combine coverings;
 //! * [`merge`] — what every composing pipeline shares: the end-to-end
@@ -38,4 +40,4 @@ pub use bounds::{mbc_size_bound, streaming_capacity};
 pub use compose::union_coverings;
 pub use mbc::{mbc_construction, mbc_construction_with, MiniBallCovering};
 pub use merge::end_to_end_factor;
-pub use update::update_coreset;
+pub use update::{update_coreset, update_coreset_with_owners};

@@ -82,7 +82,7 @@ pub fn mbc_construction_with<P: Clone, M: MetricSpace<P>>(
     }
     let sol = greedy_with(metric, points, k, z, params);
     let delta = eps * sol.radius / 3.0;
-    let reps = greedy_partition(metric, points, delta);
+    let reps = greedy_partition(metric, points, delta, &mut Vec::new());
     MiniBallCovering {
         reps,
         mini_radius: delta,
@@ -95,6 +95,12 @@ pub fn mbc_construction_with<P: Clone, M: MetricSpace<P>>(
 /// absorbs all remaining points within `delta` of it.  The first
 /// representative is always `points[0]`.
 ///
+/// `owner` is cleared and records, for each point, the index of the
+/// representative that absorbed it.  A representative absorbs only points
+/// after it, so each group's first member is its representative, and the
+/// groups' first members come in group order.  Each representative's
+/// weight is the saturating sum of its group's weights, in any order.
+///
 /// The points are put in one [`PivotOrder`] by their distance to
 /// `points[0]`, and each representative runs one batched
 /// [`MetricSpace::within_indices`] ball query (deferred `sqrt`) over its
@@ -104,32 +110,36 @@ pub(crate) fn greedy_partition<P: Clone, M: MetricSpace<P>>(
     metric: &M,
     points: &[Weighted<P>],
     delta: f64,
+    owner: &mut Vec<usize>,
 ) -> Vec<Weighted<P>> {
+    owner.clear();
     let Some(pivot) = points.first() else {
         return Vec::new();
     };
     let mut f = Vec::new();
     metric.dist_many_weighted(&pivot.point, points, &mut f);
     let order = PivotOrder::new(&f, |i| points[i].point.clone());
-    let mut absorbed = vec![false; points.len()];
+    // `usize::MAX` marks a point no representative has absorbed yet.
+    owner.resize(points.len(), usize::MAX);
     let mut reps: Vec<Weighted<P>> = Vec::new();
     let mut near: Vec<usize> = Vec::new();
     for (i, p) in points.iter().enumerate() {
-        if absorbed[i] {
+        if owner[i] != usize::MAX {
             continue;
         }
         // The representative counts itself even under a metric that
         // violates identity.  Weights saturate, so the order of the sum
         // cannot change it.
-        absorbed[i] = true;
+        let group = reps.len();
+        owner[i] = group;
         let mut weight = p.weight;
         let win = order.window(f[i], delta);
         let at = &order.index()[win.clone()];
         metric.within_indices(&p.point, &order.items()[win], delta, &mut near);
         for &j in &near {
             let q = at[j];
-            if !absorbed[q] {
-                absorbed[q] = true;
+            if owner[q] == usize::MAX {
+                owner[q] = group;
                 weight = weight.saturating_add(points[q].weight);
             }
         }
@@ -309,12 +319,36 @@ mod tests {
             reps.iter().map(|w| (bits(&w.point), w.weight)).collect()
         };
         let mut got = Vec::new();
+        let mut owner = Vec::new();
         for &delta in deltas {
-            got = greedy_partition(metric, points, delta);
+            got = greedy_partition(metric, points, delta, &mut owner);
             let want = reference_partition(metric, points, delta);
             assert_eq!(key(&got), key(&want), "{what}, delta = {delta}");
+            assert_eq!(
+                key(&regroup(points, &owner)),
+                key(&got),
+                "{what}, delta = {delta}: the owner record"
+            );
         }
         got
+    }
+
+    /// The representatives a partition's owner record names: each
+    /// group's first point, in group order, with the group's weights
+    /// summed.
+    fn regroup<P: Clone>(points: &[Weighted<P>], owner: &[usize]) -> Vec<Weighted<P>> {
+        assert_eq!(owner.len(), points.len());
+        let mut reps: Vec<Weighted<P>> = Vec::new();
+        for (p, &g) in points.iter().zip(owner) {
+            if g == reps.len() {
+                reps.push(Weighted {
+                    point: p.point.clone(),
+                    weight: 0,
+                });
+            }
+            reps[g].weight = reps[g].weight.saturating_add(p.weight);
+        }
+        reps
     }
 
     /// Seeded planar instances: a unit lattice (exact ties), duplicates,
@@ -423,7 +457,7 @@ mod tests {
     #[test]
     fn partition_absorbs_within_delta_only() {
         let pts = unit_weighted(&[[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]]);
-        let reps = greedy_partition(&L2, &pts, 1.0);
+        let reps = greedy_partition(&L2, &pts, 1.0, &mut Vec::new());
         assert_eq!(reps.len(), 2);
         assert_eq!(reps[0].weight, 2);
         assert_eq!(reps[1].weight, 1);

@@ -18,8 +18,23 @@ pub fn update_coreset<P: Clone, M: MetricSpace<P>>(
     q: &[Weighted<P>],
     delta: f64,
 ) -> Vec<Weighted<P>> {
+    update_coreset_with_owners(metric, q, delta, &mut Vec::new())
+}
+
+/// [`update_coreset`] that also records, in `owner` (cleared first), for
+/// each point of `q` the index of the output representative that absorbed
+/// it.  A representative absorbs only points after it, so the first point
+/// of `q` in each group is its representative, and the groups' first
+/// points come in output order: the output is a function of `q` and the
+/// record alone, with each weight the saturating sum of its group's.
+pub fn update_coreset_with_owners<P: Clone, M: MetricSpace<P>>(
+    metric: &M,
+    q: &[Weighted<P>],
+    delta: f64,
+    owner: &mut Vec<usize>,
+) -> Vec<Weighted<P>> {
     assert!(delta >= 0.0, "δ must be non-negative");
-    greedy_partition(metric, q, delta)
+    greedy_partition(metric, q, delta, owner)
 }
 
 #[cfg(test)]
@@ -63,6 +78,23 @@ mod tests {
         let out = update_coreset(&L2, &pts, 0.0);
         assert_eq!(out.len(), 2);
         assert_eq!(total_weight(&out), 3);
+    }
+
+    #[test]
+    fn owners_name_each_input_point_s_representative() {
+        let pts = vec![
+            Weighted::new([0.0, 0.0], 5),
+            Weighted::new([9.0, 0.0], 11),
+            Weighted::new([0.1, 0.0], 7),
+            Weighted::new([9.2, 0.0], u64::MAX),
+        ];
+        let mut owner = vec![42];
+        let out = update_coreset_with_owners(&L2, &pts, 0.5, &mut owner);
+        assert_eq!(owner, [0, 1, 0, 1]);
+        assert_eq!(out[0].weight, 12);
+        assert_eq!(out[1].weight, u64::MAX);
+        update_coreset_with_owners(&L2, &pts[..0], 0.5, &mut owner);
+        assert!(owner.is_empty());
     }
 
     #[test]

@@ -303,7 +303,7 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P> + Clone> WindowShard<P, M> {
             WINDOW_RHO_MAX,
         );
         for &(t, ref p, w) in &self.buf {
-            for _ in 0..w.min(self.z + 1) {
+            for _ in 0..w.min(self.z.saturating_add(1)) {
                 sw.insert_at(p.clone(), t);
             }
         }

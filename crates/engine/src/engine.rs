@@ -32,7 +32,7 @@ use kcz_coreset::end_to_end_factor;
 use kcz_kcenter::{farthest_first, BallCache, GreedyParams};
 use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 use kcz_obs::{Counter, Gauge, MetricsHandle, Stage};
-use kcz_streaming::InsertionOnlyCoreset;
+use kcz_streaming::{InsertionOnlyCoreset, MergeRecord};
 use kcz_workloads::{HashPartitioner, ShardKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -181,12 +181,13 @@ impl<P: SpaceUsage> SpaceUsage for Snapshot<P> {
 }
 
 /// Recovers a poisoned mutex guard.  Publish-path state (the snapshot
-/// cache, the herd guard, the leaf cache, the kept solve state) is kept
-/// internally consistent at every step — a publisher that panicked
-/// mid-solve has taken the leaf cache and the solve state out (leaving
-/// them empty, which just means the next publish rebuilds every leaf
-/// and solves afresh) and never half-writes the snapshot cache — so
-/// later publishers must not be wedged by the poison marker.
+/// cache, the herd guard, the leaf cache, the kept merge and solve
+/// state) is kept internally consistent at every step — a publisher that
+/// panicked mid-merge or mid-solve has taken the leaf cache, the merge
+/// record and the solve state out (leaving them empty, which just means
+/// the next publish rebuilds every leaf, partitions and solves afresh)
+/// and never half-writes the snapshot cache — so later publishers must
+/// not be wedged by the poison marker.
 ///
 /// Shard locks deliberately keep their `.expect`: a panic mid-insert
 /// leaves a shard summary mid-mutation with unknown invariants, and
@@ -262,6 +263,9 @@ struct EngineInstruments {
     /// `engine.publish.pair_merges` — root recompressions: one per
     /// publish whose merge had two or more non-empty leaves.
     merges: Counter,
+    /// `engine.merge.reuses` — root recompressions that re-summed the
+    /// weights through the kept partition instead of partitioning.
+    merge_reuses: Counter,
     /// `engine.publish.elisions` — solves skipped on an unchanged
     /// merged fingerprint.
     elisions: Counter,
@@ -306,6 +310,7 @@ impl EngineInstruments {
             rejected: metrics.counter("engine.ingest.rejected"),
             solves: metrics.counter("engine.publish.solves"),
             merges: metrics.counter("engine.publish.pair_merges"),
+            merge_reuses: metrics.counter("engine.merge.reuses"),
             elisions: metrics.counter("engine.publish.elisions"),
             probes: metrics.counter("engine.solve.probes"),
             cache_reuses: metrics.counter("engine.solve.cache_reuses"),
@@ -332,6 +337,7 @@ impl EngineInstruments {
         self.rejected.add(old.rejected.get());
         self.solves.add(old.solves.get());
         self.merges.add(old.merges.get());
+        self.merge_reuses.add(old.merge_reuses.get());
         self.elisions.add(old.elisions.get());
         self.probes.add(old.probes.get());
         self.cache_reuses.add(old.cache_reuses.get());
@@ -348,15 +354,25 @@ impl EngineInstruments {
 /// writer threads as-is (no external lock), and a snapshot can be taken
 /// while other threads keep ingesting.
 ///
-/// Between publishes the engine keeps the last solve's point-only state
-/// (a [`BallCache`]: the merged points as its key, their pivot order,
-/// candidate ladder and neighbour lists) and the canonical warm hint of
-/// those points.  A publish whose merged coreset has the same points,
-/// in order, with only their weights moved, reuses both and pays only
-/// for its probes (`engine.solve.cache_reuses`).  This is solver memory
-/// outside every words count, bounded by the cache's 1.5 M-entry
-/// budget (18 MB); it is dropped on the first publish whose merged
-/// points differ, and by a publish whose solve panics.
+/// Between publishes the engine keeps two records, each keyed by points
+/// and reused while only weights move:
+/// - the root merge's partition (a [`MergeRecord`]: the union of the
+///   shard leaves as its key, with the merge radius, and the index of
+///   each union point's merged representative).  A publish whose union
+///   has the same points, in order, at the same radius, re-sums the
+///   union's weights through it and runs no partition
+///   (`engine.merge.reuses`);
+/// - the last solve's point-only state (a [`BallCache`]: the merged
+///   points as its key, their pivot order, candidate ladder and
+///   neighbour lists) and the canonical warm hint of those points.  A
+///   publish whose merged coreset has the same points, in order, reuses
+///   both and pays only for its probes (`engine.solve.cache_reuses`).
+///
+/// Both are solver memory outside every words count: the merge record
+/// holds one index and one weighted point per shard representative, and
+/// the cache is bounded by its 1.5 M-entry budget (18 MB).  Each is
+/// replaced on the first publish whose points differ, and dropped by a
+/// publish that panics.
 pub struct Engine<P, M: MetricSpace<P>> {
     cfg: EngineConfig,
     metric: M,
@@ -400,6 +416,10 @@ pub struct Engine<P, M: MetricSpace<P>> {
     /// merge or solve leaves it empty and the next publish rebuilds
     /// every leaf.
     leaves: Mutex<Vec<Leaf<P, M>>>,
+    /// The root merge's kept partition (see the type docs).  Taken out
+    /// with `leaves` and put back only when the publish succeeds, so a
+    /// panicking publish leaves it empty.
+    merge_record: Mutex<MergeRecord<P>>,
     /// The last solve's kept state (see the type docs).  Taken out for
     /// the duration of a publish's solve and put back only when the
     /// solve succeeds, so a panicking solve leaves it empty, as it does
@@ -442,6 +462,7 @@ where
             published_fp: AtomicU64::new(0),
             publish_order: Mutex::new(()),
             leaves: Mutex::new(Vec::new()),
+            merge_record: Mutex::new(MergeRecord::default()),
             solver: Mutex::new(None),
             pool: global(),
             cfg,
@@ -499,7 +520,9 @@ where
 
     /// Root recompressions performed so far: one per publish whose merge
     /// found two or more non-empty shard leaves (a lone non-empty leaf
-    /// is adopted as it is).  Exported as `engine.publish.pair_merges`.
+    /// is adopted as it is), whether it partitioned or re-summed the
+    /// weights through the kept partition (`engine.merge.reuses`).
+    /// Exported as `engine.publish.pair_merges`.
     pub fn merges(&self) -> u64 {
         self.obs.merges.get()
     }
@@ -677,19 +700,24 @@ where
     /// *dirty* shard summaries under brief per-shard locks (clean
     /// shards reuse the previous publish's leaf without copying it),
     /// merges every leaf at once into one root — a single union and
-    /// recompression, [`InsertionOnlyCoreset::merge`] — and solves the
-    /// merged coreset with the Charikar-et-al. greedy, warm-started from
-    /// the canonical merged-summary hint (the Gonzalez (k+z) radius).
-    /// Returns the data version the snapshot is valid for.
+    /// recompression, [`InsertionOnlyCoreset::merge_kept`], which re-sums
+    /// the kept partition when the union's points and radius are the
+    /// last one's — and solves the merged coreset with the
+    /// Charikar-et-al. greedy, warm-started from the canonical
+    /// merged-summary hint (the Gonzalez (k+z) radius).  Returns the data
+    /// version the snapshot is valid for.
     ///
     /// Deterministic given the shard contents: the root is the union of
     /// the leaves in shard order, recompressed sequentially, and a
-    /// reused clean leaf is bit-identical to rebuilding it.
+    /// reused clean leaf or merge partition is bit-identical to
+    /// rebuilding it.
     fn solve_snapshot(&self) -> (u64, Snapshot<P>) {
         let t_total = self.obs.publish_total.start();
-        // Take the cached leaves out for the duration: a panic below
-        // leaves the cache empty and the next publish rebuilds them all.
+        // Take the cached leaves and the merge record out for the
+        // duration: a panic below leaves both empty, and the next publish
+        // rebuilds every leaf and partitions afresh.
         let mut cached = std::mem::take(&mut *lock_recover(&self.leaves)).into_iter();
+        let mut record = std::mem::take(&mut *lock_recover(&self.merge_record));
 
         // Read the global version *before* the arrival clock and both
         // before the per-shard pass: a batch landing mid-publish may or
@@ -726,7 +754,9 @@ where
         // Phase 2: one flat merge of every leaf, read by reference.
         // Empty leaves are skipped and a lone non-empty leaf is adopted
         // as it is, so only a merge of two or more non-empty leaves
-        // pays (and counts) the recompression.
+        // pays (and counts) the recompression.  A recompression of the
+        // kept union at the kept radius re-sums the weights through the
+        // kept partition instead.
         let t_merge = self.obs.stage_merge.start();
         let mut merged =
             InsertionOnlyCoreset::new(self.metric.clone(), self.cfg.k, self.cfg.z, self.cfg.eps);
@@ -738,7 +768,9 @@ where
         {
             self.obs.merges.incr();
         }
-        merged.merge(leaves.iter().map(|(_, leaf)| leaf));
+        if merged.merge_kept(leaves.iter().map(|(_, leaf)| leaf), &mut record) {
+            self.obs.merge_reuses.incr();
+        }
         let merge_transient_words = leaves
             .iter()
             .map(|(_, leaf)| leaf.space_words())
@@ -772,6 +804,7 @@ where
                 snap.stats.merges = self.obs.merges.get();
                 snap.stats.elisions = self.obs.elisions.get();
                 *lock_recover(&self.leaves) = leaves;
+                *lock_recover(&self.merge_record) = record;
                 t_replay.finish();
                 t_total.finish();
                 return (version, snap);
@@ -842,6 +875,7 @@ where
             coreset: merged.coreset().to_vec(),
         };
         *lock_recover(&self.leaves) = leaves;
+        *lock_recover(&self.merge_record) = record;
         self.published_fp.store(fp, Ordering::Relaxed);
         t_build.finish();
         self.obs.coreset_size.set(snap.coreset.len() as u64);

@@ -1,10 +1,11 @@
 //! Engine instrumentation contracts: exact counters under
 //! barrier-scheduled multi-writer ingest with a concurrent
 //! snapshotter, uniform solve/elision accounting across `Engine`
-//! accessors / `Snapshot.stats` / the registry, a solve-state reuse
-//! counted per publish whose merged points stayed, publish-stage spans
-//! that sum to within the measured publish total, and byte-identical
-//! metric exports under the deterministic tick clock.
+//! accessors / `Snapshot.stats` / the registry, a merge-partition and a
+//! solve-state reuse counted per publish whose points stayed, carried
+//! across a metrics rebind, publish-stage spans that sum to within the
+//! measured publish total, and byte-identical metric exports under the
+//! deterministic tick clock.
 
 use kcz_engine::{Engine, EngineConfig};
 use kcz_metric::L2;
@@ -111,17 +112,58 @@ fn multi_writer_ingest_with_snapshotter_loses_no_updates() {
     );
 
     // An exact repeat of an ingested site moves only a weight, so the
-    // next solve starts from the state the last one kept.
+    // next merge re-sums the partition the last one kept, and the next
+    // solve starts from the state the last one kept.  Both still count
+    // as a recompression and a solve.
     let reuses = registry
         .counter_value("engine.solve.cache_reuses")
         .expect("registered");
     assert!(reuses < engine.solves(), "the first solve cannot reuse");
+    let merge_reuses = registry
+        .counter_value("engine.merge.reuses")
+        .expect("registered");
+    assert!(
+        merge_reuses < engine.merges(),
+        "the first merge cannot reuse"
+    );
+    let (solves, merges) = (engine.solves(), engine.merges());
     engine.ingest(&[site(0, 0, 0)]);
     engine.publish();
     assert_eq!(
         registry.counter_value("engine.solve.cache_reuses"),
         Some(reuses + 1)
     );
+    assert_eq!(
+        registry.counter_value("engine.merge.reuses"),
+        Some(merge_reuses + 1)
+    );
+    assert_eq!((engine.solves(), engine.merges()), (solves + 1, merges + 1));
+}
+
+#[test]
+fn reuse_counts_carry_across_a_metrics_rebind() {
+    // Work done before `with_metrics` must show up in the new registry.
+    let engine = Engine::new(L2, EngineConfig::new(4, 3, 8, 0.5));
+    let batch: Vec<[f64; 2]> = (0..60).map(|i| site(3, 0, i)).collect();
+    engine.ingest(&batch);
+    engine.publish();
+    engine.ingest(&batch[..5]);
+    engine.publish();
+    let registry = Registry::new();
+    let engine = engine.with_metrics(&MetricsHandle::new(&registry));
+    for name in [
+        "engine.merge.reuses",
+        "engine.solve.cache_reuses",
+        "engine.publish.pair_merges",
+    ] {
+        let expected = if name == "engine.publish.pair_merges" {
+            2
+        } else {
+            1
+        };
+        assert_eq!(registry.counter_value(name), Some(expected), "{name}");
+    }
+    assert_eq!(engine.merges(), 2);
 }
 
 #[test]

@@ -6,12 +6,13 @@
 //!    from-scratch engine fed the same prefix publishes — the clean-leaf
 //!    cache and the warm-started solve never leak publish history into
 //!    the answer.
-//!    The same holds when the merged points stay put and every solve
-//!    after the first reuses the kept solve state.
+//!    The same holds when the shard representatives or the merged points
+//!    stay put and publishes reuse the kept merge partition and the kept
+//!    solve state.
 //! 2. **Failure atomicity**: a publish that panics mid-merge or mid-solve
 //!    burns no epoch number and poisons nothing a later publish needs —
-//!    the next publish rebuilds every leaf and the solve state and
-//!    succeeds.
+//!    the next publish rebuilds every leaf, the merge partition and the
+//!    solve state and succeeds.
 
 use kcz_engine::{Engine, EngineConfig, Snapshot};
 use kcz_metric::{MetricSpace, L2};
@@ -183,9 +184,67 @@ fn repeated_sites_reuse_the_solve_state_and_publish_from_scratch_bits() {
                 Some(publish),
                 "shards {shards}: every publish after the first reuses"
             );
+            // A lone shard's leaf is adopted and never partitioned; over
+            // four shards every publish after the first re-sums the kept
+            // partition.
+            assert_eq!(
+                registry.counter_value("engine.merge.reuses"),
+                Some(if shards == 1 { 0 } else { publish }),
+                "shards {shards}: merge reuses"
+            );
         }
         assert_eq!(engine.solves(), 12);
+        assert_eq!(engine.merges(), if shards == 1 { 0 } else { 12 });
     }
+}
+
+#[test]
+fn serve_schedule_reuses_the_merge_partition_only_when_the_writes_repeat() {
+    // The serve workload's shape at a small size: a preload, then
+    // distinct noisy writes over 8 shards, a publish per 1024-point
+    // flush, and the same write list sent twice.  The first pass adds
+    // shard representatives at every flush; in the second every write
+    // repeats one, so only weights move.
+    let mut gen = Gen(0x5E7E);
+    let preload: Vec<[f64; 2]> = (0..625)
+        .map(|i| [(i % 25) as f64 * 100.0, (i / 25) as f64 * 100.0])
+        .collect();
+    let sites = [
+        [300.0, 300.0],
+        [1800.0, 600.0],
+        [900.0, 2100.0],
+        [2200.0, 2200.0],
+    ];
+    let writes: Vec<[f64; 2]> = (0..3 * 1024)
+        .map(|i| {
+            let r = gen.next_u64();
+            let (dx, dy) = ((r >> 40) as f64 / 2e5, (r & 0xFF_FFFF) as f64 / 2e5);
+            let [x, y] = sites[i % sites.len()];
+            [x + dx - 42.0, y + dy - 42.0]
+        })
+        .collect();
+    let cfg = EngineConfig::new(8, 4, 16, 1.0);
+    let registry = Registry::new();
+    let engine = Engine::new(L2, cfg).with_metrics(&MetricsHandle::new(&registry));
+    engine.ingest(&preload);
+    engine.publish();
+    let mut prefix = vec![preload];
+    let reuses = || registry.counter_value("engine.merge.reuses");
+    for pass in 0..2u64 {
+        for (flush, batch) in writes.chunks(1024).enumerate() {
+            engine.ingest(batch);
+            prefix.push(batch.to_vec());
+            let snap = engine.publish();
+            assert_eq!(
+                fingerprint(&snap),
+                scratch_fingerprint(cfg, &prefix),
+                "pass {pass} flush {flush}: diverged from a from-scratch engine"
+            );
+            let expected = if pass == 0 { 0 } else { flush as u64 + 1 };
+            assert_eq!(reuses(), Some(expected), "pass {pass} flush {flush}");
+        }
+    }
+    assert_eq!(engine.merges(), 7, "every publish recompressed");
 }
 
 /// An L2 wrapper that can be armed to panic on the next distance
@@ -216,9 +275,13 @@ fn panicking_publish_burns_no_epoch_and_recovers() {
     let metric = FlakyL2 {
         armed: Arc::clone(&armed),
     };
-    let engine = Engine::new(metric.clone(), EngineConfig::new(4, 2, 6, 0.5));
+    let cfg = EngineConfig::new(4, 2, 6, 0.5);
+    let registry = Registry::new();
+    let engine = Engine::new(metric.clone(), cfg).with_metrics(&MetricsHandle::new(&registry));
+    let merge_reuses = || registry.counter_value("engine.merge.reuses");
     let mut gen = Gen(0xBAD5EED);
-    engine.ingest(&(0..200).map(|_| gen.point()).collect::<Vec<_>>());
+    let first: Vec<[f64; 2]> = (0..200).map(|_| gen.point()).collect();
+    engine.ingest(&first);
 
     // Arm *after* ingest: shard locks are healthy, and the publish dies
     // inside its merge or solve.
@@ -237,38 +300,43 @@ fn panicking_publish_burns_no_epoch_and_recovers() {
     let again = engine.publish();
     assert_eq!(again.epoch, 1, "cached republish after recovery");
     assert!(engine.latest().is_some());
-
-    // A publish that dies inside a solve reading the kept state.  One
-    // shard: its leaf is adopted with no recompression, so the first
-    // distance the publish computes is the solve's.
-    let registry = Registry::new();
-    let cfg = EngineConfig::new(1, 2, 6, 0.5);
-    let engine = Engine::new(metric, cfg).with_metrics(&MetricsHandle::new(&registry));
-    let first: Vec<[f64; 2]> = (0..200).map(|_| gen.point()).collect();
-    engine.ingest(&first);
-    assert_eq!(engine.publish().epoch, 1, "a good publish keeps a state");
-    // Repeats leave the merged points as they are, so the armed
-    // publish starts from the kept state and dies in its first pick.
+    // The dead merge kept nothing, so the recovered one partitioned, and
+    // its record serves the next publish of repeats.
+    assert_eq!(merge_reuses(), Some(0));
     let repeats = first[..50].to_vec();
+    engine.ingest(&repeats);
+    let snap = engine.publish();
+    assert_eq!(merge_reuses(), Some(1));
+    assert_eq!(
+        fingerprint(&snap),
+        scratch_fingerprint(cfg, &[first.clone(), repeats.clone()])
+    );
+
+    // A publish that dies inside a solve reading the kept state.  The
+    // repeats leave every shard's points as they are, so the merge
+    // re-sums the kept partition with no distance, the solve starts from
+    // its kept state, and the publish dies in the solve's first pick.
+    let solve_reuses = || registry.counter_value("engine.solve.cache_reuses");
+    let before = (merge_reuses(), solve_reuses());
     engine.ingest(&repeats);
     armed.store(true, Ordering::Relaxed);
     let died = catch_unwind(AssertUnwindSafe(|| engine.publish()));
     armed.store(false, Ordering::Relaxed);
     assert!(died.is_err(), "armed publish must propagate the panic");
-    assert_eq!(engine.epoch(), 1, "failed publish must not burn an epoch");
-    let reuses = registry.counter_value("engine.solve.cache_reuses");
+    assert_eq!(engine.epoch(), 2, "failed publish must not burn an epoch");
+    let reuses = (merge_reuses(), solve_reuses());
     assert_eq!(
         reuses,
-        Some(1),
-        "the armed solve started from the kept state"
+        (before.0.map(|n| n + 1), before.1.map(|n| n + 1)),
+        "the armed publish started from both kept records"
     );
-    // The panic left no state: the recovered publish solves afresh and
-    // equals a from-scratch engine's.
+    // The panic left no record: the recovered publish partitions and
+    // solves afresh and equals a from-scratch engine's.
     let snap = engine.publish();
-    assert_eq!(snap.epoch, 2);
-    assert_eq!(registry.counter_value("engine.solve.cache_reuses"), reuses);
+    assert_eq!(snap.epoch, 3);
+    assert_eq!((merge_reuses(), solve_reuses()), reuses);
     assert_eq!(
         fingerprint(&snap),
-        scratch_fingerprint(cfg, &[first, repeats])
+        scratch_fingerprint(cfg, &[first, repeats.clone(), repeats])
     );
 }

@@ -37,7 +37,7 @@ where
     assert!(!partition.is_empty(), "need at least one machine");
     assert!(eps > 0.0 && eps <= 1.0, "ε must be in (0, 1]");
     let m = partition.len();
-    let tau = k + z as usize;
+    let tau = k.saturating_add(z as usize);
 
     let coverings = parallel_map(partition.iter().collect(), |_, pts: &Vec<P>| {
         let weighted = unit_weighted(pts);

@@ -42,12 +42,19 @@ fn ceil_log2(x: u64) -> u32 {
 }
 
 /// Number of vector entries: `⌈log(z+1)⌉ + 1` (Algorithm 2, line 1).
+/// `z + 1` saturates: `⌈log₂ 2⁶⁴⌉ = ⌈log₂(2⁶⁴ − 1)⌉ = 64`.
 pub(crate) fn vector_len(z: u64) -> usize {
     if z == 0 {
         1
     } else {
-        ceil_log2(z + 1) as usize + 1
+        ceil_log2(z.saturating_add(1)) as usize + 1
     }
+}
+
+/// The outlier budget of vector entry `j`, `2^j − 1`: `u64::MAX` at
+/// `j = 64`, the last entry when `z` is `u64::MAX`.
+fn entry_budget(j: usize) -> u64 {
+    1u64.checked_shl(j as u32).map_or(u64::MAX, |b| b - 1)
 }
 
 /// Runs Algorithm 2 on `partition[i] = P_i` (arbitrary, possibly
@@ -73,10 +80,7 @@ where
     let vectors: Vec<Vec<f64>> = parallel_map(partition.iter().collect(), |_, pts: &Vec<P>| {
         let weighted = unit_weighted(pts);
         (0..len)
-            .map(|j| {
-                let budget = (1u64 << j) - 1;
-                greedy_with(metric, &weighted, k, budget, params).radius
-            })
+            .map(|j| greedy_with(metric, &weighted, k, entry_budget(j), params).radius)
             .collect()
     });
     // Broadcast: every machine sends its vector to the other m−1 machines.
@@ -91,14 +95,14 @@ where
         let mut sum = 0u64;
         for v in &vectors {
             let j = v.iter().position(|&x| x <= r)?;
-            sum = sum.saturating_add((1u64 << j) - 1);
+            sum = sum.saturating_add(entry_budget(j));
         }
         Some(sum)
     };
     let rhat = candidates
         .iter()
         .copied()
-        .find(|&r| excess(r).is_some_and(|s| s <= 2 * z))
+        .find(|&r| excess(r).is_some_and(|s| s <= z.saturating_mul(2)))
         .expect("the maximum Greedy radius always satisfies the budget sum");
 
     let budgets: Vec<u64> = vectors
@@ -108,7 +112,7 @@ where
                 .iter()
                 .position(|&x| x <= rhat)
                 .expect("r̂ dominates some entry of every vector");
-            (1u64 << j) - 1
+            entry_budget(j)
         })
         .collect();
 
@@ -195,6 +199,10 @@ mod tests {
         assert_eq!(vector_len(4), 4);
         assert_eq!(vector_len(7), 4);
         assert_eq!(vector_len(8), 5);
+        assert_eq!(vector_len(u64::MAX), 65);
+        assert_eq!(entry_budget(0), 0);
+        assert_eq!(entry_budget(3), 7);
+        assert_eq!(entry_budget(64), u64::MAX);
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub fn ceccarello_stream<P: Clone + SpaceUsage, M: MetricSpace<P>>(
     assert!(eps > 0.0 && eps <= 1.0, "ε must be in (0, 1]");
     let d = metric.doubling_dim();
     // (k + z) mini-ball groups, each refined at ε-granularity.
-    let capacity = packing_bound(k + z as usize, 0, 16.0 / eps, d).max(k as u64 + z + 2);
+    let least = (k as u64).saturating_add(z).saturating_add(2);
+    let capacity = packing_bound(k.saturating_add(z as usize), 0, 16.0 / eps, d).max(least);
     DoublingCoreset::new(metric, k, z, eps / 2.0, capacity)
 }
 
@@ -44,7 +45,13 @@ pub fn mk_doubling<P: Clone + SpaceUsage, M: MetricSpace<P>>(
     k: usize,
     z: u64,
 ) -> DoublingCoreset<P, M> {
-    DoublingCoreset::new(metric, k, z, 2.0, k as u64 + z + 2)
+    DoublingCoreset::new(
+        metric,
+        k,
+        z,
+        2.0,
+        (k as u64).saturating_add(z).saturating_add(2),
+    )
 }
 
 #[cfg(test)]

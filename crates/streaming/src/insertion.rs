@@ -15,7 +15,7 @@
 //! with different settings, which is exactly how they differ in the
 //! literature.
 
-use kcz_coreset::{streaming_capacity, update_coreset};
+use kcz_coreset::{streaming_capacity, update_coreset, update_coreset_with_owners};
 use kcz_metric::pivot::PivotOrder;
 use kcz_metric::{MetricSpace, SpaceUsage, Weighted};
 
@@ -68,6 +68,69 @@ impl<P: Clone, M: Clone> Clone for DoublingCoreset<P, M> {
     }
 }
 
+/// The partition of a [`DoublingCoreset::merge_kept`], kept for the next
+/// merge of the same union at the same radius.
+///
+/// It holds the union the merge recompressed (its points, in order, are
+/// the key, and its weights are not), the bits of the merge radius it was
+/// partitioned at, the index of each union point's merged representative
+/// (composed through the capacity loop's re-partitions), the merged
+/// radius after that loop, and the loop's doublings.  That is one index
+/// per union point plus the union itself: solver-like memory held by the
+/// caller, outside every words count.  An empty record matches nothing.
+#[derive(Debug)]
+pub struct MergeRecord<P> {
+    union: Vec<Weighted<P>>,
+    radius_bits: u64,
+    owner: Vec<usize>,
+    merged_radius: f64,
+    doublings: u64,
+}
+
+impl<P> Default for MergeRecord<P> {
+    fn default() -> Self {
+        MergeRecord {
+            union: Vec::new(),
+            radius_bits: 0,
+            owner: Vec::new(),
+            merged_radius: 0.0,
+            doublings: 0,
+        }
+    }
+}
+
+impl<P: Clone + PartialEq> MergeRecord<P> {
+    /// Whether `union`, to be partitioned at `radius`, is the kept one.
+    fn matches(&self, union: &[Weighted<P>], radius: f64) -> bool {
+        !union.is_empty()
+            && self.radius_bits == radius.to_bits()
+            && self.union.len() == union.len()
+            && self
+                .union
+                .iter()
+                .zip(union)
+                .all(|(a, b)| a.point == b.point)
+    }
+
+    /// The merged representatives of `union` through the kept owners:
+    /// each group's first point, whose first members come in group order,
+    /// with its group's weights summed.  The sums saturate, so their
+    /// order cannot change them.
+    fn regroup(&self, union: &[Weighted<P>]) -> Vec<Weighted<P>> {
+        let mut reps: Vec<Weighted<P>> = Vec::new();
+        for (p, &g) in union.iter().zip(&self.owner) {
+            if g == reps.len() {
+                reps.push(Weighted {
+                    point: p.point.clone(),
+                    weight: 0,
+                });
+            }
+            reps[g].weight = reps[g].weight.saturating_add(p.weight);
+        }
+        reps
+    }
+}
+
 impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
     /// Creates the engine.  `absorb` is the factor `a` multiplying `r` in
     /// the absorption test; `capacity` is the re-cluster threshold and must
@@ -75,10 +138,12 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
     pub fn new(metric: M, k: usize, z: u64, absorb: f64, capacity: u64) -> Self {
         assert!(k >= 1, "k must be at least 1");
         assert!(absorb > 0.0, "absorb factor must be positive");
+        // Saturating, so a budget near `u64::MAX` fails this check
+        // instead of overflowing it.
+        let least = (k as u64).saturating_add(z).saturating_add(1);
         assert!(
-            capacity > k as u64 + z + 1,
-            "capacity {capacity} must exceed k + z + 1 = {}",
-            k as u64 + z + 1
+            capacity > least,
+            "capacity {capacity} must exceed k + z + 1 = {least}"
         );
         DoublingCoreset {
             metric,
@@ -109,10 +174,40 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
     /// [`Self::drift_bound`] tracks.  Empty sides are skipped, and when
     /// only one side (`self` included) holds data it is adopted as it is
     /// — content and drift unchanged — so sharded engines with idle
-    /// shards pay no spurious ε′ widening.
+    /// shards pay no spurious ε′ widening.  Every call partitions the
+    /// union afresh; [`Self::merge_kept`] keeps the partition for the
+    /// next merge of the same union.
     pub fn merge<'a>(&mut self, others: impl IntoIterator<Item = &'a DoublingCoreset<P, M>>)
     where
-        P: 'a,
+        P: 'a + PartialEq,
+        M: Clone + 'a,
+    {
+        self.merge_kept(others, &mut MergeRecord::default());
+    }
+
+    /// [`Self::merge`], reading and keeping the partition of the last
+    /// merge that recompressed: returns whether it was reused.
+    ///
+    /// The recompression is a function of the union's points and the
+    /// merge radius alone: weights only add up within groups.  So a merge
+    /// of two or more non-empty sides whose union has the kept union's
+    /// points (under `==`, in order) and whose radius has the kept bits
+    /// re-sums the union's weights through the kept record, with no
+    /// partition at all.  Any other such merge partitions and records
+    /// anew; an adoption or an empty merge leaves `record` as it is.  The
+    /// result equals [`Self::merge`]'s bit for bit, as long as points
+    /// that compare equal give distances with the same bits (see
+    /// `kcz_kcenter::BallCache`, which keys on the same condition).  A
+    /// point not equal to itself, such as one with a NaN coordinate,
+    /// never matches.  Pass one record only to merges of summaries with
+    /// one metric and one `(k, z, absorb, capacity)`.
+    pub fn merge_kept<'a>(
+        &mut self,
+        others: impl IntoIterator<Item = &'a DoublingCoreset<P, M>>,
+        record: &mut MergeRecord<P>,
+    ) -> bool
+    where
+        P: 'a + PartialEq,
         M: Clone + 'a,
     {
         let mut sides = Vec::new();
@@ -137,40 +232,77 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             }
         }
         if sides.is_empty() {
-            return;
+            return false;
         }
         if self.n_seen == 0 && sides.len() == 1 {
             let peak = self.peak_words.max(sides[0].peak_words);
             *self = sides[0].clone();
             self.peak_words = peak.max(self.space_words());
-            return;
+            return false;
         }
+        let mut union = std::mem::take(&mut self.reps);
+        union.reserve_exact(sides.iter().map(|side| side.reps.len()).sum());
         for side in sides {
             self.n_seen = self.n_seen.saturating_add(side.n_seen);
             self.r = self.r.max(side.r);
             self.drift_factor = self.drift_factor.max(side.drift_factor);
-            self.reps.extend_from_slice(&side.reps);
+            union.extend_from_slice(&side.reps);
         }
         self.drift_factor += 1.0;
-        if self.r > 0.0 {
-            // Re-establish the mini-ball granularity at the merged radius.
-            self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
+        let reused = record.matches(&union, self.r);
+        if reused {
+            self.reps = record.regroup(&union);
+            self.r = record.merged_radius;
+            self.rebuilds += record.doublings;
         } else {
-            // Every side pre-radius: merge exact duplicates only.
-            self.reps = update_coreset(&self.metric, &self.reps, 0.0);
-            if self.reps.len() as u64 > self.k as u64 + self.z {
-                if let Some(min) = self.min_pairwise() {
-                    self.r = min / 2.0;
-                }
-            }
-        }
-        while self.r > 0.0 && self.reps.len() as u64 >= self.capacity {
-            self.r *= 2.0;
-            self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
-            self.rebuilds += 1;
+            self.recompress(union, record);
         }
         self.order = PivotOrder::default();
         self.peak_words = self.peak_words.max(self.space_words());
+        reused
+    }
+
+    /// The merge's recompression of `union` at the merge radius `self.r`
+    /// and its capacity loop, kept in `record` with the owner of each
+    /// point of `union` composed through every re-partition.
+    fn recompress(&mut self, union: Vec<Weighted<P>>, record: &mut MergeRecord<P>) {
+        // Drop the old key first: a partition that panics leaves a record
+        // that matches nothing.
+        record.union.clear();
+        let radius = self.r;
+        // Re-establish the mini-ball granularity at the merged radius, or,
+        // with every side pre-radius, merge exact duplicates only.
+        let delta = if radius > 0.0 {
+            self.absorb * radius
+        } else {
+            0.0
+        };
+        self.reps = update_coreset_with_owners(&self.metric, &union, delta, &mut record.owner);
+        if radius == 0.0 && self.reps.len() as u64 > self.k as u64 + self.z {
+            if let Some(min) = self.min_pairwise() {
+                self.r = min / 2.0;
+            }
+        }
+        let mut doublings = 0;
+        let mut step = Vec::new();
+        while self.r > 0.0 && self.reps.len() as u64 >= self.capacity {
+            self.r *= 2.0;
+            self.reps = update_coreset_with_owners(
+                &self.metric,
+                &self.reps,
+                self.absorb * self.r,
+                &mut step,
+            );
+            for g in &mut record.owner {
+                *g = step[*g];
+            }
+            doublings += 1;
+        }
+        self.rebuilds += doublings;
+        record.union = union;
+        record.radius_bits = radius.to_bits();
+        record.merged_radius = self.r;
+        record.doublings = doublings;
     }
 
     /// Handles the arrival of one point (`HandleArrival` in Algorithm 3).
@@ -354,17 +486,38 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> InsertionOnlyCoreset<P, M> {
     /// Merges every summary of `others`, each built with identical
     /// `(k, z, ε)` and the same doubling dimension — the sharded-ingest
     /// path: one Lemma 4 union plus at most one recompression, tracked by
-    /// `effective_eps` (see [`DoublingCoreset::merge`]).
+    /// `effective_eps` (see [`DoublingCoreset::merge`]).  The engine calls
+    /// [`Self::merge_kept`], which reuses the last partition while the
+    /// union's points stay.
     pub fn merge<'a>(&mut self, others: impl IntoIterator<Item = &'a Self>)
     where
-        P: 'a,
+        P: 'a + PartialEq,
+        M: Clone + 'a,
+    {
+        self.merge_kept(others, &mut MergeRecord::default());
+    }
+
+    /// [`Self::merge`], reusing `record`'s partition when the union and
+    /// the merge radius are the kept ones; returns whether it did (see
+    /// [`DoublingCoreset::merge_kept`]).  The output is [`Self::merge`]'s,
+    /// bit for bit.
+    pub fn merge_kept<'a>(
+        &mut self,
+        others: impl IntoIterator<Item = &'a Self>,
+        record: &mut MergeRecord<P>,
+    ) -> bool
+    where
+        P: 'a + PartialEq,
         M: Clone + 'a,
     {
         let eps = self.eps;
-        self.inner.merge(others.into_iter().map(|other| {
-            assert!(eps == other.eps, "merge requires identical ε parameters");
-            &other.inner
-        }));
+        self.inner.merge_kept(
+            others.into_iter().map(|other| {
+                assert!(eps == other.eps, "merge requires identical ε parameters");
+                &other.inner
+            }),
+            record,
+        )
     }
 
     /// Lower bound `r ≤ opt`.
@@ -923,6 +1076,229 @@ mod tests {
         assert_eq!(weights, [1, 1, 3, 1]);
         let f = |i: usize| L2.dist(&reps[0], &reps[i]);
         assert!(f(3) < f(2), "rep 3 comes first in the pivot order");
+    }
+
+    /// Everything a merge sets, bit for bit: the representatives'
+    /// points and weights, `radius_bound`, `drift_bound`,
+    /// `effective_eps`, `points_seen`, `space_words`, `peak_words` and
+    /// `rebuilds`.
+    type MergedBits = (Vec<([u64; 2], u64)>, [u64; 3], u64, [usize; 2], u64);
+
+    fn merged_bits<M: MetricSpace<[f64; 2]>>(m: &DoublingCoreset<[f64; 2], M>) -> MergedBits {
+        (
+            m.coreset()
+                .iter()
+                .map(|c| (c.point.map(f64::to_bits), c.weight))
+                .collect(),
+            [m.radius_bound(), m.drift_bound(), m.effective_eps()].map(f64::to_bits),
+            m.points_seen(),
+            [m.space_words(), m.peak_words()],
+            m.rebuilds(),
+        )
+    }
+
+    /// One merge of a schedule: its sides, and whether the kept merge
+    /// must reuse the record.
+    type MergeStep<'a, M> = (&'a [DoublingCoreset<[f64; 2], M>], bool);
+
+    /// Merges each step's sides into an empty summary twice, through one
+    /// record kept across all steps and with a plain `merge`, asserting
+    /// that both agree bit for bit and that the kept merge reused exactly
+    /// where the step says.  Returns the plain merges.
+    fn assert_kept_merges<M: MetricSpace<[f64; 2]> + Clone>(
+        mk: impl Fn() -> DoublingCoreset<[f64; 2], M>,
+        steps: &[MergeStep<'_, M>],
+        what: &str,
+    ) -> Vec<DoublingCoreset<[f64; 2], M>> {
+        let mut record = MergeRecord::default();
+        let mut fresh_merges = Vec::new();
+        for (t, &(sides, reuse)) in steps.iter().enumerate() {
+            let mut kept = mk();
+            let reused = kept.merge_kept(sides, &mut record);
+            let mut fresh = mk();
+            fresh.merge(sides);
+            assert_eq!(reused, reuse, "{what}: step {t} reuse");
+            assert_eq!(merged_bits(&kept), merged_bits(&fresh), "{what}: step {t}");
+            fresh_merges.push(fresh);
+        }
+        fresh_merges
+    }
+
+    /// A summary fed `arrivals`, with unit weights.
+    fn fed<M: MetricSpace<[f64; 2]>>(
+        mut s: DoublingCoreset<[f64; 2], M>,
+        arrivals: &[[f64; 2]],
+    ) -> DoublingCoreset<[f64; 2], M> {
+        for &p in arrivals {
+            s.insert(p);
+        }
+        s
+    }
+
+    /// `sides` with one representative of each re-inserted at weight
+    /// `w`: every side keeps its points and only a weight moves.
+    fn bumped<M: MetricSpace<[f64; 2]> + Clone>(
+        sides: &[DoublingCoreset<[f64; 2], M>],
+        w: u64,
+    ) -> Vec<DoublingCoreset<[f64; 2], M>> {
+        let mut out = sides.to_vec();
+        for (i, s) in out.iter_mut().enumerate() {
+            if s.points_seen() == 0 {
+                continue;
+            }
+            let before: Vec<[u64; 2]> = s.reps.iter().map(|c| c.point.map(f64::to_bits)).collect();
+            let p = s.coreset()[i % s.coreset().len()].point;
+            s.insert_weighted(p, w);
+            let after: Vec<[u64; 2]> = s.reps.iter().map(|c| c.point.map(f64::to_bits)).collect();
+            assert_eq!(before, after, "a bump moved a point");
+        }
+        out
+    }
+
+    /// The kept merge against a fresh one, over every case that decides
+    /// whether the record may be reused.
+    fn kept_merge_equals_a_fresh_merge<M: MetricSpace<[f64; 2]> + Clone>(metric: M) {
+        let pts = stream(900);
+        // Weight-only bumps reuse; a representative appended to one side
+        // and a side re-clustered to a doubled radius each miss once.
+        let mk = || DoublingCoreset::new(metric.clone(), 2, 8, 0.25, 60);
+        let base: Vec<_> = pts[..600].chunks(150).map(|c| fed(mk(), c)).collect();
+        let bumps = bumped(&base, 3);
+        let mut appended = bumps.clone();
+        appended[2].insert([9999.0, -9999.0]);
+        assert_eq!(appended[2].reps.len(), bumps[2].reps.len() + 1);
+        let appended_bumps = bumped(&appended, 1);
+        let mut doubled = appended_bumps.clone();
+        let rebuilds = doubled[0].rebuilds();
+        for i in 0..200 {
+            doubled[0].insert([2e4 + i as f64 * 1e3, 5e3]);
+            if doubled[0].rebuilds() > rebuilds {
+                break;
+            }
+        }
+        assert!(
+            doubled[0].rebuilds() > rebuilds,
+            "side 0 never re-clustered"
+        );
+        let doubled_bumps = bumped(&doubled, 2);
+        assert_kept_merges(
+            mk,
+            &[
+                (&base, false),
+                (&bumps, true),
+                (&appended, false),
+                (&appended_bumps, true),
+                (&doubled, false),
+                (&doubled_bumps, true),
+            ],
+            "bumps, append, re-cluster",
+        );
+
+        // Pre-radius sides (r = 0): two sides of a few distinct points
+        // merge duplicates only; one side with all of their points is
+        // adopted, which neither reads nor drops the record.
+        let few = [[0.0, 0.0], [1.0, 0.0], [2.0, 3.0], [7.0, 7.0], [9.0, 1.0]];
+        let two = [fed(mk(), &few[..3]), fed(mk(), &few[3..])];
+        let one = [fed(mk(), &few), mk()];
+        assert_eq!(one[0].radius_bound(), 0.0);
+        let merges = assert_kept_merges(
+            mk,
+            &[
+                (&two, false),
+                (&bumped(&two, 5), true),
+                (&one, false),
+                (&bumped(&two, 1), true),
+            ],
+            "pre-radius and adoption",
+        );
+        assert_eq!(merges[0].radius_bound(), 0.0);
+        assert!(merges[2].effective_eps() < merges[1].effective_eps());
+        // Pre-radius sides whose union passes k + z distinct points: the
+        // merge itself sets the radius, and the record keeps it.
+        let twelve: Vec<[f64; 2]> = (0..12).map(|i| [i as f64 * 3.0, (i % 4) as f64]).collect();
+        let halves = [fed(mk(), &twelve[..6]), fed(mk(), &twelve[6..])];
+        let merges = assert_kept_merges(
+            mk,
+            &[(&halves, false), (&bumped(&halves, 2), true)],
+            "radius set by the merge",
+        );
+        assert!(halves.iter().all(|h| h.radius_bound() == 0.0));
+        assert!(merges[1].radius_bound() > 0.0);
+
+        // The same union at another radius misses: only the sides'
+        // radii differ.
+        let mk1 = || DoublingCoreset::new(metric.clone(), 1, 0, 0.25, 50);
+        let (x, y, u) = ([0.0, 0.0], [10.0, 0.0], [13.0, 0.0]);
+        let wide = [fed(mk1(), &[x, y]), fed(mk1(), &[u])];
+        let narrow = [fed(mk1(), &[x]), fed(mk1(), &[y, u])];
+        let merges = assert_kept_merges(
+            mk1,
+            &[
+                (&wide, false),
+                (&narrow, false),
+                (&bumped(&narrow, 1), true),
+            ],
+            "another radius",
+        );
+        assert_ne!(merges[0].radius_bound(), merges[1].radius_bound());
+
+        // A union past the capacity runs the merge's doubling loop; the
+        // record composes the loop's re-partitions.
+        let mk_small = || DoublingCoreset::new(metric.clone(), 2, 4, 0.25, 20);
+        let many: Vec<_> = pts.chunks(150).map(|c| fed(mk_small(), c)).collect();
+        let merges = assert_kept_merges(
+            mk_small,
+            &[(&many, false), (&bumped(&many, 7), true)],
+            "capacity loop",
+        );
+        assert!(merges[0].rebuilds() > 0, "the merge never doubled");
+
+        // Saturated weights: the re-sums saturate as the partition's do.
+        let heavy: Vec<_> = pts[..300]
+            .chunks(100)
+            .map(|c| {
+                let mut s = mk();
+                for (i, &p) in c.iter().enumerate() {
+                    s.insert_weighted(p, if i % 3 == 0 { u64::MAX } else { 1 });
+                }
+                s
+            })
+            .collect();
+        let merges = assert_kept_merges(
+            mk,
+            &[(&heavy, false), (&bumped(&heavy, u64::MAX), true)],
+            "u64::MAX weights",
+        );
+        assert!(merges[1].coreset().iter().any(|c| c.weight == u64::MAX));
+
+        // 0.0 and -0.0 compare equal and give the same distances: the
+        // record is reused, and the merged points carry this union's
+        // sign bits.
+        let signed = |z: f64| {
+            let a = [[z, 5.0], [3.0, z], [40.0, 40.0]];
+            let b = [[z, z], [80.0, 1.0]];
+            [fed(mk(), &a), fed(mk(), &b)]
+        };
+        let merges = assert_kept_merges(
+            mk,
+            &[(&signed(0.0), false), (&signed(-0.0), true)],
+            "signed zero",
+        );
+        assert!(merges[1].coreset()[0].point[0].is_sign_negative());
+
+        // A NaN coordinate never equals itself, so its union never
+        // matches.  It leads its side: under Linf a later NaN arrival
+        // passes every coordinate test and is absorbed.
+        let mut nan = base.clone();
+        nan[1] = fed(fed(mk(), &[[f64::NAN, 1.0]]), &pts[150..300]);
+        assert!(nan[1].coreset()[0].point[0].is_nan());
+        assert_kept_merges(mk, &[(&nan, false), (&bumped(&nan, 1), false)], "NaN");
+    }
+
+    #[test]
+    fn kept_merge_equals_a_fresh_merge_under_l2_and_linf() {
+        kept_merge_equals_a_fresh_merge(L2);
+        kept_merge_equals_a_fresh_merge(Linf);
     }
 
     #[test]

@@ -27,5 +27,5 @@ pub mod sliding;
 pub use dynamic::{DynamicCoreset, DynamicCoresetError};
 pub use dynamic_det::DeterministicDynamicCoreset;
 pub use dynamic_solver::{DynamicKCenter, DynamicSolution};
-pub use insertion::{DoublingCoreset, InsertionOnlyCoreset};
+pub use insertion::{DoublingCoreset, InsertionOnlyCoreset, MergeRecord};
 pub use sliding::{SlidingWindowCoreset, SwQuery, SwStampedQuery};

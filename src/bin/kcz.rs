@@ -291,7 +291,7 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             Ok(ExitCode::SUCCESS)
         }
         "stream" => {
-            let eps = parse_eps(flags)?;
+            let eps = streaming_eps(flags, &metric, k, z)?;
             let mut alg = InsertionOnlyCoreset::new(metric, k, z, eps);
             for p in points {
                 for _ in 0..p.weight {
@@ -355,7 +355,7 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             Ok(ExitCode::SUCCESS)
         }
         "engine" => {
-            let eps = parse_eps(flags)?;
+            let eps = streaming_eps(flags, &metric, k, z)?;
             let shards: usize = parse(flags, "shards")?;
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
@@ -433,7 +433,7 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             Ok(ExitCode::SUCCESS)
         }
         "query" => {
-            let eps = parse_eps(flags)?;
+            let eps = streaming_eps(flags, &metric, k, z)?;
             let shards: usize = parse(flags, "shards")?;
             if shards == 0 {
                 return Err("--shards must be at least 1".into());
@@ -697,6 +697,25 @@ fn parse_eps(flags: &HashMap<String, String>) -> Result<f64, String> {
     let eps: f64 = parse(flags, "eps")?;
     if !(eps > 0.0 && eps <= 1.0) {
         return Err(format!("--eps must be in (0, 1], got {eps}"));
+    }
+    Ok(eps)
+}
+
+/// `--eps` for the subcommands built on the insertion-only streaming
+/// structure (`stream`, `engine`, `query`), whose capacity
+/// `k(16/ε)^d + z` must fit in a `u64`: a budget that saturates it
+/// (`--z 18446744073709551615` among them) is a usage error, not a run.
+fn streaming_eps<M: MetricSpace<[f64; 2]>>(
+    flags: &HashMap<String, String>,
+    metric: &M,
+    k: usize,
+    z: u64,
+) -> Result<f64, String> {
+    let eps = parse_eps(flags)?;
+    if streaming_capacity(k, z, eps, metric.doubling_dim()) == u64::MAX {
+        return Err(format!(
+            "--k {k} and --z {z} saturate the streaming capacity k(16/ε)^d + z"
+        ));
     }
     Ok(eps)
 }

@@ -1018,6 +1018,71 @@ fn engine_window_of_u64_max_matches_a_window_longer_than_the_stream() {
 }
 
 #[test]
+fn a_saturated_outlier_budget_is_rejected_or_run_never_a_panic() {
+    // At `--z 18446744073709551615` the streaming capacity k(16/ε)^d + z
+    // saturates: the subcommands built on the streaming structure exit 2
+    // with a one-line diagnostic, and every other subcommand runs.  No
+    // run may panic (exit 101) on an overflowing sum, and none may
+    // report an empty coreset for the non-empty fixture.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.csv");
+    let requests = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/queries.csv");
+    let z = u64::MAX.to_string();
+    let run = |args: &[&str], z: &str| {
+        let out = kcz()
+            .args(args)
+            .args(["--input", fixture, "--k", "2", "--z", z])
+            .output()
+            .expect("run kcz");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stdout.contains("coreset: 0"), "{args:?} --z {z}: {stdout}");
+        (out.status.code(), stdout, stderr)
+    };
+    let engine = ["engine", "--shards", "4", "--batch", "4", "--eps", "0.5"];
+    let window = [&engine[..], &["--backend", "window", "--window", "8"]].concat();
+    let query = [
+        "query",
+        "--requests",
+        requests,
+        "--shards",
+        "4",
+        "--batch",
+        "256",
+        "--eps",
+        "0.5",
+    ];
+    for args in [&["stream", "--eps", "0.5"][..], &engine, &window, &query] {
+        let (code, stdout, stderr) = run(args, &z);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.contains("saturate the streaming capacity"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let mpc = ["mpc", "--eps", "0.5", "--machines", "3", "--algorithm"];
+    for args in [
+        &["solve"][..],
+        &["solve", "--eps", "0.5"],
+        &["coreset", "--eps", "1.0"],
+        &[&mpc[..], &["two_round"]].concat(),
+        &[&mpc[..], &["one_round"]].concat(),
+        &[&mpc[..], &["rround"]].concat(),
+        &[&mpc[..], &["baseline"]].concat(),
+    ] {
+        let (code, _, stderr) = run(args, &z);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+    }
+    // A budget far past the stream but short of saturating still runs
+    // the window engine, which keeps min(w, z + 1) copies per arrival:
+    // all 8 live arrivals.
+    let (code, stdout, stderr) = run(&window, "4294967296");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("coreset: 8 "), "{stdout}");
+}
+
+#[test]
 fn engine_rejects_bad_backend_flags() {
     // Unknown backends (a deleted one among them), a retired backend
     // flag and an orphaned `--window`: clean exit 2 with the diagnostic
