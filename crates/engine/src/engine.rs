@@ -817,12 +817,14 @@ where
         // points (no publish history), so a persistent engine and a
         // from-scratch oracle compute the same hint on the same data and
         // settle on bit-identical answers.  R_gonz(k+z) ≤ 2·opt_{k,z},
-        // but on the engine's merged coresets it sits about 1.46× above
-        // the settled guess, about 38 steps of the 1.01 ladder, so the
-        // gallop and bisection spend 10–12 probes.  A solve that reuses
-        // the kept state skips the build, and those probes are then most
-        // of its cost.  The kept state and the hint share one key: a
-        // publish whose merged points equal the last solve's reuses both.
+        // and on the engine's merged coresets it sits about 1.46× above
+        // the settled guess, so the search bisects the candidates from
+        // half the hint to the hint (about 70 of the 1.01 ladder) in 6–7
+        // probes, where a cold bisection spends 8–10.  A solve that
+        // reuses the kept state skips the build, and those probes are
+        // then most of its cost.  The kept state and the hint share one
+        // key: a publish whose merged points equal the last solve's
+        // reuses both.
         self.obs.solves.incr();
         let t_solve = self.obs.stage_solve.start();
         let radius_bound = merged.radius_bound();
@@ -886,10 +888,12 @@ where
     }
 
     /// The canonical search params of a solve on `coreset`: warm from
-    /// the Gonzalez `(k+z)`-center radius, a pure function of the points,
-    /// or cold when `k + z` covers half the coreset or more (galloping up
-    /// from a radius near 0 would cost more than bisecting) or the hint
-    /// is 0.
+    /// the Gonzalez `(k+z)`-center radius, a pure function of the points
+    /// within 2× of `opt_{k+z}`, whose bracket from half the hint to the
+    /// hint usually holds the settled guess; or cold when `k + z` covers
+    /// half the coreset or more (the hint then lies near 0, far below
+    /// the guess, and galloping up from it would cost more than
+    /// bisecting) or the hint is 0.
     fn canonical_params(&self, coreset: &[Weighted<P>]) -> GreedyParams {
         let budget = self.cfg.k.saturating_add(self.cfg.z as usize);
         if budget < coreset.len() / 2 {

@@ -13,10 +13,16 @@
 //!    burns no epoch number and poisons nothing a later publish needs —
 //!    the next publish rebuilds every leaf, the merge partition and the
 //!    solve state and succeeds.
+//!
+//! A third test pins the cost of the warm-started solve: on the grid
+//! and serve shapes, no publish spends more probes than a cold
+//! bisection of its merged coreset.
 
 use kcz_engine::{Engine, EngineConfig, Snapshot};
+use kcz_kcenter::greedy;
 use kcz_metric::{MetricSpace, L2};
 use kcz_obs::{MetricsHandle, Registry};
+use kcz_workloads::query_trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -245,6 +251,58 @@ fn serve_schedule_reuses_the_merge_partition_only_when_the_writes_repeat() {
         }
     }
     assert_eq!(engine.merges(), 7, "every publish recompressed");
+}
+
+/// Publishes after the preload and after each `batch` points of
+/// `stream`, and checks that every publish spends at most the probes of
+/// a cold [`greedy`] on its snapshot's coreset.
+fn assert_warm_probes_within_cold(
+    what: &str,
+    cfg: EngineConfig,
+    preload: &[[f64; 2]],
+    stream: &[[f64; 2]],
+    batch: usize,
+) {
+    let engine = Engine::new(L2, cfg);
+    for (publish, points) in std::iter::once(preload)
+        .chain(stream.chunks(batch))
+        .enumerate()
+    {
+        engine.ingest(points);
+        let snap = engine.publish();
+        let cold = greedy(&L2, &snap.coreset, cfg.k, cfg.z);
+        assert!(
+            snap.stats.solve_probes <= cold.probes,
+            "{what} publish {publish}: the warm solve spent {} probes, a cold one {} on {} points",
+            snap.stats.solve_probes,
+            cold.probes,
+            snap.coreset.len()
+        );
+    }
+}
+
+#[test]
+fn warm_solves_spend_no_more_probes_than_a_cold_bisection() {
+    // The grid workloads' shape: 1500 sites 10⁴ apart, every arrival an
+    // exact repeat of one, in 4096-point batches.
+    let mut gen = Gen(0x6121D);
+    let sites: Vec<[f64; 2]> = (0..1500)
+        .map(|i| [(i % 50) as f64 * 1e4, (i / 50) as f64 * 1e4])
+        .collect();
+    let grid: Vec<[f64; 2]> = (0..4 * 4096)
+        .map(|_| sites[gen.next_u64() as usize % sites.len()])
+        .collect();
+    let cfg = EngineConfig::new(8, 8, 32, 1.0);
+    assert_warm_probes_within_cold("grid", cfg, &sites, &grid, 4096);
+    // The serve workload's shape: distinct noisy points (σ = 40) around
+    // 8 cluster cores 5000 apart, then 1024-point flushes of writes.
+    let cores: Vec<[f64; 2]> = (0..8)
+        .map(|i| [(i % 4) as f64 * 5e3, (i / 4) as f64 * 5e3])
+        .collect();
+    let preload = query_trace(20_000, &cores, 0.0, 40.0, 0.0, 3);
+    let writes = query_trace(4 * 1024, &cores, 0.0, 40.0, 0.0, 4);
+    let cfg = EngineConfig::new(8, 8, 64, 1.0);
+    assert_warm_probes_within_cold("serve", cfg, &preload, &writes, 1024);
 }
 
 /// An L2 wrapper that can be armed to panic on the next distance

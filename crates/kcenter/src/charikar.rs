@@ -30,9 +30,10 @@
 //!   point against its window and keeps each `(index, distance)` with
 //!   `distance ≤ R` in one CSR, each list sorted nearest first.  A probe
 //!   at `r ≤ R` reads the prefix of each list with `distance ≤ r`; a
-//!   probe above `R` rebuilds the cache at `r`.  On the engine's warm
-//!   path the first probe is the hint's candidate, so one build serves
-//!   the whole search.  The lists are a pure function of the points and
+//!   probe above `R` rebuilds the cache at `r`.  A warm search builds
+//!   the lists first at the top of its bracket, the hint's candidate,
+//!   so one build serves the whole search unless it gallops above the
+//!   hint.  The lists are a pure function of the points and
 //!   `R`, so a [`BallCache`] keeps them, with the pivot order and the
 //!   candidate ladder, for the next solve on the same points, which then
 //!   pays only for its probes.
@@ -90,16 +91,18 @@ pub struct GreedyParams {
     pub exact_candidates_max_n: usize,
     /// Resolution `1+η` of the geometric candidate grid.
     pub geometric_step: f64,
-    /// Warm-start hint: a radius near the feasible guess `r̂`.  The radius
-    /// search starts at this value and brackets outwards instead of
-    /// bisecting the whole candidate range — under the same
-    /// monotone-feasibility assumption the cold bisection makes, the
-    /// result is the identical minimal feasible candidate.  It costs 2
-    /// probes only when the hint is exact and about `2·log₂(gap)` probes
-    /// for a hint `gap` ladder steps off.  The engine's hint, the Gonzalez
-    /// `(k+z)` radius, sits about 1.46× above the settled guess on its
-    /// merged coresets, about 38 steps of the 1.01 ladder, so a warm
-    /// engine solve spends 10–12 probes.  `None` bisects cold.
+    /// Warm-start hint: a radius expected within 2× above the settled
+    /// guess `r̂`.  The radius search bisects the candidates from `h/2`
+    /// to `h` instead of the whole candidate range, and leaves that
+    /// bracket only when one of its ends shows the boundary lies
+    /// outside, galloping down from a feasible bottom or up from an
+    /// infeasible top.  Under the same monotone-feasibility assumption
+    /// the cold bisection makes, the result is the identical minimal
+    /// feasible candidate.  The engine's hint, the Gonzalez `(k+z)`
+    /// radius, sits about 1.46× above the settled guess on its merged
+    /// coresets, so a warm engine solve bisects about 70 candidates of
+    /// the 1.01 ladder in 6–7 probes, where a cold bisection spends 8–10.
+    /// `None` bisects cold.
     pub warm_guess: Option<f64>,
 }
 
@@ -137,8 +140,8 @@ pub struct GreedySolution<P> {
     /// Uncovered weight of the returned solution (≤ `z`).
     pub uncovered: u64,
     /// Feasibility probes (`disk_greedy` calls) the radius search
-    /// spent — the observable a warm start shrinks (the result itself is
-    /// hint-independent).
+    /// spent — the observable a warm start shrinks (on an instance whose
+    /// feasibility is monotone the result itself is hint-independent).
     pub probes: usize,
 }
 
@@ -307,18 +310,25 @@ fn solve_from<P: Clone, M: MetricSpace<P>>(
 
     // Feasibility is monotone in r for the guarantee's purposes: the
     // largest candidate (≥ diameter) always succeeds with one center.
+    // A warm search builds the lists once, at the top of its bracket, so
+    // that no probe inside the bracket rebuilds them.
+    let last = candidates.len() - 1;
+    let warm = params.warm_guess.map(|hint| {
+        let (bottom, top) = bracket(candidates, hint);
+        balls.reserve(metric, candidates[top]);
+        (bottom, top)
+    });
     let mut probes = 0usize;
     let mut probe = |i: usize| {
         probes += 1;
         disk_greedy(balls, metric, &weights, k, z, candidates[i]).verdict(z)
     };
-    let best = match params.warm_guess {
-        Some(g) => warm_search(candidates, g, &mut probe),
-        None => lowest_feasible(0, candidates.len() - 1, &mut probe),
+    let best = match warm {
+        Some((bottom, top)) => warm_search(bottom, top, last, &mut probe),
+        None => lowest_feasible(0, last, &mut probe),
     };
     let (idx, center_idx) = best.unwrap_or_else(|| {
         // The diameter guess must succeed; recompute defensively.
-        let last = candidates.len() - 1;
         let c = disk_greedy(balls, metric, &weights, k, z, candidates[last])
             .verdict(z)
             .expect("diameter-radius guess must be feasible");
@@ -371,78 +381,83 @@ fn lowest_feasible(
     best
 }
 
-/// The warm-started radius search: start at the candidate nearest the
-/// hint and bracket outwards.  Under the monotone-feasibility assumption
+/// The bracket `[bottom, top]` of a warm search from `hint`: the first
+/// candidates at or above `hint / 2` and at or above `hint`, each the
+/// last candidate when there is none.
+fn bracket(candidates: &[f64], hint: f64) -> (usize, usize) {
+    let at_or_above = |x: f64| {
+        candidates
+            .partition_point(|&c| c < x)
+            .min(candidates.len() - 1)
+    };
+    let top = at_or_above(hint);
+    (at_or_above(hint / 2.0).min(top), top)
+}
+
+/// The warm-started radius search over the [`bracket`] `[bottom, top]`
+/// of a hint expected within 2× above the settled guess: bisect the
+/// bracket, and leave it only when one of its ends shows that the
+/// boundary lies outside, galloping down from a feasible `bottom` or up
+/// from an infeasible `top`.  Under the monotone-feasibility assumption
 /// this finds the same minimal feasible index as the cold bisection.
-/// An exact hint costs 2 probes; a hint `gap` candidates off costs
-/// about `2·log₂(gap)`.  The engine's hint is about 38 steps of the 1.01
-/// ladder above the settled guess, so its warm solves spend 10–12
-/// probes, and a solve that reads kept lists spends most of its time on
-/// them.
+/// When that index lies in the bracket, the search probes only the
+/// bracket and the candidate below it, at most
+/// `⌊log₂(top − bottom + 2)⌋ + 1` probes.  The engine's hint sits about
+/// 1.46× above the settled guess, so its warm solves bisect about 70
+/// candidates of the 1.01 ladder in 6–7 probes.
 fn warm_search(
-    candidates: &[f64],
-    guess: f64,
+    bottom: usize,
+    top: usize,
+    last: usize,
     probe: &mut impl FnMut(usize) -> Option<Vec<usize>>,
 ) -> Option<(usize, Vec<usize>)> {
-    let last = candidates.len() - 1;
-    let start = candidates.partition_point(|&c| c < guess).min(last);
-    match probe(start) {
-        Some(centers) => {
-            // Feasible at the hint: gallop downwards doubling the step
-            // until an infeasible candidate brackets the boundary from
-            // below, then bisect the (exponentially small) bracket.  An
-            // exact hint exits after the first downward probe.
-            let mut lowest = (start, centers);
-            if start == 0 {
-                return Some(lowest);
+    match lowest_feasible(bottom, top, probe) {
+        Some(lowest) if lowest.0 == bottom => Some(gallop_down(lowest, probe)),
+        Some(inside) => Some(inside),
+        None => gallop_up(top, last, probe),
+    }
+}
+
+/// From the feasible candidate `lowest`, gallops downwards doubling the
+/// step until an infeasible candidate brackets the boundary from below,
+/// then bisects that bracket.
+fn gallop_down(
+    mut lowest: (usize, Vec<usize>),
+    probe: &mut impl FnMut(usize) -> Option<Vec<usize>>,
+) -> (usize, Vec<usize>) {
+    let mut step = 1usize;
+    while lowest.0 > 0 {
+        let j = lowest.0.saturating_sub(step);
+        match probe(j) {
+            Some(below) => {
+                lowest = (j, below);
+                step = step.saturating_mul(2);
             }
-            let mut step = 1usize;
-            loop {
-                let j = lowest.0.saturating_sub(step);
-                match probe(j) {
-                    Some(below) => {
-                        lowest = (j, below);
-                        if j == 0 {
-                            return Some(lowest);
-                        }
-                        step = step.saturating_mul(2);
-                    }
-                    None => {
-                        if j + 1 == lowest.0 {
-                            return Some(lowest);
-                        }
-                        return Some(lowest_feasible(j + 1, lowest.0 - 1, probe).unwrap_or(lowest));
-                    }
-                }
-            }
-        }
-        None => {
-            // Infeasible at the hint: gallop upwards doubling the step,
-            // then bisect the bracket between the highest infeasible and
-            // the first feasible probe.
-            let mut step = 1usize;
-            let mut highest_infeasible = start;
-            loop {
-                let j = highest_infeasible.saturating_add(step).min(last);
-                match probe(j) {
-                    Some(centers) => {
-                        if j == highest_infeasible + 1 {
-                            return Some((j, centers));
-                        }
-                        return Some(
-                            lowest_feasible(highest_infeasible + 1, j - 1, probe)
-                                .unwrap_or((j, centers)),
-                        );
-                    }
-                    None if j >= last => return None,
-                    None => {
-                        highest_infeasible = j;
-                        step *= 2;
-                    }
-                }
-            }
+            None => return lowest_feasible(j + 1, lowest.0 - 1, probe).unwrap_or(lowest),
         }
     }
+    lowest
+}
+
+/// From the infeasible candidate `highest`, gallops upwards doubling the
+/// step until a feasible candidate brackets the boundary from above,
+/// then bisects that bracket.  `None` when no candidate up to `last` is
+/// feasible.
+fn gallop_up(
+    mut highest: usize,
+    last: usize,
+    probe: &mut impl FnMut(usize) -> Option<Vec<usize>>,
+) -> Option<(usize, Vec<usize>)> {
+    let mut step = 1usize;
+    while highest < last {
+        let j = highest.saturating_add(step).min(last);
+        if let Some(centers) = probe(j) {
+            return Some(lowest_feasible(highest + 1, j - 1, probe).unwrap_or((j, centers)));
+        }
+        highest = j;
+        step = step.saturating_mul(2);
+    }
+    None
 }
 
 /// Candidate radii for the binary search, ascending, first element `0`.
@@ -601,6 +616,15 @@ impl<P: Clone> Balls<P> {
         self.cached = r <= self.cache.r || (r < self.over && self.build(metric, r));
         if self.cached {
             self.cache.seek(r, weights);
+        }
+    }
+
+    /// Builds the cache at radius `r` unless it already reaches `r` or a
+    /// build there would pass the budget, so that the probes at or below
+    /// `r` that follow share one build.
+    fn reserve<M: MetricSpace<P>>(&mut self, metric: &M, r: f64) {
+        if self.cache.r < r && r < self.over {
+            self.build(metric, r);
         }
     }
 
@@ -1276,21 +1300,22 @@ mod tests {
         assert!(!cache.load(&pts), "NaN != NaN, so the key never matches");
     }
 
-    /// Exhaustive feasibility sweep over the exact candidate set: returns
-    /// `Some(boundary)` when feasibility is genuinely monotone (a prefix
-    /// of infeasible candidates followed by a feasible suffix), `None`
-    /// when the instance has feasible "pockets".  Warm and cold searches
-    /// are guaranteed to agree exactly on the monotone instances — the
-    /// same assumption the cold bisection itself already leans on.
-    fn monotone_boundary(pts: &[Weighted<[f64; 2]>], k: usize, z: u64) -> Option<usize> {
+    /// The candidate ladder of `params` on `pts` and whether each
+    /// candidate is feasible.
+    fn feasibility(
+        pts: &[Weighted<[f64; 2]>],
+        k: usize,
+        z: u64,
+        params: &GreedyParams,
+    ) -> (Vec<f64>, Vec<bool>) {
         let weights: Vec<u64> = pts.iter().map(|p| p.weight).collect();
         let raw: Vec<[f64; 2]> = pts.iter().map(|p| p.point).collect();
         let mut pivot = Vec::new();
         L2.dist_many(&raw[0], &raw, &mut pivot);
-        let candidates = candidate_radii(&L2, &raw, &pivot, &GreedyParams::default());
+        let candidates = candidate_radii(&L2, &raw, &pivot, params);
         let mut balls = Balls::new(CACHE_BUDGET);
         balls.derive(&L2, pts);
-        let feas: Vec<bool> = candidates
+        let feas = candidates
             .iter()
             .map(|&r| {
                 disk_greedy(&mut balls, &L2, &weights, k, z, r)
@@ -1298,8 +1323,24 @@ mod tests {
                     .is_some()
             })
             .collect();
+        (candidates, feas)
+    }
+
+    /// The first feasible index of a sweep when feasibility is monotone
+    /// (a prefix of infeasible candidates followed by a feasible suffix),
+    /// `None` when the instance has feasible "pockets".
+    fn boundary(feas: &[bool]) -> Option<usize> {
         let boundary = feas.iter().position(|&f| f)?;
         feas[boundary..].iter().all(|&f| f).then_some(boundary)
+    }
+
+    /// Exhaustive feasibility sweep over the exact candidate set: returns
+    /// `Some(boundary)` when feasibility is genuinely monotone, `None`
+    /// when it is not.  Warm and cold searches are guaranteed to agree
+    /// exactly on the monotone instances — the same assumption the cold
+    /// bisection itself already leans on.
+    fn monotone_boundary(pts: &[Weighted<[f64; 2]>], k: usize, z: u64) -> Option<usize> {
+        boundary(&feasibility(pts, k, z, &GreedyParams::default()).1)
     }
 
     #[test]
@@ -1363,43 +1404,58 @@ mod tests {
     }
 
     #[test]
-    fn exact_hint_costs_two_probes() {
+    fn a_hint_up_to_twice_the_guess_settles_within_its_bracket() {
+        // On a monotone instance, a hint in [guess, 2·guess) puts the
+        // guess in the hint's bracket, so the warm search settles on the
+        // cold bits and probes only the bracket and the candidate below
+        // it: at most ⌊log₂(their number)⌋ + 1 probes, on either ladder.
         let pts = instance();
-        let cold = greedy(&L2, &pts, 2, 2);
-        // The candidate set is quadratic in n, so the cold bisection pays
-        // a multi-probe bisection here.
-        assert!(cold.probes > 4, "cold probes = {}", cold.probes);
-        let warm = greedy_with(&L2, &pts, 2, 2, &GreedyParams::warm(cold.guess));
-        assert_eq!(warm.guess.to_bits(), cold.guess.to_bits());
-        assert_eq!(warm.probes, 2, "re-probe the hint and its predecessor");
-        // A slightly stale hint still brackets in O(log distance) probes,
-        // well under the cold bisection over the full candidate set.
-        let near = greedy_with(&L2, &pts, 2, 2, &GreedyParams::warm(cold.guess * 1.001));
-        assert_eq!(near.guess.to_bits(), cold.guess.to_bits());
-        assert!(near.probes <= 6, "near-hint probes = {}", near.probes);
-    }
-
-    #[test]
-    fn warm_start_on_the_geometric_grid_matches_cold() {
-        let pts = instance();
-        let geo = GreedyParams {
-            exact_candidates_max_n: 0,
-            ..Default::default()
-        };
-        let cold = greedy_with(&L2, &pts, 2, 2, &geo);
-        let warm = greedy_with(
-            &L2,
-            &pts,
-            2,
-            2,
-            &GreedyParams {
-                warm_guess: Some(cold.guess),
-                ..geo.clone()
-            },
-        );
-        assert_eq!(warm.centers, cold.centers);
-        assert_eq!(warm.radius.to_bits(), cold.radius.to_bits());
-        assert!(warm.probes <= 2);
+        let mut checked = 0;
+        for exact_candidates_max_n in [600, 0] {
+            let ladder = GreedyParams {
+                exact_candidates_max_n,
+                ..Default::default()
+            };
+            for (k, z) in [(2usize, 2u64), (2, 0), (3, 1)] {
+                let (candidates, feas) = feasibility(&pts, k, z, &ladder);
+                let Some(g) = boundary(&feas) else {
+                    continue;
+                };
+                let cold = greedy_with(&L2, &pts, k, z, &ladder);
+                assert_eq!(cold.guess.to_bits(), candidates[g].to_bits());
+                let guess = cold.guess;
+                for hint in [
+                    guess,
+                    guess * 1.001,
+                    guess * 1.46,
+                    (2.0 * guess).next_down(),
+                ] {
+                    let what = format!("n_max={exact_candidates_max_n} k={k} z={z} hint={hint}");
+                    let params = GreedyParams {
+                        warm_guess: Some(hint),
+                        ..ladder.clone()
+                    };
+                    let warm = greedy_with(&L2, &pts, k, z, &params);
+                    assert_eq!(warm.centers, cold.centers, "{what}");
+                    assert_eq!(warm.radius.to_bits(), cold.radius.to_bits(), "{what}");
+                    assert_eq!(warm.guess.to_bits(), cold.guess.to_bits(), "{what}");
+                    assert_eq!(warm.uncovered, cold.uncovered, "{what}");
+                    let (bottom, top) = bracket(&candidates, hint);
+                    assert!(
+                        bottom <= g && g <= top,
+                        "{what}: guess outside [{bottom}, {top}]"
+                    );
+                    let size = top - bottom + 1 + usize::from(bottom > 0);
+                    assert!(
+                        warm.probes <= size.ilog2() as usize + 1,
+                        "{what}: {} probes over {size} candidates",
+                        warm.probes
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 16, "sweep found too few monotone cases");
     }
 
     #[test]

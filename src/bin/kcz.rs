@@ -294,9 +294,7 @@ fn run_with_metric<M: MetricSpace<[f64; 2]> + Copy + Send + Sync>(
             let eps = streaming_eps(flags, &metric, k, z)?;
             let mut alg = InsertionOnlyCoreset::new(metric, k, z, eps);
             for p in points {
-                for _ in 0..p.weight {
-                    alg.insert(p.point);
-                }
+                alg.insert_weighted(p.point, p.weight);
             }
             let sol = greedy(&metric, alg.coreset(), k, z);
             println!(

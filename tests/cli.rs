@@ -150,6 +150,33 @@ fn stream_and_mpc_subcommands_run() {
 }
 
 #[test]
+fn stream_inserts_a_weighted_line_once() {
+    // A line of weight w stands for w co-located arrivals and is inserted
+    // once: weight 3 prints what three unit lines print, and weight 10¹²
+    // finishes at once.
+    let dir = std::env::temp_dir().join("kcz_cli_stream_weight");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stream = |name: &str, body: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let out = kcz()
+            .args(["stream", "--input", path.to_str().unwrap()])
+            .args(["--k", "2", "--z", "1", "--eps", "0.5"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (head, tail) = ("0,1\n7,7\n", "40,2\n3,5\n");
+    let weighted = stream("weighted.csv", &format!("{head}3,4,3\n{tail}"));
+    let unit = stream("unit.csv", &format!("{head}3,4\n3,4\n3,4\n{tail}"));
+    assert_eq!(weighted, unit);
+    assert!(weighted.starts_with("points: 7 "), "{weighted}");
+    let heavy = stream("heavy.csv", "0,0,1000000000000\n5,5\n");
+    assert!(heavy.starts_with("points: 1000000000001 "), "{heavy}");
+}
+
+#[test]
 fn solve_golden_output_on_committed_fixture() {
     // `greedy` is deterministic, so the full stdout for the committed
     // fixture is pinned byte-for-byte.  The two centers are the weighted
