@@ -126,8 +126,10 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P> + Clone> Shard<P, M> {
     pub(crate) fn insert_weighted(&mut self, p: P, w: u64, arrival: u64) {
         match self {
             Shard::Insertion { inner, version } => {
-                inner.insert_weighted(p, w);
+                // Bumped first, so an insert that panics part-way never
+                // leaves a cached leaf looking clean.
                 *version += 1;
+                inner.insert_weighted(p, w);
             }
             Shard::Window(s) => s.insert_weighted(p, w, arrival),
         }

@@ -12,7 +12,9 @@
 //! 2. **Failure atomicity**: a publish that panics mid-merge or mid-solve
 //!    burns no epoch number and poisons nothing a later publish needs —
 //!    the next publish rebuilds every leaf, the merge partition and the
-//!    solve state and succeeds.
+//!    solve state and succeeds.  An ingest that panics mid-insert lands
+//!    none of its arrivals, and the next ingest and publish take the
+//!    poisoned shard lock back.
 //!
 //! A third test pins the cost of the warm-started solve: on the grid
 //! and serve shapes, no publish spends more probes than a cold
@@ -22,7 +24,7 @@ use kcz_engine::{Engine, EngineConfig, Snapshot};
 use kcz_kcenter::greedy;
 use kcz_metric::{MetricSpace, L2};
 use kcz_obs::{MetricsHandle, Registry};
-use kcz_workloads::query_trace;
+use kcz_workloads::{query_trace, HashPartitioner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -306,8 +308,8 @@ fn warm_solves_spend_no_more_probes_than_a_cold_bisection() {
 }
 
 /// An L2 wrapper that can be armed to panic on the next distance
-/// evaluation — inside the publish's merge, from the publisher's
-/// perspective — then disarmed to let the retry succeed.
+/// evaluation — inside a publish's merge or solve, or inside an
+/// ingest's insert — then disarmed to let the retry succeed.
 #[derive(Clone)]
 struct FlakyL2 {
     armed: Arc<AtomicBool>,
@@ -396,5 +398,52 @@ fn panicking_publish_burns_no_epoch_and_recovers() {
     assert_eq!(
         fingerprint(&snap),
         scratch_fingerprint(cfg, &[first, repeats.clone(), repeats])
+    );
+}
+
+#[test]
+fn panicking_ingest_lands_nothing_and_recovers() {
+    let armed = Arc::new(AtomicBool::new(false));
+    let metric = FlakyL2 {
+        armed: Arc::clone(&armed),
+    };
+    let cfg = EngineConfig::new(4, 2, 6, 0.5);
+    let engine = Engine::new(metric, cfg);
+    // Every arrival that returns routes to shard 0, so the published ε′
+    // stays ε unless a dead insert left weight counted on another shard.
+    let router = HashPartitioner::new(cfg.shards, cfg.seed);
+    let mut gen = Gen(0xF1A5C0);
+    let mut routed_to = |shard: usize, n: usize| -> Vec<[f64; 2]> {
+        std::iter::repeat_with(|| gen.point())
+            .filter(|p| router.shard_of(p) == shard)
+            .take(n)
+            .collect()
+    };
+    let first = routed_to(0, 150);
+    let stray = routed_to(1, 1);
+    let second = routed_to(0, 50);
+    engine.ingest(&first);
+
+    // The stray's insert dies at its first distance, holding shard 1's
+    // lock.
+    armed.store(true, Ordering::Relaxed);
+    let died = catch_unwind(AssertUnwindSafe(|| engine.ingest(&stray)));
+    armed.store(false, Ordering::Relaxed);
+    assert!(died.is_err(), "armed ingest must propagate the panic");
+    assert_eq!(
+        engine.shard_sizes()[1..],
+        [0, 0, 0],
+        "the dead insert placed nothing"
+    );
+
+    // The next ingest and publish take the poisoned lock back, and the
+    // publish equals a from-scratch engine fed the batches that returned.
+    engine.ingest(&second);
+    let snap = engine.publish();
+    assert_eq!(snap.epoch, 1);
+    assert_eq!(snap.effective_eps, cfg.eps, "only shard 0 holds data");
+    assert_eq!(
+        fingerprint(&snap),
+        scratch_fingerprint(cfg, &[first, second])
     );
 }

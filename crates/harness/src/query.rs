@@ -7,8 +7,7 @@
 //!
 //! 1. **Exactness** — `assign(p)` returns the true nearest center of the
 //!    served epoch, at the exact scalar distance (the deferred-`sqrt`
-//!    kernels must be invisible), and the batched path answers exactly
-//!    like the scalar path;
+//!    kernels must be invisible);
 //! 2. **Verdict coherence** — `classify(p, r)` says covered iff the
 //!    assigned distance is `≤ r`, and at the radius that the epoch's
 //!    centers actually achieve on the full input, the uncovered weight
@@ -78,9 +77,8 @@ fn scenario_violations(sc: &Scenario) -> Vec<String> {
 
     // 1. Exactness: served assignment == brute-force nearest on the
     //    same frozen snapshot, at the exact scalar distance.
-    let batched = query.assign_batch(&sc.points);
-    for (p, served) in sc.points.iter().zip(&batched) {
-        let Some(a) = served else {
+    for p in &sc.points {
+        let Some(a) = query.assign(p) else {
             out.push(format!("{}: no answer for {p:?}", tag("assign")));
             continue;
         };
@@ -107,10 +105,6 @@ fn scenario_violations(sc: &Scenario) -> Vec<String> {
                 view.epoch()
             ));
         }
-        // The batched path must be indistinguishable from the scalar one.
-        if view.assign(p) != Some(*a) {
-            out.push(format!("{}: batched != scalar for {p:?}", tag("batch")));
-        }
     }
 
     // 2. Verdict coherence at the radius the epoch's centers actually
@@ -118,10 +112,8 @@ fn scenario_violations(sc: &Scenario) -> Vec<String> {
     //    every verdict must agree with its own assignment distance.
     let achieved = cost_with_outliers(&L2, &weighted, centers, sc.z);
     let mut uncovered = 0u64;
-    for (wp, verdict) in weighted
-        .iter()
-        .zip(query.classify_batch(&sc.points, achieved))
-    {
+    for wp in &weighted {
+        let verdict = query.classify(&wp.point, achieved);
         let expect = verdict.dist <= achieved;
         if verdict.covered != expect {
             out.push(format!(

@@ -20,8 +20,6 @@
 //!   and query it without ever blocking ingest;
 //!   [`QueryEngine::refresh`] asks the engine to publish, which costs
 //!   neither a merge nor a solve when the data version has not moved.
-//!   Batched variants fan the queries over the shared
-//!   [`kcz_engine::runtime`] pool.
 //!
 //! # The epoch / consistency contract
 //!

@@ -6,35 +6,22 @@
 //! (which takes no publish lock) and block each other not at all.
 //! [`refresh`](QueryEngine::refresh) asks the engine to publish, which
 //! returns the cached epoch without a merge or a solve when the data
-//! version has not moved.  Batched query variants acquire the view
-//! **once** and fan the per-chunk kernel scans over the shared
-//! [`kcz_engine::runtime::Pool`], which is both the throughput path (one
-//! view acquisition amortized over the whole batch, worker-parallel
-//! chunks) and the consistency path (a batch is answered entirely under
-//! one epoch).
+//! version has not moved.  Each query acquires the current view; a
+//! caller that wants many answers under one epoch holds a view and
+//! queries it.
 
-use kcz_engine::runtime::{global, Pool};
 use kcz_engine::Engine;
 use kcz_metric::{MetricSpace, SpaceUsage};
-use kcz_obs::{Counter, MetricsHandle, Stage};
+use kcz_obs::{Counter, MetricsHandle};
 use kcz_workloads::ShardKey;
 use std::sync::Arc;
 
 use crate::view::{Assignment, Classification, SnapshotView};
 
-/// Queries per pool task in the batched paths: large enough that the
-/// per-task overhead vanishes, small enough to spread across workers.
-const QUERY_CHUNK: usize = 1024;
-
-/// Instrument set of one query front.  Batched paths split into
-/// view-acquisition vs kernel time; recording is atomics only, so the
+/// Instrument set of one query front.  Recording is atomics only, so the
 /// steady-state query path stays allocation-free (pinned by the
 /// counting-allocator test `tests/query_alloc.rs`).
 struct QueryInstruments {
-    view_acquire: Stage,
-    kernel: Stage,
-    batches: Counter,
-    batch_queries: Counter,
     scalar_queries: Counter,
     refreshes: Counter,
 }
@@ -42,10 +29,6 @@ struct QueryInstruments {
 impl QueryInstruments {
     fn new(metrics: &MetricsHandle) -> Self {
         QueryInstruments {
-            view_acquire: metrics.stage("query.batch.view_ns"),
-            kernel: metrics.stage("query.batch.kernel_ns"),
-            batches: metrics.counter("query.batches"),
-            batch_queries: metrics.counter("query.batch.queries"),
             scalar_queries: metrics.counter("query.scalar.queries"),
             refreshes: metrics.counter("query.refreshes"),
         }
@@ -56,7 +39,6 @@ impl QueryInstruments {
 /// published epoch.
 pub struct QueryEngine<P, M: MetricSpace<P>> {
     engine: Arc<Engine<P, M>>,
-    pool: &'static Pool,
     obs: QueryInstruments,
 }
 
@@ -73,14 +55,12 @@ where
         Self::with_metrics(engine, &MetricsHandle::disabled())
     }
 
-    /// Like [`new`](Self::new), with batched queries timed
-    /// (view-acquisition vs kernel spans) and served-query counters
-    /// recorded through `metrics`.
+    /// Like [`new`](Self::new), with the served-query and refresh
+    /// counters recorded through `metrics`.
     pub fn with_metrics(engine: Arc<Engine<P, M>>, metrics: &MetricsHandle) -> Self {
         engine.publish();
         QueryEngine {
             engine,
-            pool: global(),
             obs: QueryInstruments::new(metrics),
         }
     }
@@ -133,61 +113,6 @@ where
         self.obs.scalar_queries.incr();
         self.view().nearest_centers(p, j)
     }
-
-    /// Batched assign: acquires the view once, answers every query under
-    /// that single epoch, fanning `QUERY_CHUNK`-sized slices over the
-    /// worker pool.  Results come back in input order.
-    ///
-    /// The batch writes into one preallocated output through disjoint
-    /// `&mut` slices — no per-chunk allocation, no flatten copy — so the
-    /// per-query cost is the kernel scan alone, with the view
-    /// acquisition amortized over the whole batch (the scalar path pays
-    /// it per request).
-    pub fn assign_batch(&self, pts: &[P]) -> Vec<Option<Assignment>> {
-        let t_view = self.obs.view_acquire.start();
-        let view = self.view();
-        t_view.finish();
-        let mut out: Vec<Option<Assignment>> = vec![None; pts.len()];
-        let tasks: Vec<(&[P], &mut [Option<Assignment>])> = pts
-            .chunks(QUERY_CHUNK)
-            .zip(out.chunks_mut(QUERY_CHUNK))
-            .collect();
-        let t_kernel = self.obs.kernel.start();
-        self.pool.scoped_map(tasks, |_, (chunk, slots)| {
-            for (p, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = view.assign(p);
-            }
-        });
-        t_kernel.finish();
-        self.obs.batches.incr();
-        self.obs.batch_queries.add(pts.len() as u64);
-        out
-    }
-
-    /// Batched classify at one radius, single-epoch and
-    /// allocation-shaped like [`assign_batch`](Self::assign_batch).
-    pub fn classify_batch(&self, pts: &[P], r: f64) -> Vec<Classification> {
-        let t_view = self.obs.view_acquire.start();
-        let view = self.view();
-        t_view.finish();
-        let mut out: Vec<Option<Classification>> = vec![None; pts.len()];
-        let tasks: Vec<(&[P], &mut [Option<Classification>])> = pts
-            .chunks(QUERY_CHUNK)
-            .zip(out.chunks_mut(QUERY_CHUNK))
-            .collect();
-        let t_kernel = self.obs.kernel.start();
-        self.pool.scoped_map(tasks, |_, (chunk, slots)| {
-            for (p, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(view.classify(p, r));
-            }
-        });
-        t_kernel.finish();
-        self.obs.batches.incr();
-        self.obs.batch_queries.add(pts.len() as u64);
-        out.into_iter()
-            .map(|c| c.expect("every slot classified"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -236,50 +161,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_answers_equal_scalar_answers() {
-        let engine = Arc::new(Engine::new(L2, EngineConfig::new(4, 2, 8, 0.5)));
-        engine.ingest(&stream(200));
-        let query = QueryEngine::new(Arc::clone(&engine));
-        let probes = stream(300);
-        let batched = query.assign_batch(&probes);
-        assert_eq!(batched.len(), probes.len());
-        for (p, b) in probes.iter().zip(&batched) {
-            assert_eq!(*b, query.assign(p), "probe {p:?}");
-        }
-        let r = 5.0;
-        let cls = query.classify_batch(&probes, r);
-        for (p, c) in probes.iter().zip(&cls) {
-            assert_eq!(*c, query.classify(p, r), "probe {p:?}");
-        }
-    }
-
-    #[test]
-    fn instrumented_batches_record_spans_and_counts() {
-        use kcz_obs::{MetricsHandle, Registry, TickClock};
+    fn instrumented_queries_record_counts() {
+        use kcz_obs::{MetricsHandle, Registry};
         let engine = Arc::new(Engine::new(L2, EngineConfig::new(4, 2, 8, 0.5)));
         let registry = Registry::new();
-        let handle = MetricsHandle::with_clock(&registry, Arc::new(TickClock::new(5)));
-        let query = QueryEngine::with_metrics(Arc::clone(&engine), &handle);
+        let query = QueryEngine::with_metrics(Arc::clone(&engine), &MetricsHandle::new(&registry));
         engine.ingest(&stream(200));
         query.refresh();
-        let probes = stream(300);
-        query.assign_batch(&probes);
-        query.classify_batch(&probes, 5.0);
+        query.refresh();
+        let probes = stream(3);
         query.assign(&probes[0]);
-        assert_eq!(registry.counter_value("query.batches"), Some(2));
-        assert_eq!(registry.counter_value("query.batch.queries"), Some(600));
-        assert_eq!(registry.counter_value("query.scalar.queries"), Some(1));
+        query.classify(&probes[1], 5.0);
+        query.nearest_centers(&probes[2], 2);
+        assert_eq!(registry.counter_value("query.scalar.queries"), Some(3));
         assert_eq!(registry.counter_value("query.refreshes"), Some(1));
-        let v = registry.histogram_snapshot("query.batch.view_ns").unwrap();
-        let k = registry
-            .histogram_snapshot("query.batch.kernel_ns")
-            .unwrap();
-        assert_eq!(v.count(), 2);
-        assert_eq!(k.count(), 2);
-        // The tick clock makes span durations deterministic: each span
-        // consumes exactly two readings, one tick (5 "ns") apart.
-        assert_eq!(v.total_ns(), 10);
-        assert_eq!(k.total_ns(), 10);
     }
 
     #[test]

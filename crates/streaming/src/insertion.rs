@@ -312,11 +312,14 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
 
     /// Handles the arrival of a point of weight `w` (the paper's weighted
     /// formulation; equivalent to `w` co-located unit arrivals).
+    ///
+    /// An arrival lands nothing until the distances that place it have
+    /// returned, and a doubling commits its radius only with its
+    /// re-clustered representatives: a metric that panics mid-insert
+    /// leaves every counted weight on a representative, and the summary
+    /// a valid covering.
     pub fn insert_weighted(&mut self, p: P, w: u64) {
         assert!(w > 0, "weights must be positive integers");
-        // Saturating like the representative weights: a stream that
-        // exhausts u64 weight pins the counter instead of overflowing.
-        self.n_seen = self.n_seen.saturating_add(w);
         if self.order.index().len() < self.reps.len() {
             self.order = pivot_order(&self.metric, &self.reps);
         }
@@ -325,7 +328,11 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
         let f = self
             .metric
             .dist(self.reps.first().map_or(&p, |c| &c.point), &p);
-        if let Some(i) = self.first_within(&p, f, self.absorb * self.r) {
+        let hit = self.first_within(&p, f, self.absorb * self.r);
+        // Saturating like the representative weights: a stream that
+        // exhausts u64 weight pins the counter instead of overflowing.
+        self.n_seen = self.n_seen.saturating_add(w);
+        if let Some(i) = hit {
             self.reps[i].weight = self.reps[i].weight.saturating_add(w);
         } else {
             // Line 4: new representative.
@@ -340,8 +347,9 @@ impl<P: Clone + SpaceUsage, M: MetricSpace<P>> DoublingCoreset<P, M> {
             }
             // Line 8–10: double r and re-cluster until under capacity.
             while self.r > 0.0 && self.reps.len() as u64 >= self.capacity {
-                self.r *= 2.0;
-                self.reps = update_coreset(&self.metric, &self.reps, self.absorb * self.r);
+                let r = self.r * 2.0;
+                self.reps = update_coreset(&self.metric, &self.reps, self.absorb * r);
+                self.r = r;
                 self.order = PivotOrder::default();
                 self.rebuilds += 1;
             }
@@ -1299,6 +1307,83 @@ mod tests {
     fn kept_merge_equals_a_fresh_merge_under_l2_and_linf() {
         kept_merge_equals_a_fresh_merge(L2);
         kept_merge_equals_a_fresh_merge(Linf);
+    }
+
+    /// L2 that panics once its fuse of distance evaluations runs out.
+    #[derive(Clone)]
+    struct FuseL2(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl MetricSpace<[f64; 2]> for FuseL2 {
+        fn dist(&self, a: &[f64; 2], b: &[f64; 2]) -> f64 {
+            use std::sync::atomic::Ordering::Relaxed;
+            let left = self.0.load(Relaxed);
+            assert!(left > 0, "fuse blown");
+            self.0.store(left - 1, Relaxed);
+            L2.dist(a, b)
+        }
+
+        fn doubling_dim(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn an_insert_that_panics_counts_only_what_it_placed() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+        let fuse = std::sync::Arc::new(AtomicUsize::new(usize::MAX));
+        // Capacity 8 over k + z + 1 = 3: a line of arrivals doubles the
+        // radius every few new representatives.
+        let absorb = 0.5;
+        let mut base = DoublingCoreset::new(FuseL2(fuse.clone()), 1, 1, absorb, 8);
+        let line = |i: usize| [i as f64 * 3.0, (i % 3) as f64];
+        for i in 0..20 {
+            base.insert(line(i));
+        }
+        let bits = |s: &DoublingCoreset<[f64; 2], FuseL2>| {
+            let reps: Vec<_> = s
+                .coreset()
+                .iter()
+                .map(|w| (w.point[0].to_bits(), w.point[1].to_bits(), w.weight))
+                .collect();
+            (reps, s.radius_bound().to_bits(), s.points_seen())
+        };
+        let mut doubled = 0;
+        for i in 20..60 {
+            // Blow the fuse at every distance the insert evaluates, until
+            // it has enough to finish.
+            for budget in 0.. {
+                let mut alg = base.clone();
+                fuse.store(budget, Relaxed);
+                let finished = catch_unwind(AssertUnwindSafe(|| alg.insert_weighted(line(i), 2)));
+                fuse.store(usize::MAX, Relaxed);
+                assert_eq!(
+                    total_weight(alg.coreset()),
+                    alg.points_seen(),
+                    "i {i} budget {budget}"
+                );
+                // The radius moved only with its re-clustered
+                // representatives, which stay more than a·r apart.
+                let reps = alg.coreset();
+                for (j, a) in reps.iter().enumerate() {
+                    for b in &reps[j + 1..] {
+                        assert!(
+                            L2.dist(&a.point, &b.point) > absorb * alg.radius_bound(),
+                            "i {i} budget {budget}: reps closer than a·r"
+                        );
+                    }
+                }
+                if alg.points_seen() == base.points_seen() {
+                    assert_eq!(bits(&alg), bits(&base), "i {i} budget {budget}");
+                }
+                if finished.is_ok() {
+                    doubled += (alg.rebuilds() > base.rebuilds()) as usize;
+                    break;
+                }
+            }
+            base.insert_weighted(line(i), 2);
+        }
+        assert!(doubled >= 2, "only {doubled} arrivals doubled the radius");
     }
 
     #[test]

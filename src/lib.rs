@@ -22,7 +22,7 @@
 //! | [`mpc`] | MPC simulator + the 2-round (Alg. 2), randomized 1-round (Alg. 6), R-round (Alg. 7) algorithms and the CPP19 baseline |
 //! | [`streaming`] | insertion-only (Alg. 3), fully dynamic (Alg. 5), sliding-window structures and streaming baselines |
 //! | [`engine`] | shared execution runtime (persistent worker pool) + the resident sharded ingest engine (`kcz engine`): one flat union and recompression of the shard coverings per publish, memoized epoch publication (`publish`/`latest`) and two per-shard backends ([`engine::Backend`]: insertion-only, sliding-window) |
-//! | [`serve`] | the read side: immutable published [`serve::SnapshotView`]s (centers + bound + the epoch's arrival clock and live window span), and the [`serve::QueryEngine`] that serves the engine's newest published epoch (`assign`/`classify`/`nearest_centers` + pool-batched variants, `kcz query`) |
+//! | [`serve`] | the read side: immutable published [`serve::SnapshotView`]s (centers + bound + the epoch's arrival clock and live window span), and the [`serve::QueryEngine`] that serves the engine's newest published epoch (`assign`/`classify`/`nearest_centers`, `kcz query`) |
 //! | [`sketch`] | turnstile substrates: s-sparse recovery, F₀ estimation with deletions |
 //! | [`lowerbounds`] | the paper's lower-bound constructions as adversarial generators |
 //! | [`workloads`] | reproducible synthetic data, partitions, stream schedules, adversarial generators |
