@@ -22,12 +22,18 @@
 //! neighbour cache built once:
 //!
 //! * **Prune.**  The points are put in one [`PivotOrder`] by their
-//!   distance to `pts[0]`, so the candidates of every ball form one
-//!   contiguous window of that order.  The window, its widening for
+//!   distance to the first point, so the candidates of every ball form
+//!   one contiguous window of that order.  The window, its widening for
 //!   rounding and why it holds in any metric are documented in
 //!   [`kcz_metric::pivot`].
+//! * **Positions.**  A probe numbers the points by their position in
+//!   that order, not by input index: the weights, gains, covered flags,
+//!   cursors and lists are all indexed by position, and the order holds
+//!   the only copy of the points, so every window is a contiguous slice
+//!   of points.  Only the picks are mapped back to input indices, and
+//!   the argmax breaks ties by input index, the last maximal one winning.
 //! * **Cache.**  The first probe, at radius `R`, runs `dist_many` of every
-//!   point against its window and keeps each `(index, distance)` with
+//!   point against its window and keeps each `(position, distance)` with
 //!   `distance ≤ R` in one CSR, each list sorted nearest first.  A probe
 //!   at `r ≤ R` reads the prefix of each list with `distance ≤ r`; a
 //!   probe above `R` rebuilds the cache at `r`.  A warm search builds
@@ -37,18 +43,23 @@
 //!   `R`, so a [`BallCache`] keeps them, with the pivot order and the
 //!   candidate ladder, for the next solve on the same points, which then
 //!   pays only for its probes.
-//! * **Cursors.**  Each point keeps the end of its prefix and the weight
-//!   of that prefix.  A probe moves every cursor from the last probe's
-//!   radius to its own, adding or subtracting the weights of the entries
-//!   it crosses, so it pays only for the entries between the two radii.
-//!   The prefix is also the ball a covered point's weight leaves, with no
-//!   distance read.  A rebuild resets the cursors.
+//! * **Cursors.**  Each position keeps the end of its prefix and the
+//!   weight of that prefix.  A probe moves every cursor from the last
+//!   probe's radius to its own, adding or subtracting the weights of the
+//!   entries it crosses, so it pays only for the entries between the two
+//!   radii.  The prefix is also the ball a covered point's weight leaves,
+//!   with no distance read.  A pick's `3r` ball lies in its own window,
+//!   one run of positions, so the lists of the points it covers lie
+//!   close together in the CSR and are read in memory order.  A rebuild
+//!   resets the cursors.
 //! * **Key sort.**  A build writes every window candidate and advances
 //!   the kept count by `distance ≤ R`, with no branch.  Each list is
 //!   sorted as `u64` keys: the distance's bits, whose order is the order
 //!   of non-negative floats, with the low bits replaced by the entry's
-//!   position in its window.  One insertion pass then orders the runs of
-//!   entries whose distances differ only in those low bits.
+//!   offset in its window.  One insertion pass then orders the runs of
+//!   entries whose distances differ only in those low bits, and the
+//!   window's first position plus the offset is the neighbour the list
+//!   stores.
 //! * **Budget.**  A build stops once its kept entries pass a fixed budget
 //!   of 1.5 M entries (18 MB, the size of a 1500×1500 `f64` distance
 //!   matrix), and the solve remembers that radius.  A probe at or above
@@ -62,23 +73,29 @@
 //! picks and verdict therefore do not depend on the mode or the budget.
 //! Gains and uncovered weights are summed in `u128`, which is exact for
 //! any `n < 2³²` whatever the weights, so a cursor's running sum equals
-//! the sum of its prefix.
+//! the sum of its prefix.  A gain holds its weight above 32 low bits
+//! that carry its point's input index, the argmax's tie-break, and stays
+//! exact, as that weight is below 2⁹⁶.
 
 use kcz_metric::pivot::PivotOrder;
 use kcz_metric::{MetricSpace, Weighted};
 
-use crate::cost::cost_with_outliers;
+use crate::cost::{nearest_distances, outlier_radius};
 
-/// Entry budget of the neighbour cache: 1.5 M entries of a `u32` index
-/// and an `f64` distance, 18 MB.
+/// Entry budget of the neighbour cache: 1.5 M entries of a `u32`
+/// position and an `f64` distance, 18 MB.
 const CACHE_BUDGET: usize = 1_500_000;
 
-/// Low bits of a build's sort key that hold an entry's position in its
+/// Low bits of a build's sort key that hold an entry's offset in its
 /// window.  They cover any window of a point set the cache can hold: a
 /// set of more than `CACHE_BUDGET` points cannot hold even its
 /// self-entries, so it is never cached.
 const POS_BITS: u32 = usize::BITS - CACHE_BUDGET.leading_zeros();
 const POS_MASK: u64 = (1 << POS_BITS) - 1;
+
+/// Low bits of a probe's gain that hold its point's input index, the
+/// tie-break of the argmax.
+const INDEX_BITS: u32 = 32;
 
 /// Tuning knobs for [`greedy_with`].  They choose the candidate radii
 /// and where the search starts.  How the probes answer their ball
@@ -239,7 +256,7 @@ impl<P: Clone + PartialEq, M: MetricSpace<P>> BallCache<P, M> {
         }
         self.points.clear();
         self.points.extend_from_slice(points);
-        same && !self.kept.balls.pts.is_empty()
+        same && self.kept.balls.derived()
     }
 
     /// [`greedy_with`] on the loaded points, from the kept state.
@@ -291,19 +308,15 @@ fn solve_from<P: Clone, M: MetricSpace<P>>(
     }
     assert!(k > 0, "k must be positive when weight must be covered");
 
-    let weights: Vec<u64> = points.iter().map(|p| p.weight).collect();
     let Kept { ladder, balls } = kept;
-    balls.derive(metric, points);
+    let weights = balls.derive(metric, points);
     let key = (
         params.exact_candidates_max_n,
         params.geometric_step.to_bits(),
     );
     if ladder.as_ref().is_none_or(|(held, _)| *held != key) {
         *ladder = None;
-        *ladder = Some((
-            key,
-            candidate_radii(metric, &balls.pts, &balls.pivot, params),
-        ));
+        *ladder = Some((key, candidate_radii(metric, points, &balls.pivot, params)));
     }
     let candidates = &ladder.as_ref().expect("the ladder was built above").1;
     debug_assert!(!candidates.is_empty());
@@ -339,10 +352,19 @@ fn solve_from<P: Clone, M: MetricSpace<P>>(
         .iter()
         .map(|&i| points[i].point.clone())
         .collect();
-    // Tighten the certified 3·r̂ to the measured cost of this center set.
-    let measured = cost_with_outliers(metric, points, &centers, z);
-    let radius = measured.min(3.0 * guess);
-    let uncovered = crate::cost::uncovered_weight(metric, points, &centers, radius);
+    // Tighten the certified 3·r̂ to the measured cost of this center set
+    // (`cost_with_outliers`), and count the weight outside that radius
+    // (`uncovered_weight`), both from one nearest-center distance per
+    // point.
+    let mut far = nearest_distances(metric, points, &centers);
+    let radius = outlier_radius(&mut far, z).min(3.0 * guess);
+    let uncovered = far.iter().fold(0u64, |sum, &(d, w)| {
+        if d <= radius {
+            sum
+        } else {
+            sum.saturating_add(w)
+        }
+    });
     GreedySolution {
         centers,
         radius,
@@ -461,20 +483,20 @@ fn gallop_up(
 }
 
 /// Candidate radii for the binary search, ascending, first element `0`.
-/// `pivot` is the `dist_many` row of `pts[0]`.
+/// `pivot` is the `dist_many` row of the first point.
 fn candidate_radii<P: Clone, M: MetricSpace<P>>(
     metric: &M,
-    pts: &[P],
+    points: &[Weighted<P>],
     pivot: &[f64],
     params: &GreedyParams,
 ) -> Vec<f64> {
-    let n = pts.len();
+    let n = points.len();
     let mut row = Vec::new();
     if n <= params.exact_candidates_max_n {
         let mut c = Vec::with_capacity(n * (n - 1) / 2 + 1);
         c.push(0.0);
-        for (i, p) in pts.iter().enumerate() {
-            metric.dist_many(p, &pts[i + 1..], &mut row);
+        for (i, p) in points.iter().enumerate() {
+            metric.dist_many_weighted(&p.point, &points[i + 1..], &mut row);
             c.extend_from_slice(&row);
         }
         c.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN distances"));
@@ -491,11 +513,11 @@ fn candidate_radii<P: Clone, M: MetricSpace<P>>(
         // each window it takes the pairs `(i, j)` with `j > i`, the
         // ordered pairs a full scan compares, so the minimum is the same.
         let sample = 512.min(n);
-        let order = PivotOrder::new(&pivot[..sample], |i| pts[i].clone());
+        let order = PivotOrder::new(&pivot[..sample], |i| points[i].point.clone());
         let mut lo = f64::INFINITY;
         for i in 0..sample {
             let win = order.window(pivot[i], lo);
-            metric.dist_many(&pts[i], &order.items()[win.clone()], &mut row);
+            metric.dist_many(&points[i].point, &order.items()[win.clone()], &mut row);
             for (&d, &j) in row.iter().zip(&order.index()[win]) {
                 if j > i && d > 0.0 && d < lo {
                     lo = d;
@@ -517,15 +539,17 @@ fn candidate_radii<P: Clone, M: MetricSpace<P>>(
     }
 }
 
-/// The ball queries of a solve (see the module docs): the points, their
-/// pivot order, and the neighbour cache while it fits the budget.  Only
-/// the cursors depend on the weights, and [`Balls::derive`] rewinds them.
+/// The ball queries of a solve (see the module docs): the pivot order of
+/// the points, and the neighbour cache while it fits the budget.  A
+/// probe numbers the points by their position in the order, not by
+/// input index.  Only the cursors depend on the weights, and
+/// [`Balls::derive`] rewinds them.
 struct Balls<P> {
-    /// The points, by index; empty until [`Balls::derive`].
-    pts: Vec<P>,
-    /// `f` of each point, by index into `pts`: its distance to `pts[0]`.
+    /// `f` of each point, by input index: its distance to the first
+    /// point.
     pivot: Vec<f64>,
-    /// `pts` by `f`.
+    /// The points by `f`, each stored once; empty until
+    /// [`Balls::derive`].
     order: PivotOrder<P>,
     /// Most cache entries a build may keep.
     budget: usize,
@@ -539,11 +563,12 @@ struct Balls<P> {
     keys: Vec<u64>,
 }
 
-/// Neighbour lists at radius `r` in CSR form: the entries of point `p`
-/// (an index into `pts`) are `start[p]..start[p + 1]` of `nbr` and `dist`,
-/// nearest first.  The cursor `end[p]` ends the prefix of `p`'s list that
-/// lies within the last probe's radius, and `sum[p]` is the weight of that
-/// prefix.  Every array is empty while no build is complete.
+/// Neighbour lists at radius `r` in CSR form: the entries of the point at
+/// position `a` are `start[a]..start[a + 1]` of `nbr` (positions) and
+/// `dist`, nearest first.  The cursor `end[a]` ends the prefix of `a`'s
+/// list that lies within the last probe's radius, and `sum[a]` is the
+/// weight of that prefix.  Every array is empty while no build is
+/// complete.
 struct Cache {
     /// The radius of the lists; `-∞` while no build is complete.
     r: f64,
@@ -571,7 +596,6 @@ impl<P> Balls<P> {
     /// Nothing derived yet; `budget` caps the cache in entries.
     fn new(budget: usize) -> Self {
         Balls {
-            pts: Vec::new(),
             pivot: Vec::new(),
             order: PivotOrder::default(),
             budget,
@@ -582,30 +606,40 @@ impl<P> Balls<P> {
             keys: Vec::new(),
         }
     }
+
+    /// Whether a solve derived the order.
+    fn derived(&self) -> bool {
+        !self.order.items().is_empty()
+    }
 }
 
 impl<P: Clone> Balls<P> {
     /// Derives the pivot row and order of `points`, which must not be
     /// empty, unless an earlier solve on the same points left them, and
     /// rewinds every cursor: their sums hold that solve's weights.
-    fn derive<M: MetricSpace<P>>(&mut self, metric: &M, points: &[Weighted<P>]) {
-        if self.pts.is_empty() {
-            self.pts = points.iter().map(|p| p.point.clone()).collect();
-            metric.dist_many(&self.pts[0], &self.pts, &mut self.pivot);
-            self.order = PivotOrder::new(&self.pivot, |i| self.pts[i].clone());
-            // Window positions fit the sort keys' low bits, and indices a
+    /// Returns the weight of each position, which the probes read.
+    fn derive<M: MetricSpace<P>>(&mut self, metric: &M, points: &[Weighted<P>]) -> Vec<u64> {
+        if !self.derived() {
+            metric.dist_many_weighted(&points[0].point, points, &mut self.pivot);
+            self.order = PivotOrder::new(&self.pivot, |i| points[i].point.clone());
+            // Window offsets fit the sort keys' low bits, and positions a
             // `u32`, only for a point set the budget can cache.
-            self.over = if self.pts.len() <= CACHE_BUDGET {
+            self.over = if points.len() <= CACHE_BUDGET {
                 f64::INFINITY
             } else {
                 f64::NEG_INFINITY
             };
         }
-        debug_assert_eq!(self.pts.len(), points.len());
+        debug_assert_eq!(self.order.items().len(), points.len());
         let c = &mut self.cache;
         let n = c.end.len();
         c.end.copy_from_slice(&c.start[..n]);
         c.sum.fill(0);
+        self.order
+            .index()
+            .iter()
+            .map(|&i| points[i].weight)
+            .collect()
     }
 
     /// Readies the ball queries of one probe at radius `r`: read the cache
@@ -632,10 +666,9 @@ impl<P: Clone> Balls<P> {
     /// its list.  Once the kept entries pass the budget it stops, frees
     /// the partial lists, remembers `r` and returns `false`.
     fn build<M: MetricSpace<P>>(&mut self, metric: &M, r: f64) -> bool {
-        let n = self.pts.len();
-        let candidates: usize = (0..n)
-            .map(|p| self.order.window(self.pivot[p], r).len())
-            .sum();
+        let (f, pts) = (self.order.keys(), self.order.items());
+        let n = pts.len();
+        let candidates: usize = f.iter().map(|&f| self.order.window(f, r).len()).sum();
         // Free the old lists, then make room for every window candidate,
         // up to the budget and one more list, so that no list is copied
         // as the arrays grow; only the entries written are touched.
@@ -645,17 +678,17 @@ impl<P: Clone> Balls<P> {
         let most = candidates.min(self.budget.saturating_add(n));
         c.nbr.reserve_exact(most);
         c.dist.reserve_exact(most);
-        for p in 0..n {
-            let win = self.order.window(self.pivot[p], r);
-            let at = &self.order.index()[win.clone()];
-            metric.dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
+        for (p, &fp) in pts.iter().zip(f) {
+            let win = self.order.window(fp, r);
+            let first = win.start;
+            metric.dist_many(p, &pts[win], &mut self.row);
             let row = &self.row;
             if self.keys.len() < row.len() {
                 self.keys.resize(row.len(), 0);
             }
             // Key every candidate by its distance's bits (`+ 0.0` turns
-            // −0.0 into +0.0) with its window position in the low bits,
-            // and count it kept when it lies within `r`.
+            // −0.0 into +0.0) with its offset in the window in the low
+            // bits, and count it kept when it lies within `r`.
             let mut kept = 0;
             for (pos, &d) in row.iter().enumerate() {
                 self.keys[kept] = (d + 0.0).to_bits() & !POS_MASK | pos as u64;
@@ -679,7 +712,8 @@ impl<P: Clone> Balls<P> {
                 }
                 keys[j] = key;
             }
-            c.nbr.extend(keys.iter().map(|&key| at[at_pos(key)] as u32));
+            c.nbr
+                .extend(keys.iter().map(|&key| (first + at_pos(key)) as u32));
             c.dist.extend(keys.iter().map(|&key| row[at_pos(key)]));
             c.start.push(c.nbr.len());
             if c.nbr.len() > self.budget {
@@ -694,53 +728,54 @@ impl<P: Clone> Balls<P> {
         true
     }
 
-    /// The weight of the points within `r` of `p`, where `r` is the
-    /// radius of the last [`Balls::prepare`].
+    /// The weight of the points within `r` of position `a`, where `r` is
+    /// the radius of the last [`Balls::prepare`].
     fn ball_weight<M: MetricSpace<P>>(
         &mut self,
         metric: &M,
         weights: &[u64],
-        p: usize,
+        a: usize,
         r: f64,
     ) -> u128 {
         if self.cached {
-            return self.cache.sum[p];
+            return self.cache.sum[a];
         }
         let mut sum = 0;
-        self.for_each_within(metric, p, r, |q| sum += u128::from(weights[q]));
+        self.for_each_within(metric, a, r, |b| sum += u128::from(weights[b]));
         sum
     }
 
-    /// Calls `visit(q)` for every `q` with `dist(p, q) ≤ r`, where `r`
-    /// is the radius of the last [`Balls::prepare`].
+    /// Calls `visit(b)` for every position `b` whose point lies within
+    /// `r` of the point at position `a`, where `r` is the radius of the
+    /// last [`Balls::prepare`].
     fn for_each_within<M: MetricSpace<P>>(
         &mut self,
         metric: &M,
-        p: usize,
+        a: usize,
         r: f64,
         mut visit: impl FnMut(usize),
     ) {
         if self.cached {
             let c = &self.cache;
-            let ball = c.start[p]..c.end[p];
+            let ball = c.start[a]..c.end[a];
             debug_assert!(
                 c.dist[ball.clone()].last().is_none_or(|&d| d <= r)
-                    && c.dist[ball.end..c.start[p + 1]]
+                    && c.dist[ball.end..c.start[a + 1]]
                         .first()
                         .is_none_or(|&d| d > r),
-                "the cursor of {p} is not at radius {r}"
+                "the cursor of {a} is not at radius {r}"
             );
-            for &q in &c.nbr[ball] {
-                visit(q as usize);
+            for &b in &c.nbr[ball] {
+                visit(b as usize);
             }
             return;
         }
-        let win = self.order.window(self.pivot[p], r);
-        let at = &self.order.index()[win.clone()];
-        metric.dist_many(&self.pts[p], &self.order.items()[win], &mut self.row);
-        for (&d, &q) in self.row.iter().zip(at) {
+        let win = self.order.window(self.order.keys()[a], r);
+        let pts = self.order.items();
+        metric.dist_many(&pts[a], &pts[win.clone()], &mut self.row);
+        for (b, &d) in win.zip(&self.row) {
             if d <= r {
-                visit(q);
+                visit(b);
             }
         }
     }
@@ -767,7 +802,7 @@ impl Cache {
 /// Outcome of one [`disk_greedy`] run.
 #[derive(Debug, PartialEq)]
 struct Probe {
-    /// Center indices, in pick order.
+    /// Center indices into the input points, in pick order.
     picks: Vec<usize>,
     /// Weight outside every pick's `3r` ball.
     uncovered: u128,
@@ -784,11 +819,14 @@ impl Probe {
 /// greedily pick up to `k` disk centers, stopping early once the
 /// uncovered weight is at most `z` or no `r`-ball covers any of it.
 ///
-/// Gains start as ball weights (the cursors' sums when cached) and drop
-/// as points get covered: `O(Σ|ball|)` over the covered points from the
-/// neighbour cache, plus one `dist_many` row over all points per pick for
-/// its `3r` ball.  Once no pick can follow, the gains are left as they
-/// are.
+/// The points are numbered by their position in the pivot order:
+/// `weights`, the gains and the covered flags are indexed by position,
+/// and only the picks are mapped back to input indices.  Gains start as
+/// ball weights (the cursors' sums when cached) and drop as points get
+/// covered: `O(Σ|ball|)` over the covered points from the neighbour
+/// cache, plus one `dist_many` row per pick over its `3r` window, a
+/// contiguous run of positions whose lists lie next to each other.  Once
+/// no pick can follow, the gains are left as they are.
 fn disk_greedy<P: Clone, M: MetricSpace<P>>(
     balls: &mut Balls<P>,
     metric: &M,
@@ -798,10 +836,19 @@ fn disk_greedy<P: Clone, M: MetricSpace<P>>(
     r: f64,
 ) -> Probe {
     let n = weights.len();
+    debug_assert!(
+        u32::try_from(n).is_ok(),
+        "input indices fit the gains' low bits"
+    );
     balls.prepare(metric, weights, r);
-    // gain[p] = uncovered weight within distance r of p.
+    // gain[a] = uncovered weight within distance r of position a, shifted
+    // above the input index of a, so that the largest gain wins and ties
+    // go to the last maximal input index.  A gain is at most the total
+    // weight, below 2⁹⁶ for n < 2³², so the shifted sum is exact.
     let mut gain: Vec<u128> = (0..n)
-        .map(|p| balls.ball_weight(metric, weights, p, r))
+        .map(|a| {
+            balls.ball_weight(metric, weights, a, r) << INDEX_BITS | balls.order.index()[a] as u128
+        })
         .collect();
     let mut uncovered: u128 = weights.iter().map(|&w| u128::from(w)).sum();
     let mut covered = vec![false; n];
@@ -811,27 +858,31 @@ fn disk_greedy<P: Clone, M: MetricSpace<P>>(
         if uncovered <= u128::from(z) {
             break;
         }
-        // Ties go to the last maximal index.
         let (best, &g) = gain
             .iter()
             .enumerate()
             .max_by_key(|&(_, g)| *g)
             .expect("non-empty gains");
-        if g == 0 {
+        if g >> INDEX_BITS == 0 {
             // No r-ball covers any uncovered weight; more centers cannot help.
             break;
         }
-        picks.push(best);
-        metric.dist_many(&balls.pts[best], &balls.pts, &mut ball);
-        for (q, &d) in ball.iter().enumerate() {
-            if d <= 3.0 * r && !covered[q] {
-                covered[q] = true;
-                let w = u128::from(weights[q]);
+        picks.push(balls.order.index()[best]);
+        // The window of `best` at 3r holds every point within 3r of it,
+        // so its row covers the same points as a row over all of them,
+        // in position order.
+        let win = balls.order.window(balls.order.keys()[best], 3.0 * r);
+        let pts = balls.order.items();
+        metric.dist_many(&pts[best], &pts[win.clone()], &mut ball);
+        for (b, &d) in win.zip(&ball) {
+            if d <= 3.0 * r && !covered[b] {
+                covered[b] = true;
+                let w = u128::from(weights[b]);
                 uncovered -= w;
-                // q leaves every gain it contributed to, unless no pick
+                // b leaves every gain it contributed to, unless no pick
                 // follows to read the gains.
                 if picks.len() < k && uncovered > u128::from(z) {
-                    balls.for_each_within(metric, q, r, |p| gain[p] -= w);
+                    balls.for_each_within(metric, b, r, |a| gain[a] -= w << INDEX_BITS);
                 }
             }
         }
@@ -842,6 +893,7 @@ fn disk_greedy<P: Clone, M: MetricSpace<P>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{cost_with_outliers, uncovered_weight};
     use crate::exact::exact_discrete;
     use kcz_metric::{unit_weighted, Line, Linf, L2};
 
@@ -1012,12 +1064,12 @@ mod tests {
         let pts: Vec<P> = points.iter().map(|p| p.point.clone()).collect();
         let mut pivot = Vec::new();
         metric.dist_many(&pts[0], &pts, &mut pivot);
-        let exact = candidate_radii(metric, &pts, &pivot, &GreedyParams::default());
+        let exact = candidate_radii(metric, points, &pivot, &GreedyParams::default());
         let geometric = GreedyParams {
             exact_candidates_max_n: 0,
             ..Default::default()
         };
-        let geometric = candidate_radii(metric, &pts, &pivot, &geometric);
+        let geometric = candidate_radii(metric, points, &pivot, &geometric);
         for ladder in [exact, geometric] {
             let stride = ladder.len().div_ceil(100);
             let candidates: Vec<f64> = ladder.into_iter().step_by(stride).collect();
@@ -1030,9 +1082,10 @@ mod tests {
                     .collect();
                 for budget in [usize::MAX, n * n / 3, 0] {
                     let mut balls = Balls::new(budget);
-                    balls.derive(metric, points);
+                    let by_position = balls.derive(metric, points);
                     for &i in &order {
-                        let got = disk_greedy(&mut balls, metric, &weights, k, z, candidates[i]);
+                        let got =
+                            disk_greedy(&mut balls, metric, &by_position, k, z, candidates[i]);
                         assert_eq!(
                             got, expect[i],
                             "{what}: k={k} z={z} budget={budget} r={}",
@@ -1152,7 +1205,7 @@ mod tests {
         let pts: Vec<[f64; 2]> = points.iter().map(|p| p.point).collect();
         let side = L2.dist(&pts[1], &pts[2]);
         let mut balls = Balls::new(400);
-        balls.derive(&L2, &points);
+        let by_position = balls.derive(&L2, &points);
         // After the build at 10 overflows, 12 scans with no build; a
         // radius below 10 builds again.
         for (r, cached) in [
@@ -1164,7 +1217,7 @@ mod tests {
             (side, true),
         ] {
             for (k, z) in [(1usize, 0u64), (3, 2), (8, 5)] {
-                let got = disk_greedy(&mut balls, &L2, &weights, k, z, r);
+                let got = disk_greedy(&mut balls, &L2, &by_position, k, z, r);
                 assert_eq!(balls.cached, cached, "r={r} k={k} z={z}");
                 // An overflowing build frees its partial lists at once.
                 assert_eq!(balls.cache.nbr.capacity() == 0, !cached);
@@ -1172,6 +1225,29 @@ mod tests {
             }
         }
         assert_eq!(balls.over, 10.0);
+    }
+
+    #[test]
+    fn the_solve_tail_reads_the_cost_functions() {
+        // The radius is `cost_with_outliers` capped at 3·guess, and the
+        // uncovered weight is `uncovered_weight` at that radius, both
+        // read from one nearest-center distance per point.
+        for (name, pts) in planar_instances(0) {
+            for (k, z) in [(1usize, 0u64), (2, 3), (3, 1), (4, 40)] {
+                let sol = greedy(&L2, &pts, k, z);
+                let measured = cost_with_outliers(&L2, &pts, &sol.centers, z);
+                assert_eq!(
+                    sol.radius.to_bits(),
+                    measured.min(3.0 * sol.guess).to_bits(),
+                    "{name} k={k} z={z}"
+                );
+                assert_eq!(
+                    sol.uncovered,
+                    uncovered_weight(&L2, &pts, &sol.centers, sol.radius),
+                    "{name} k={k} z={z}"
+                );
+            }
+        }
     }
 
     /// The bits a solve publishes: centers, radius, guess, uncovered
@@ -1296,7 +1372,7 @@ mod tests {
         let mut cache = BallCache::new(Linf);
         assert!(!cache.load(&pts));
         let sol = cache.solve(2, 3, &GreedyParams::default());
-        assert!(sol.uncovered <= 3 && !cache.kept.balls.pts.is_empty());
+        assert!(sol.uncovered <= 3 && cache.kept.balls.derived());
         assert!(!cache.load(&pts), "NaN != NaN, so the key never matches");
     }
 
@@ -1308,17 +1384,13 @@ mod tests {
         z: u64,
         params: &GreedyParams,
     ) -> (Vec<f64>, Vec<bool>) {
-        let weights: Vec<u64> = pts.iter().map(|p| p.weight).collect();
-        let raw: Vec<[f64; 2]> = pts.iter().map(|p| p.point).collect();
-        let mut pivot = Vec::new();
-        L2.dist_many(&raw[0], &raw, &mut pivot);
-        let candidates = candidate_radii(&L2, &raw, &pivot, params);
         let mut balls = Balls::new(CACHE_BUDGET);
-        balls.derive(&L2, pts);
+        let by_position = balls.derive(&L2, pts);
+        let candidates = candidate_radii(&L2, pts, &balls.pivot, params);
         let feas = candidates
             .iter()
             .map(|&r| {
-                disk_greedy(&mut balls, &L2, &weights, k, z, r)
+                disk_greedy(&mut balls, &L2, &by_position, k, z, r)
                     .verdict(z)
                     .is_some()
             })

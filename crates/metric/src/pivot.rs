@@ -79,6 +79,11 @@ impl<T> PivotOrder<T> {
         &self.index
     }
 
+    /// The key `f` of each sorted position, ascending.
+    pub fn keys(&self) -> &[f64] {
+        &self.keys
+    }
+
     /// Adds the point of the next index, one past the last, whose
     /// distance to the pivot is `f`.  Its key goes after every equal key,
     /// so ties stay in index order.

@@ -181,6 +181,9 @@ def main():
     for binary in (args.parent, args.change):
         if not binary.is_file():
             ap.error(f"{binary} is not a file")
+    # Absolute paths: `Path("./bin")` prints as `bin`, which `subprocess`
+    # would look up on PATH.  The report keeps the paths as given.
+    binaries = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
         "parent": str(args.parent),
@@ -196,8 +199,7 @@ def main():
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
                 t0 = time.monotonic()
-                binary = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(binary, name, seed, seconds))
+                runs[side].append(run_once(binaries[side], name, seed, seconds))
                 print(f"# {name} seed {seed} {side}: {time.monotonic() - t0:.1f} s",
                       file=sys.stderr, flush=True)
         metrics = {}
